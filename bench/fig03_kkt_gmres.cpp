@@ -2,7 +2,7 @@
 /// GMRES + Jacobi preconditioner on the KKT240-class symmetric indefinite
 /// system, versus process count (256 … 4096).
 ///
-/// Substitution (DESIGN.md §2): KKT240 itself (28 M equations) is not
+/// Substitution: KKT240 itself (28 M equations) is not
 /// redistributable, so a synthetic saddle-point system with the same
 /// structure is solved for real; per-iteration cost is measured locally and
 /// extrapolated to the paper's scale with a documented compute+allreduce

@@ -1,5 +1,5 @@
 /// Beyond the paper: chunked content-addressed delta checkpointing vs the
-/// full-stream serializer, driven through the real CheckpointManager over
+/// full checkpoints, driven through the real CheckpointManager over
 /// real solver trajectories.
 ///
 ///   build/bench/fig_delta_ckpt [--json <path>]
@@ -9,7 +9,7 @@
 /// by every full checkpoint) plus the method's dynamic vectors. Between
 /// consecutive checkpoints the static payload never changes and most
 /// late-convergence dynamic chunks barely do, so the delta encoder turns
-/// them into 9-byte references.
+/// them into payload-free reference frames.
 ///
 /// (a) Stored bytes per checkpoint, full vs delta, per method (local
 ///     measurement scaled to the Table-3 per-rank sizes).
@@ -46,8 +46,8 @@ struct MethodDelta {
 };
 
 /// Drive one method's solver, checkpointing the full application state
-/// (static matrix payload + dynamic vectors) through two managers — legacy
-/// full streams vs chunked deltas — at ~`checkpoints` evenly spaced points.
+/// (static matrix payload + dynamic vectors) through two managers — full
+/// streams vs chunked deltas — at ~`checkpoints` evenly spaced points.
 MethodDelta measure_method(const std::string& method, int checkpoints,
                            int max_chain) {
   using namespace lck;
@@ -68,19 +68,17 @@ MethodDelta measure_method(const std::string& method, int checkpoints,
 
   auto solver = p.make_solver();
   NoneCompressor none;  // traditional scheme: verbatim storage
-  auto store_full = std::make_unique<MemoryStore>();
-  CheckpointManager mgr_full(std::move(store_full), &none);
-  // The "full" baseline is the traditional *verbatim* full-stream format the
-  // paper's motivation measures. The framed transport (on by default) would
-  // lz4-compress those streams and silently shrink the baseline, so pin the
-  // legacy serializer here; the delta manager is unaffected (DKPT takes
-  // precedence over streaming).
-  StreamingConfig legacy_full;
-  legacy_full.enabled = false;
-  mgr_full.set_streaming(legacy_full);
+  // Both managers store verbatim chunks raw (no lz4 frames), so the ratio
+  // measures delta encoding alone — the traditional *verbatim* full stream
+  // the paper's motivation measures is the baseline.
+  StreamingConfig raw_frames;
+  raw_frames.style = "raw";
+  CheckpointManager mgr_full(std::make_unique<MemoryStore>(), &none);
+  mgr_full.set_streaming(raw_frames);
   auto store_delta = std::make_unique<MemoryStore>();
   auto* store_delta_raw = store_delta.get();
   CheckpointManager mgr_delta(std::move(store_delta), &none);
+  mgr_delta.set_streaming(raw_frames);
   mgr_delta.set_delta(max_chain, /*chunk_elems=*/256);
   mgr_delta.set_retention(2 * max_chain + 2);
 

@@ -82,8 +82,8 @@ ResilienceConfig fleet_config(const Flavor& flavor,
   cfg.static_bytes = 1e6;
   cfg.tiered.l2_promote_every = 1;
   cfg.tiered.l3_promote_every = 2;
-  // Chunked delta streams are the unit of cross-job dedup; raw blobs would
-  // be stored verbatim per namespace.
+  // Small delta chunks are the unit of cross-job dedup: jobs of one flavor
+  // write identical chunks, which the shared L3 stores once.
   cfg.delta.max_delta_chain = 4;
   cfg.delta.chunk_elems = 256;
   cfg.store_factory = job.store_factory();

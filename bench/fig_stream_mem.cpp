@@ -1,18 +1,18 @@
-/// Peak-memory gate for the streaming checkpoint path (the PR-6 bugfix):
-/// the legacy serializer materialized the whole checkpoint stream in RAM
-/// before the store saw a byte, so checkpoint+recover peaked at ~2x the
-/// protected state. The framed streaming path must stay within a small
-/// constant of 1x.
+/// Peak-memory gate for the checkpoint stream: checkpoint + recover of a
+/// large protected state must stay within a small constant of 1x the state
+/// size, because the writer streams frames into the store sink and the
+/// reader restores them one frame at a time — no whole-stream buffer.
 ///
-///   build/bench/fig_stream_mem [--mode streaming|legacy] [--state-mb <n>]
+///   build/bench/fig_stream_mem [--mode streaming|delta] [--state-mb <n>]
 ///                              [--dir <path>] [--json <path>]
 ///
+/// streaming: one full checkpoint of the state into a DiskStore, then
+///            recover.
+/// delta:     two checkpoints with set_delta — the second is all
+///            references — then recover through the chain.
+///
 /// One mode per process — peak RSS (getrusage ru_maxrss) is a process-wide
-/// high-water mark, so the two paths cannot be measured in one run. Exit
-/// code enforces the claim for the chosen mode: streaming must keep
-/// peak RSS < 1.3x state, legacy must exceed 1.5x (demonstrating the bug
-/// the gate protects against); a legacy run that stops exceeding it means
-/// the comparison baseline changed and the gate needs re-tuning.
+/// high-water mark. The exit code enforces peak RSS < 1.3x state.
 
 #include <sys/resource.h>
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::string dir;
   JsonSink json;
   CliParser cli(argc, argv,
-                "[--mode streaming|legacy] [--state-mb <n>] [--dir <path>] "
+                "[--mode streaming|delta] [--state-mb <n>] [--dir <path>] "
                 "[--json <path>]");
   while (cli.more()) {
     if (cli.match("--mode"))
@@ -56,15 +56,15 @@ int main(int argc, char** argv) {
     else
       cli.die_unknown();
   }
-  if (mode != "streaming" && mode != "legacy")
-    cli.die("--mode expects streaming or legacy, got \"" + mode + "\"");
+  if (mode != "streaming" && mode != "delta")
+    cli.die("--mode expects streaming or delta, got \"" + mode + "\"");
   if (dir.empty())
     dir = (std::filesystem::temp_directory_path() /
            ("lckpt_stream_mem_" + std::to_string(::getpid())))
               .string();
 
-  banner("Streaming checkpoint peak memory — " + mode + " serializer",
-         "PR 6 bugfix: bounded-memory framed checkpoint path");
+  banner("Checkpoint stream peak memory — " + mode + " checkpoints",
+         "bounded-memory framed checkpoint writer and reader");
 
   const std::size_t state_bytes = static_cast<std::size_t>(state_mb) << 20;
   const std::size_t elems = state_bytes / sizeof(double);
@@ -79,11 +79,15 @@ int main(int argc, char** argv) {
   NoneCompressor none;  // traditional scheme: the worst case for peak memory
   {
     CheckpointManager mgr(std::make_unique<DiskStore>(dir), &none);
-    StreamingConfig cfg;
-    cfg.enabled = mode == "streaming";
-    mgr.set_streaming(cfg);
+    if (mode == "delta") mgr.set_delta(4);
     mgr.protect(0, "x", &x);
     mgr.checkpoint();
+    if (mode == "delta") {
+      const CheckpointRecord rec = mgr.checkpoint();  // unchanged: all refs
+      std::printf("delta checkpoint: %zu of %zu chunks are references, "
+                  "%zu bytes stored\n",
+                  rec.chunks_deduped, rec.chunks, rec.stored_bytes);
+    }
     for (auto& v : x) v = 0.0;
     mgr.recover();
   }
@@ -101,17 +105,9 @@ int main(int argc, char** argv) {
   json.scalar("peak_rss_mb", rss_peak / 1048576.0);
   json.scalar("rss_ratio", ratio);
 
-  bool ok;
-  if (mode == "streaming") {
-    ok = ratio < 1.3;
-    std::printf("gate: streaming peak RSS must stay < 1.3x state: %s\n",
-                ok ? "PASS" : "FAIL");
-  } else {
-    ok = ratio > 1.5;
-    std::printf("gate: legacy peak RSS must exceed 1.5x state (the bug this "
-                "bench guards against): %s\n",
-                ok ? "PASS" : "FAIL");
-  }
+  const bool ok = ratio < 1.3;
+  std::printf("gate: %s peak RSS must stay < 1.3x state: %s\n", mode.c_str(),
+              ok ? "PASS" : "FAIL");
   json.scalar("gate_ok", ok ? 1.0 : 0.0);
   json.write();
   return ok ? 0 : 1;

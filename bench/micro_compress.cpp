@@ -1,6 +1,5 @@
 /// google-benchmark microbenchmarks for the compression stack: throughput
-/// of each compressor on solver-like data, the parallel block pipeline's
-/// thread scaling, plus the Huffman core.
+/// of each compressor on solver-like data, plus the Huffman core.
 
 #include <benchmark/benchmark.h>
 
@@ -9,16 +8,10 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lossless/byte_codecs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sparse/vector_ops.hpp"
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 namespace {
 
@@ -55,38 +48,6 @@ void bm_decompress(benchmark::State& state, const char* name) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size() * 8));
-}
-
-/// Thread scaling of the parallel block pipeline: range(0) elements split
-/// into BlockCompressor blocks, compressed on range(1) OpenMP threads.
-/// The ratio of items/s between the 1-thread and N-thread rows is the
-/// pipeline's parallel speedup (paper §5: compression must stay cheap
-/// relative to the PFS write).
-void bm_block_compress(benchmark::State& state, const char* name) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-#if defined(_OPENMP)
-  const int prev_threads = omp_get_max_threads();
-  omp_set_num_threads(threads);
-#else
-  if (threads > 1) {
-    state.SkipWithError("built without OpenMP");
-    return;
-  }
-#endif
-  const auto comp = lck::make_compressor(std::string("block+") + name,
-                                         lck::ErrorBound::pointwise_rel(1e-4));
-  const auto data = solver_like(n);
-  for (auto _ : state) {
-    auto stream = comp->compress(data);
-    benchmark::DoNotOptimize(stream);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size() * 8));
-  state.counters["threads"] = threads;
-#if defined(_OPENMP)
-  omp_set_num_threads(prev_threads);
-#endif
 }
 
 /// The 4-way interleaved symbol histogram vs the naive single-array loop.
@@ -162,20 +123,5 @@ BENCHMARK(bm_huffman_encode);
 BENCHMARK(bm_histogram_4way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);
-
-// Parallel block-pipeline scaling: 8M-element vector (the paper's per-rank
-// dynamic state is of this order) on 1/2/4/8 threads.
-BENCHMARK_CAPTURE(bm_block_compress, sz, "sz")
-    ->Args({8 << 20, 1})
-    ->Args({8 << 20, 2})
-    ->Args({8 << 20, 4})
-    ->Args({8 << 20, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(bm_block_compress, deflate, "deflate")
-    ->Args({8 << 20, 1})
-    ->Args({8 << 20, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 BENCHMARK_MAIN();

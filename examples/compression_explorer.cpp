@@ -73,14 +73,6 @@ int main() {
                     compression_ratio(*comp, data));
       }
     }
-    // The parallel block pipeline: same codecs, multi-threaded, per-block
-    // CRC. The small ratio penalty is the per-block framing overhead.
-    for (const char* name : {"block+sz", "block+deflate"}) {
-      const auto comp = make_compressor(name, ErrorBound::pointwise_rel(1e-4));
-      std::printf("%-18s %-12s %-10.2f\n", name,
-                  comp->lossy() ? "1e-04" : "lossless",
-                  compression_ratio(*comp, data));
-    }
   }
   std::printf(
       "\nTakeaway (matches paper §2): lossless tops out near 2x on "

@@ -1,7 +1,8 @@
 /// Domain scenario 3 — bring-your-own matrix: load a SuiteSparse Matrix
 /// Market file (e.g. the paper's KKT240) and solve it with GMRES(30) under
 /// lossy checkpointing; without an argument, a synthetic KKT saddle-point
-/// system stands in (DESIGN.md substitution for Fig. 3).
+/// system stands in (KKT240 is not redistributable, so Fig. 3 uses the
+/// same synthetic substitute).
 ///
 ///   build/examples/custom_matrix [matrix.mtx] [--policy fixed|young|adaptive]
 ///                                [--delta <chain-len>]

@@ -2,37 +2,70 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
+#include <exception>
+#include <mutex>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "ckpt/async_writer.hpp"
 #include "ckpt/chunk/chunk_hash.hpp"
-#include "common/byte_buffer.hpp"
-#include "common/crc32.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace lck {
 namespace {
 
-constexpr std::uint32_t kMagic = 0x54504b43u;  // "CKPT"
-constexpr std::uint16_t kVersion = 1;
-
 enum class VarKind : std::uint8_t { kVector = 0, kBlob = 1 };
 
-/// Per-vector payload layout inside a framed ("FKPT") stream.
-enum class FrameVarLayout : std::uint8_t {
-  kVerbatim = 0,  ///< raw little-endian doubles, no codec framing
-  kChunked = 1,   ///< length-prefixed per-chunk compressor payloads
+struct VectorHeader {
+  std::string codec;
+  ChunkGeometry geo{0, 1};
 };
 
-/// Plausibility cap for one chunk payload inside a framed stream: no
-/// in-tree codec expands beyond ~2x (all have stored fallbacks), so 4x the
-/// raw chunk plus slack can only mean a corrupt length field — reject it
-/// before the allocation, not after.
-constexpr std::size_t frame_chunk_payload_bound(std::size_t elems) noexcept {
-  return elems * sizeof(double) * 4 + (std::size_t{1} << 20);
+/// Read a vector's header, cross-checked: its chunk geometry must be the
+/// canonical one the writer emits and agree with its chunk count, so
+/// nothing downstream sizes or slices by an unchecked field.
+VectorHeader read_vector_header(FrameReader& in) {
+  VectorHeader h;
+  h.codec = in.get_string();
+  const auto elems = in.get<std::uint64_t>();
+  const auto chunk_elems = in.get<std::uint64_t>();
+  const auto count = in.get<std::uint32_t>();
+  if (chunk_elems == 0 || chunk_elems > kMaxChunkElems ||
+      chunk_elems > std::max<std::uint64_t>(elems, 1) ||
+      elems > std::uint64_t{count} * chunk_elems)
+    throw corrupt_stream_error("recover: implausible chunk geometry");
+  h.geo = ChunkGeometry(static_cast<std::size_t>(elems),
+                        static_cast<std::size_t>(chunk_elems));
+  if (h.geo.count() != count)
+    throw corrupt_stream_error("recover: inconsistent chunk geometry");
+  return h;
+}
+
+/// Read a blob, growing `out` only as metadata frames actually arrive, so a
+/// corrupt size cannot demand a large allocation up front.
+void read_blob(FrameReader& in, std::vector<byte_t>& out) {
+  const auto size = in.get<std::uint64_t>();
+  out.clear();
+  while (out.size() < size) {
+    const std::size_t at = out.size();
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size - at, kMetaFrameBytes));
+    out.resize(at + n);
+    in.read_into({out.data() + at, n});
+  }
+}
+
+/// Decode one literal chunk: verbatim styles carry the raw doubles, codec
+/// chunks the registered codec's stream for exactly this slice.
+void decode_chunk(const Compressor& comp, const FrameReader::Chunk& chunk,
+                  std::span<double> out) {
+  if (chunk.style == FrameStyle::kCodec)
+    comp.decompress(chunk.payload, out);
+  else
+    std::memcpy(out.data(), chunk.payload.data(), out.size_bytes());
 }
 
 /// References are resolved purely by content hash, so for lossless codecs
@@ -56,8 +89,7 @@ void verify_ref_hash(const Compressor& comp, std::span<const double> slice,
 }
 
 /// Per-codec compression observability: real seconds and achieved ratio,
-/// labeled by the effective compressor name (so a block-pipeline wrapper
-/// shows up as "block+<codec>").
+/// labeled by the compressor name.
 void observe_compress(obs::Sink sink, const Compressor& comp,
                       std::size_t raw_bytes, std::size_t stored_bytes,
                       double seconds) {
@@ -132,224 +164,132 @@ void CheckpointManager::set_observability(obs::Sink sink) {
   store_->set_observability(sink);
 }
 
-CheckpointRecord CheckpointManager::build_stream(
-    const std::vector<VarView>& vars, int version,
-    std::vector<byte_t>& bytes) const {
+CheckpointRecord CheckpointManager::write_stream(
+    const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
+    ChunkBaseState* state, ByteSink& sink) const {
   CheckpointRecord rec;
   rec.version = version;
+  rec.base_version = base != nullptr ? base->version : -1;
+  rec.chain_len = base != nullptr ? base->chain_len + 1 : 0;
+  const std::size_t chunk_elems =
+      state != nullptr ? state->chunk_elems : kChunkElems;
+  // Literal chunks are compressed concurrently in bounded batches and
+  // emitted in order: each payload depends only on its chunk's doubles, so
+  // the stream is deterministic and at most one batch of payloads is alive.
+  const std::size_t batch = 2 * static_cast<std::size_t>(num_threads());
 
-  ByteWriter out;
-  out.put(kMagic);
-  out.put(kVersion);
+  FrameWriter out(sink, streaming_, rec.base_version, rec.chain_len, sink_);
   out.put(static_cast<std::uint32_t>(vars.size()));
 
   WallTimer timer;
+  std::vector<std::vector<byte_t>> payloads;
   for (const auto& var : vars) {
     out.put(static_cast<std::int32_t>(var.id));
     out.put_string(*var.name);
-    if (var.vec != nullptr) {
-      out.put(static_cast<std::uint8_t>(VarKind::kVector));
-      const Vector& vec = *var.vec;
-      const Compressor* comp = var.compressor;
-      const bool verbatim =
-          dynamic_cast<const NoneCompressor*>(comp) != nullptr;
-      // Vectors spanning more than one block go through the parallel
-      // block pipeline; the stored compressor name records the layout.
-      // A registered compressor that is already a BlockCompressor is
-      // used as-is — nesting would frame (and CRC) the payload twice.
-      // Verbatim ("none") vectors skip the pipeline too: there is nothing
-      // to parallelize about a memcpy.
-      std::optional<BlockCompressor> blk;
-      if (!verbatim && block_elems_ > 0 && vec.size() > block_elems_ &&
-          dynamic_cast<const BlockCompressor*>(comp) == nullptr)
-        blk.emplace(comp, block_elems_);
-      if (blk) comp = &*blk;
-      out.put_string(comp->name());
-      out.put(static_cast<std::uint64_t>(vec.size()));
-      rec.raw_bytes += vec.size() * sizeof(double);
-      if (verbatim) {
-        // Fast path: emit the NoneCompressor stream layout directly into
-        // the checkpoint buffer instead of round-tripping the vector
-        // through an intermediate payload allocation.
-        ByteWriter header(NoneCompressor::kHeaderBytes);
-        header.put(NoneCompressor::kMagic);
-        header.put(static_cast<std::uint64_t>(vec.size()));
-        const std::span<const byte_t> raw{
-            reinterpret_cast<const byte_t*>(vec.data()),
-            vec.size() * sizeof(double)};
-        Crc32 crc;
-        crc.update(header.view());
-        crc.update(raw);
-        const std::size_t payload_size = header.size() + raw.size();
-        rec.per_var_bytes[*var.name] = payload_size;
-        out.put(static_cast<std::uint64_t>(payload_size));
-        out.put(crc.value());
-        out.put_bytes(header.view());
-        out.put_bytes(raw);
-      } else {
-        const WallTimer comp_timer;
-        const auto payload = comp->compress(vec);
-        observe_compress(sink_, *comp, vec.size() * sizeof(double),
-                         payload.size(), comp_timer.seconds());
-        rec.per_var_bytes[*var.name] = payload.size();
-        out.put(static_cast<std::uint64_t>(payload.size()));
-        out.put(crc32(payload));
-        out.put_bytes(payload);
-      }
-    } else {
+    if (var.vec == nullptr) {
       out.put(static_cast<std::uint8_t>(VarKind::kBlob));
-      out.put_string("none");
       out.put(static_cast<std::uint64_t>(var.blob->size()));
+      out.put_bytes(*var.blob);
       rec.raw_bytes += var.blob->size();
       rec.per_var_bytes[*var.name] = var.blob->size();
-      out.put(static_cast<std::uint64_t>(var.blob->size()));
-      out.put(crc32(*var.blob));
-      out.put_bytes(*var.blob);
+      continue;
     }
-  }
-  rec.compress_seconds = timer.seconds();
+    const Vector& vec = *var.vec;
+    const Compressor& comp = *var.compressor;
+    // Canonical geometry: a one-chunk vector records its own length as the
+    // chunk size, so every header field is pinned by the others.
+    const ChunkGeometry geo(
+        vec.size(),
+        std::min(chunk_elems, std::max<std::size_t>(vec.size(), 1)));
+    const std::size_t count = geo.count();
+    const auto slice = [&](std::size_t c) {
+      return std::span<const double>(vec.data() + geo.begin(c), geo.length(c));
+    };
+    out.put(static_cast<std::uint8_t>(VarKind::kVector));
+    out.put_string(comp.name());
+    out.put(static_cast<std::uint64_t>(vec.size()));
+    out.put(static_cast<std::uint64_t>(geo.chunk_elems));
+    out.put(static_cast<std::uint32_t>(count));
+    rec.raw_bytes += vec.size() * sizeof(double);
 
-  rec.stored_bytes = out.size();
-  bytes = std::move(out).take();
-  return rec;
-}
+    // Delta mode: hash every chunk's raw bytes (concurrently; the hash list
+    // is a pure function of the data, so sync and async drains agree), then
+    // decide literal/ref in chunk order: a chunk references the base
+    // version's content or a literal emitted earlier in this stream.
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint8_t> is_ref(count, 0);
+    if (state != nullptr) {
+      hashes.resize(count);
+      parallel_for(0, static_cast<index_t>(count), [&](index_t c) {
+        const auto s = slice(static_cast<std::size_t>(c));
+        hashes[static_cast<std::size_t>(c)] = crc64(
+            {reinterpret_cast<const byte_t*>(s.data()), s.size_bytes()});
+      });
+      const auto* base_hashes =
+          base != nullptr ? base->hashes_for(var.id, comp.name()) : nullptr;
+      std::unordered_set<std::uint64_t> available;
+      if (base_hashes != nullptr)
+        available.insert(base_hashes->begin(), base_hashes->end());
+      for (std::size_t c = 0; c < count; ++c)
+        is_ref[c] = available.insert(hashes[c]).second ? 0 : 1;
+    }
 
-CheckpointRecord CheckpointManager::build_frame_stream(
-    const std::vector<VarView>& vars, int version, ByteSink& sink) const {
-  CheckpointRecord rec;
-  rec.version = version;
-
-  FrameWriter out(sink, streaming_, sink_);
-  out.put(kVersion);
-  out.put(static_cast<std::uint32_t>(vars.size()));
-
-  WallTimer timer;
-  for (const auto& var : vars) {
-    out.put(static_cast<std::int32_t>(var.id));
-    out.put_string(*var.name);
-    if (var.vec != nullptr) {
-      out.put(static_cast<std::uint8_t>(VarKind::kVector));
-      const Vector& vec = *var.vec;
-      const Compressor* comp = var.compressor;
-      const bool verbatim =
-          dynamic_cast<const NoneCompressor*>(comp) != nullptr;
-      // Same chunking rule as the legacy block pipeline (same block size,
-      // same size threshold, BlockCompressor used as-is): each chunk's
-      // payload is comp->compress() of exactly the slice the legacy path
-      // would have compressed, so recovered values are bit-identical to a
-      // legacy-serializer round trip. Chunks are compressed sequentially —
-      // at most one chunk payload is in flight, keeping memory bounded.
-      std::size_t chunk_elems = std::max<std::size_t>(vec.size(), 1);
-      if (!verbatim && block_elems_ > 0 && vec.size() > block_elems_ &&
-          dynamic_cast<const BlockCompressor*>(comp) == nullptr)
-        chunk_elems = block_elems_;
-      out.put_string(comp->name());
-      out.put(static_cast<std::uint64_t>(vec.size()));
-      rec.raw_bytes += vec.size() * sizeof(double);
-      if (verbatim) {
-        // Raw doubles straight into the frames; the frame style (e.g.
-        // lz4) is the only compression layer, and the per-frame CRC the
-        // only integrity layer — no codec header, no payload allocation.
-        out.put(static_cast<std::uint8_t>(FrameVarLayout::kVerbatim));
-        const std::span<const byte_t> raw{
-            reinterpret_cast<const byte_t*>(vec.data()),
-            vec.size() * sizeof(double)};
-        out.put_bytes(raw);
-        rec.per_var_bytes[*var.name] = raw.size();
-      } else {
-        out.put(static_cast<std::uint8_t>(FrameVarLayout::kChunked));
-        const ChunkGeometry geo(vec.size(), chunk_elems);
-        out.put(static_cast<std::uint64_t>(geo.chunk_elems));
-        std::size_t var_bytes = 0;
+    const bool verbatim = dynamic_cast<const NoneCompressor*>(&comp) != nullptr;
+    std::size_t var_bytes = 0;
+    std::size_t refs = 0;
+    double comp_seconds = 0.0;
+    for (std::size_t first = 0; first < count; first += batch) {
+      const std::size_t last = std::min(count, first + batch);
+      if (!verbatim) {
+        payloads.resize(last - first);
         const WallTimer comp_timer;
-        double comp_seconds = 0.0;
-        for (std::size_t c = 0; c < geo.count(); ++c) {
-          const double before = comp_timer.seconds();
-          const auto payload =
-              comp->compress({vec.data() + geo.begin(c), geo.length(c)});
-          comp_seconds += comp_timer.seconds() - before;
-          out.put(static_cast<std::uint64_t>(payload.size()));
-          out.put_bytes(payload);
-          var_bytes += payload.size();
-        }
-        observe_compress(sink_, *comp, vec.size() * sizeof(double), var_bytes,
-                         comp_seconds);
-        rec.per_var_bytes[*var.name] = var_bytes;
+        // An exception must not escape the parallel region (that would
+        // terminate); the first one is carried out and rethrown here.
+        std::exception_ptr error;
+        std::mutex error_mu;
+        parallel_for(static_cast<index_t>(first), static_cast<index_t>(last),
+                     [&](index_t ci) {
+                       const auto c = static_cast<std::size_t>(ci);
+                       if (is_ref[c] != 0) return;
+                       try {
+                         payloads[c - first] = comp.compress(slice(c));
+                       } catch (...) {
+                         const std::lock_guard<std::mutex> lock(error_mu);
+                         if (error == nullptr) error = std::current_exception();
+                       }
+                     });
+        if (error != nullptr) std::rethrow_exception(error);
+        comp_seconds += comp_timer.seconds();
       }
-    } else {
-      out.put(static_cast<std::uint8_t>(VarKind::kBlob));
-      out.put(static_cast<std::uint64_t>(var.blob->size()));
-      out.put_bytes(*var.blob);
-      rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
+      for (std::size_t c = first; c < last; ++c) {
+        const std::uint64_t hash = hashes.empty() ? 0 : hashes[c];
+        const std::size_t raw_len = slice(c).size_bytes();
+        if (is_ref[c] != 0) {
+          out.put_ref_chunk(raw_len, hash);
+          ++refs;
+        } else if (verbatim) {
+          var_bytes += out.put_verbatim_chunk(
+              {reinterpret_cast<const byte_t*>(slice(c).data()), raw_len},
+              hash);
+        } else {
+          out.put_codec_chunk(payloads[c - first], raw_len, hash);
+          var_bytes += payloads[c - first].size();
+        }
+      }
+    }
+    if (!verbatim)
+      observe_compress(sink_, comp, vec.size() * sizeof(double), var_bytes,
+                       comp_seconds);
+    rec.per_var_bytes[*var.name] = var_bytes;
+    if (state != nullptr) {
+      state->vars.push_back({var.id, comp.name(), std::move(hashes)});
+      rec.chunks += count;
+      rec.chunks_deduped += refs;
     }
   }
   out.finish();
   rec.compress_seconds = timer.seconds();
   rec.stored_bytes = out.stream_bytes();
-  return rec;
-}
-
-CheckpointRecord CheckpointManager::build_delta_stream(
-    const std::vector<VarView>& vars, int version,
-    const ChunkBaseState* base, std::vector<byte_t>& bytes,
-    std::shared_ptr<const ChunkBaseState>& out_state) const {
-  CheckpointRecord rec;
-  rec.version = version;
-  rec.base_version = base != nullptr ? base->version : -1;
-  rec.chain_len = base != nullptr ? base->chain_len + 1 : 0;
-
-  auto state = std::make_shared<ChunkBaseState>();
-  state->version = version;
-  state->chunk_elems = delta_chunk_elems_;
-  state->chain_len = rec.chain_len;
-
-  ByteWriter out;
-  out.put(kDeltaMagic);
-  out.put(kDeltaFormatVersion);
-  out.put(static_cast<std::int32_t>(rec.base_version));
-  out.put(rec.chain_len);
-  out.put(static_cast<std::uint32_t>(vars.size()));
-
-  WallTimer timer;
-  for (const auto& var : vars) {
-    out.put(static_cast<std::int32_t>(var.id));
-    out.put_string(*var.name);
-    if (var.vec != nullptr) {
-      out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
-      // Chunks are the unit of parallel compression here, so the block
-      // pipeline is not layered on top (a registered BlockCompressor is
-      // still honoured as the per-chunk codec).
-      const std::string comp_name = var.compressor->name();
-      const std::vector<std::uint64_t>* base_hashes =
-          base != nullptr ? base->hashes_for(var.id, comp_name) : nullptr;
-      std::vector<std::uint64_t> hashes;
-      const WallTimer comp_timer;
-      const ChunkEncodeStats stats =
-          encode_chunked_vector(out, *var.vec, *var.compressor,
-                                delta_chunk_elems_, base_hashes, hashes);
-      observe_compress(sink_, *var.compressor,
-                       var.vec->size() * sizeof(double), stats.literal_bytes,
-                       comp_timer.seconds());
-      state->vars.push_back({var.id, comp_name, std::move(hashes)});
-      rec.raw_bytes += var.vec->size() * sizeof(double);
-      rec.chunks += stats.chunks;
-      rec.chunks_deduped += stats.refs;
-      rec.per_var_bytes[*var.name] = stats.literal_bytes;
-    } else {
-      out.put(static_cast<std::uint8_t>(DeltaVarKind::kBlob));
-      out.put(static_cast<std::uint64_t>(var.blob->size()));
-      out.put(crc32(*var.blob));
-      out.put_bytes(*var.blob);
-      rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
-    }
-  }
-  rec.compress_seconds = timer.seconds();
-
-  rec.stored_bytes = out.size();
-  bytes = std::move(out).take();
-  out_state = std::move(state);
   return rec;
 }
 
@@ -410,8 +350,8 @@ void CheckpointManager::prune_retention(int latest_committed) {
   prune_floor_ = std::max(prune_floor_, advance_to);
 }
 
-std::shared_ptr<const ChunkBaseState> CheckpointManager::pick_delta_base()
-    const {
+std::shared_ptr<const CheckpointManager::ChunkBaseState>
+CheckpointManager::pick_delta_base() const {
   if (max_delta_chain_ <= 0 || committed_state_ == nullptr) return nullptr;
   // A base whose chunk geometry no longer matches cannot be referenced;
   // a chain at max length forces the periodic full checkpoint; a base
@@ -421,6 +361,17 @@ std::shared_ptr<const ChunkBaseState> CheckpointManager::pick_delta_base()
     return nullptr;
   if (!store_->exists(committed_state_->version)) return nullptr;
   return committed_state_;
+}
+
+std::shared_ptr<CheckpointManager::ChunkBaseState>
+CheckpointManager::new_delta_state(int version,
+                                   const ChunkBaseState* base) const {
+  if (max_delta_chain_ <= 0) return nullptr;
+  auto state = std::make_shared<ChunkBaseState>();
+  state->version = version;
+  state->chunk_elems = delta_chunk_elems_;
+  state->chain_len = base != nullptr ? base->chain_len + 1 : 0;
+  return state;
 }
 
 CheckpointRecord CheckpointManager::checkpoint() {
@@ -436,26 +387,19 @@ CheckpointRecord CheckpointManager::checkpoint() {
     v.compressor = compressor_for(e);
     views.push_back(v);
   }
-  std::vector<byte_t> bytes;
-  CheckpointRecord rec;
-  if (max_delta_chain_ > 0) {
-    const auto base = pick_delta_base();
-    std::shared_ptr<const ChunkBaseState> state;
-    rec = build_delta_stream(views, next_version_, base.get(), bytes, state);
-    store_->write(rec.version, bytes);
+  // Stream frames straight into the store's staging sink and promote on
+  // success — the synchronous fusion of write_pending + commit, with peak
+  // memory bounded by the frame writer, not the checkpoint size.
+  const auto base = pick_delta_base();
+  const auto state = new_delta_state(next_version_, base.get());
+  auto sink = store_->open_write_pending(next_version_);
+  const CheckpointRecord rec =
+      write_stream(views, next_version_, base.get(), state.get(), *sink);
+  sink->finish();
+  store_->commit(rec.version);
+  if (state != nullptr) {
     base_of_[rec.version] = rec.base_version;
-    committed_state_ = std::move(state);
-  } else if (streaming_.enabled) {
-    // Stream frames straight into the store's staging sink and promote on
-    // success — the synchronous fusion of write_pending + commit, with
-    // peak memory bounded by the frame writer, not the checkpoint size.
-    auto sink = store_->open_write_pending(next_version_);
-    rec = build_frame_stream(views, next_version_, *sink);
-    sink->finish();
-    store_->commit(rec.version);
-  } else {
-    rec = build_stream(views, next_version_, bytes);
-    store_->write(rec.version, bytes);
+    committed_state_ = state;
   }
   prune_retention(rec.version);
   ++next_version_;
@@ -533,14 +477,12 @@ StageTicket CheckpointManager::stage() {
   const int version = ticket.version;
   // The delta base is decided here, on the owner thread, so the background
   // drain never touches the (owner-mutated) bookkeeping: it encodes against
-  // an immutable snapshot of the base's hashes.
-  const bool delta = max_delta_chain_ > 0;
-  const bool streaming = !delta && streaming_.enabled;
-  std::shared_ptr<const ChunkBaseState> base;
-  if (delta) base = pick_delta_base();
-  auto drain = [this, version, slot_idx, delta, streaming, base] {
+  // an immutable snapshot of the base's hashes, into a state only it writes
+  // until wait_drain() joins it.
+  const auto base = pick_delta_base();
+  const auto state = new_delta_state(version, base.get());
+  auto drain = [this, version, slot_idx, base, state] {
     const WallTimer job_timer;  // Runs on the writer thread; registry shards.
-    std::vector<byte_t> bytes;
     std::unique_ptr<ByteSink> sink;
     CheckpointRecord rec;
     try {
@@ -559,35 +501,21 @@ StageTicket CheckpointManager::stage() {
         v.compressor = sv.compressor;
         views.push_back(v);
       }
-      if (delta) {
-        std::shared_ptr<const ChunkBaseState> state;
-        rec = build_delta_stream(views, version, base.get(), bytes, state);
-        const std::lock_guard<std::mutex> lock(slot_mu_);
-        drained_states_[version] = std::move(state);
-      } else if (streaming) {
-        // Frames flow into the store sink while the slot is still held —
-        // that is the point: the stream is never materialized, so the
-        // slot's staged copy is the only full-size buffer alive.
-        sink = store_->open_write_pending(version);
-        rec = build_frame_stream(views, version, *sink);
-      } else {
-        rec = build_stream(views, version, bytes);
-      }
+      // Frames flow into the store sink while the slot is still held — that
+      // is the point: the stream is never materialized, so the slot's
+      // staged copy is the only full-size buffer alive.
+      sink = store_->open_write_pending(version);
+      rec = write_stream(views, version, base.get(), state.get(), *sink);
     } catch (...) {
       // A throwing compressor must not strand the slot as busy forever.
-      // (A part-written streaming sink cleans up in its destructor.)
+      // (A part-written sink cleans up in its destructor.)
       release_slot(slot_idx);
       throw;
     }
-    // The stream owns the data now; free the slot before the (slow) store
-    // write so the solver can stage the next checkpoint meanwhile. The
-    // streaming sink already holds every byte, so sealing it does not need
-    // the slot either.
+    // The sink holds every byte now; free the slot before sealing it so the
+    // solver can stage the next checkpoint meanwhile.
     release_slot(slot_idx);
-    if (sink != nullptr)
-      sink->finish();
-    else
-      store_->write_pending(version, bytes);
+    sink->finish();
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
@@ -596,11 +524,15 @@ StageTicket CheckpointManager::stage() {
   // completely: nothing else releases the slot once it is marked busy.
   try {
     staged_versions_.insert(version);
-    if (delta) staged_base_[version] = base != nullptr ? base->version : -1;
+    if (state != nullptr) {
+      staged_base_[version] = base != nullptr ? base->version : -1;
+      staged_states_[version] = state;
+    }
     writer_->submit(version, std::move(drain));
   } catch (...) {
     staged_versions_.erase(version);
     staged_base_.erase(version);
+    staged_states_.erase(version);
     release_slot(slot_idx);
     throw;
   }
@@ -636,18 +568,15 @@ void CheckpointManager::commit_version(int version) {
   store_->commit(version);
   drained_.erase(version);
   staged_versions_.erase(version);
-  if (max_delta_chain_ > 0) {
+  // The drain joined above, so the hashes it wrote into the staged state
+  // happened-before this read.
+  if (const auto it = staged_states_.find(version);
+      it != staged_states_.end()) {
     base_of_[version] = rec.base_version;
-    staged_base_.erase(version);
-    // The drain joined above, so its drained_states_ insert happened-before
-    // this read; the lock only orders against *other* in-flight drains.
-    const std::lock_guard<std::mutex> lock(slot_mu_);
-    if (const auto it = drained_states_.find(version);
-        it != drained_states_.end()) {
-      committed_state_ = std::move(it->second);
-      drained_states_.erase(it);
-    }
+    committed_state_ = std::move(it->second);
+    staged_states_.erase(it);
   }
+  staged_base_.erase(version);
   // Prune against the highest committed version, so an out-of-order commit
   // of an already-superseded version retires it immediately.
   prune_retention(store_->latest_version());
@@ -667,10 +596,7 @@ void CheckpointManager::abort_version(int version) {
   failed_drains_.erase(version);
   staged_versions_.erase(version);
   staged_base_.erase(version);
-  {
-    const std::lock_guard<std::mutex> lock(slot_mu_);
-    drained_states_.erase(version);
-  }
+  staged_states_.erase(version);
 }
 
 void CheckpointManager::discard_version(int version) {
@@ -686,304 +612,156 @@ CheckpointRecord CheckpointManager::recover() {
   const int version = store_->latest_version();
   if (version < 0) throw corrupt_stream_error("recover: no checkpoint exists");
 
-  // Streams are self-describing; peek the magic to dispatch. Framed
-  // streams restore incrementally through the source (bounded memory);
-  // the legacy and delta formats are parsed in memory, so the remainder
-  // of the blob is materialized for them.
-  auto src = store_->open_read(version);
-  byte_t magic_buf[4];
-  const std::size_t magic_got = read_fully(*src, magic_buf);
-  std::uint32_t magic = 0;
-  if (magic_got == 4) std::memcpy(&magic, magic_buf, 4);
-  if (magic == kFrameStreamMagic) return recover_frame_stream(version, *src);
-
-  std::vector<byte_t> data(magic_buf, magic_buf + magic_got);
-  {
-    const auto rest = read_all(*src);
-    data.insert(data.end(), rest.begin(), rest.end());
-  }
-  src.reset();
-
-  if (is_delta_stream(data)) return recover_delta(version, data);
-
   CheckpointRecord rec;
   rec.version = version;
-  rec.stored_bytes = data.size();
+  const WallTimer timer;
 
-  ByteReader in(data);
-  if (in.get<std::uint32_t>() != kMagic)
-    throw corrupt_stream_error("recover: bad checkpoint magic");
-  if (in.get<std::uint16_t>() != kVersion)
-    throw corrupt_stream_error("recover: unsupported format version");
-  const auto count = in.get<std::uint32_t>();
-
-  WallTimer timer;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto id = in.get<std::int32_t>();
-    const std::string name = in.get_string();
-    const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
-    const std::string comp_name = in.get_string();
-    const auto elem_count = in.get<std::uint64_t>();
-    const auto payload_size = in.get<std::uint64_t>();
-    const auto stored_crc = in.get<std::uint32_t>();
-    const auto payload = in.get_bytes(payload_size);
-    if (crc32(payload) != stored_crc)
-      throw corrupt_stream_error("recover: CRC mismatch for variable " + name);
-
-    const auto it = entries_.find(id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(id));
-    Entry& e = it->second;
-    if (kind == VarKind::kVector) {
-      require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-      const Compressor* comp = compressor_for(e);
-      // The stored name decides the layout: a "block+" prefix means the
-      // payload is a framed block stream around the registered compressor
-      // (the block size is embedded in the stream itself).
-      std::optional<BlockCompressor> blk;
-      if (comp_name == "block+" + comp->name()) {
-        blk.emplace(comp);
-        comp = &*blk;
-      } else if (comp->name() != comp_name) {
-        throw corrupt_stream_error(
-            "recover: compressor mismatch for variable " + name + " (stored " +
-            comp_name + ", registered " + comp->name() + ")");
-      }
-      e.dst->resize(elem_count);
-      comp->decompress(payload, *e.dst);
-      rec.raw_bytes += elem_count * sizeof(double);
-    } else {
-      require(e.blob != nullptr, "recover: kind mismatch (expected blob)");
-      e.blob->assign(payload.begin(), payload.end());
-      rec.raw_bytes += payload.size();
-    }
-    rec.per_var_bytes[name] = payload_size;
-  }
-  rec.compress_seconds = timer.seconds();
-  if (sink_.metrics != nullptr)
-    sink_.metrics->observe("ckpt.recover_seconds", rec.compress_seconds,
-                           {{"format", "legacy"}});
-  recovery_pending_ = false;
-  return rec;
-}
-
-CheckpointRecord CheckpointManager::recover_frame_stream(int version,
-                                                         ByteSource& src) {
-  CheckpointRecord rec;
-  rec.version = version;
-
-  FrameReader in(src, /*magic_already_consumed=*/true);
-  if (in.get<std::uint16_t>() != kVersion)
-    throw corrupt_stream_error("recover: unsupported format version");
-  const auto count = in.get<std::uint32_t>();
-
-  WallTimer timer;
-  std::vector<byte_t> payload;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto id = in.get<std::int32_t>();
-    const std::string name = in.get_string();
-    const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
-
-    const auto it = entries_.find(id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(id));
-    Entry& e = it->second;
-    if (kind == VarKind::kVector) {
-      require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-      const std::string comp_name = in.get_string();
-      const auto elem_count = in.get<std::uint64_t>();
-      const auto layout = static_cast<FrameVarLayout>(in.get<std::uint8_t>());
-      if (elem_count > (std::uint64_t{1} << 48))
-        throw corrupt_stream_error("recover: implausible element count");
-      const Compressor* comp = compressor_for(e);
-      // Framed streams store the effective per-chunk codec name (never a
-      // synthesized "block+" wrapper — chunking replaces the pipeline).
-      if (comp->name() != comp_name)
-        throw corrupt_stream_error(
-            "recover: compressor mismatch for variable " + name + " (stored " +
-            comp_name + ", registered " + comp->name() + ")");
-      e.dst->resize(elem_count);
-      rec.raw_bytes += elem_count * sizeof(double);
-      if (layout == FrameVarLayout::kVerbatim) {
-        in.read_into({reinterpret_cast<byte_t*>(e.dst->data()),
-                      static_cast<std::size_t>(elem_count) * sizeof(double)});
-        rec.per_var_bytes[name] = elem_count * sizeof(double);
-      } else if (layout == FrameVarLayout::kChunked) {
-        const auto chunk_elems = in.get<std::uint64_t>();
-        if (chunk_elems == 0 ||
-            chunk_elems > std::max<std::uint64_t>(elem_count, 1))
-          throw corrupt_stream_error("recover: implausible chunk size");
-        const ChunkGeometry geo(static_cast<std::size_t>(elem_count),
-                                static_cast<std::size_t>(chunk_elems));
-        std::size_t var_bytes = 0;
-        for (std::size_t c = 0; c < geo.count(); ++c) {
-          const std::size_t len = geo.length(c);
-          const auto payload_size = in.get<std::uint64_t>();
-          if (payload_size > frame_chunk_payload_bound(len))
-            throw corrupt_stream_error(
-                "recover: implausible chunk payload size");
-          payload.resize(static_cast<std::size_t>(payload_size));
-          in.read_into(payload);
-          comp->decompress(payload, {e.dst->data() + geo.begin(c), len});
-          var_bytes += payload.size();
-        }
-        rec.per_var_bytes[name] = var_bytes;
-      } else {
-        throw corrupt_stream_error("recover: unknown vector layout");
-      }
-    } else if (kind == VarKind::kBlob) {
-      require(e.blob != nullptr, "recover: kind mismatch (expected blob)");
-      const auto size = in.get<std::uint64_t>();
-      if (size > (std::uint64_t{1} << 40))
-        throw corrupt_stream_error("recover: implausible blob size");
-      e.blob->resize(static_cast<std::size_t>(size));
-      in.read_into(*e.blob);
-      rec.raw_bytes += e.blob->size();
-      rec.per_var_bytes[name] = e.blob->size();
-    } else {
-      throw corrupt_stream_error("recover: unknown variable kind");
-    }
-  }
-  in.expect_end();
-  rec.stored_bytes = in.stream_bytes() + 4;  // + the magic recover() peeked
-  rec.compress_seconds = timer.seconds();
-  if (sink_.metrics != nullptr)
-    sink_.metrics->observe("ckpt.recover_seconds", rec.compress_seconds,
-                           {{"format", "framed"}});
-  recovery_pending_ = false;
-  return rec;
-}
-
-CheckpointRecord CheckpointManager::recover_delta(
-    int version, const std::vector<byte_t>& data) {
-  CheckpointRecord rec;
-  rec.version = version;
-  rec.stored_bytes = data.size();
-
-  const ParsedDeltaStream parsed = parse_delta_stream(data);
-  rec.base_version = parsed.base_version;
-  rec.chain_len = parsed.chain_len;
-
-  // One unresolved reference: where the chunk's doubles must land and the
-  // hash that names its content somewhere down the chain.
-  struct PendingRef {
-    int var_id = 0;
-    const std::string* var_name = nullptr;
-    const Compressor* comp = nullptr;
-    std::uint64_t hash = 0;
-    std::span<double> out;
+  // References the stream cannot resolve itself, keyed by (variable id,
+  // content hash): the target slices waiting for a base's literal chunk.
+  struct Slot {
+    std::size_t begin = 0;
+    std::size_t len = 0;
   };
-  std::vector<PendingRef> pending;
-
-  WallTimer timer;
-  for (const auto& var : parsed.vars) {
-    const auto it = entries_.find(var.id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(var.id));
-    Entry& e = it->second;
-    if (var.kind == DeltaVarKind::kBlob) {
-      require(e.blob != nullptr, "recover: kind mismatch (expected blob)");
-      e.blob->assign(var.blob.begin(), var.blob.end());
-      rec.raw_bytes += var.blob.size();
-      rec.per_var_bytes[var.name] = var.blob.size();
-      continue;
-    }
-    require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-    const Compressor* comp = compressor_for(e);
-    if (comp->name() != var.comp_name)
-      throw corrupt_stream_error(
-          "recover: compressor mismatch for variable " + var.name +
-          " (stored " + var.comp_name + ", registered " + comp->name() + ")");
-    e.dst->resize(var.elem_count);
-    rec.raw_bytes += var.elem_count * sizeof(double);
-    rec.chunks += var.chunks.size();
-
-    // Literal chunks decompress in place; a reference first tries the
-    // literals of this same stream (within-version dedup), then joins the
-    // chain walk below.
-    std::unordered_map<std::uint64_t, std::span<const byte_t>> own_literals;
-    std::size_t var_stored = 0;
-    const ChunkGeometry geo(static_cast<std::size_t>(var.elem_count),
-                            static_cast<std::size_t>(var.chunk_elems));
-    for (std::size_t c = 0; c < var.chunks.size(); ++c) {
-      const std::span<double> slice{e.dst->data() + geo.begin(c),
-                                    geo.length(c)};
-      const ParsedChunk& chunk = var.chunks[c];
-      if (chunk.tag == ChunkTag::kLiteral) {
-        comp->decompress(chunk.payload, slice);
-        own_literals.emplace(chunk.hash, chunk.payload);
-        var_stored += chunk.payload.size();
-      } else if (const auto lit = own_literals.find(chunk.hash);
-                 lit != own_literals.end()) {
-        comp->decompress(lit->second, slice);
-        verify_ref_hash(*comp, slice, chunk.hash, it->second.name);
-        ++rec.chunks_deduped;
-      } else {
-        pending.push_back({var.id, &it->second.name, comp, chunk.hash, slice});
-        ++rec.chunks_deduped;
+  std::map<std::pair<int, std::uint64_t>, std::vector<Slot>> pending;
+  {
+    auto src = store_->open_read(version);
+    FrameReader in(*src);
+    rec.base_version = in.base_version();
+    rec.chain_len = in.chain_len();
+    if (rec.base_version >= version)
+      throw corrupt_stream_error("recover: delta base does not precede " +
+                                 std::to_string(version));
+    const auto count = in.get<std::uint32_t>();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto id = in.get<std::int32_t>();
+      const std::string name = in.get_string();
+      const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
+      const auto it = entries_.find(id);
+      if (it == entries_.end())
+        throw corrupt_stream_error("recover: unregistered variable id " +
+                                   std::to_string(id));
+      Entry& e = it->second;
+      if (kind == VarKind::kBlob) {
+        if (e.blob == nullptr)
+          throw corrupt_stream_error("recover: variable " + name +
+                                     " is a blob in the stream, not a vector");
+        read_blob(in, *e.blob);
+        rec.raw_bytes += e.blob->size();
+        continue;
       }
+      if (kind != VarKind::kVector)
+        throw corrupt_stream_error("recover: unknown variable kind");
+      if (e.dst == nullptr)
+        throw corrupt_stream_error("recover: variable " + name +
+                                   " is a vector in the stream, not a blob");
+      const Compressor& comp = *compressor_for(e);
+      const VectorHeader h = read_vector_header(in);
+      if (comp.name() != h.codec)
+        throw corrupt_stream_error(
+            "recover: compressor mismatch for variable " + name + " (stored " +
+            h.codec + ", registered " + comp.name() + ")");
+      // The target grows only as chunk frames arrive, so a corrupt
+      // elem_count cannot demand more memory than the stream backs.
+      Vector& dst = *e.dst;
+      if (dst.size() > h.geo.elems || h.geo.elems <= dst.capacity())
+        dst.resize(h.geo.elems);
+      std::unordered_map<std::uint64_t, std::size_t> literals;  // hash → chunk
+      for (std::size_t c = 0; c < h.geo.count(); ++c) {
+        const std::size_t begin = h.geo.begin(c);
+        const std::size_t len = h.geo.length(c);
+        if (dst.size() < begin + len) dst.resize(begin + len);
+        const auto chunk = in.next_chunk(len * sizeof(double));
+        const std::span<double> out{dst.data() + begin, len};
+        if (chunk.style != FrameStyle::kRef) {
+          decode_chunk(comp, chunk, out);
+          literals.emplace(chunk.hash, c);
+          continue;
+        }
+        ++rec.chunks_deduped;
+        const auto lit = literals.find(chunk.hash);
+        if (lit == literals.end()) {
+          pending[{id, chunk.hash}].push_back({begin, len});
+          continue;
+        }
+        // Within-stream duplicate: the literal's decoded doubles are exactly
+        // what decoding its payload again would give.
+        if (h.geo.length(lit->second) != len)
+          throw corrupt_stream_error("recover: reference length mismatch");
+        std::copy_n(dst.data() + h.geo.begin(lit->second), len, out.data());
+        verify_ref_hash(comp, out, chunk.hash, e.name);
+      }
+      rec.chunks += h.geo.count();
+      rec.raw_bytes += h.geo.elems * sizeof(double);
     }
-    rec.per_var_bytes[var.name] = var_stored;
+    in.expect_end();
+    rec.stored_bytes = in.stream_bytes();
   }
 
-  // Chain walk: resolve the remaining references against base versions,
-  // nearest first. Every literal a base holds for the right variable and
-  // hash is decompressed straight into the recovery target.
-  int base = parsed.base_version;
-  std::uint32_t steps = 0;
-  while (!pending.empty() && base >= 0) {
-    if (++steps > parsed.chain_len)
+  // Chain walk: each base is read once, nearest first, and every literal it
+  // holds for a pending (variable, hash) is decoded straight into the
+  // waiting slices.
+  int base = rec.base_version;
+  std::uint32_t chain_len = rec.chain_len;
+  while (!pending.empty()) {
+    if (base < 0)
       throw corrupt_stream_error(
-          "recover: delta chain longer than its declared length");
-    const auto base_data = store_->read(base);
-    const ParsedDeltaStream base_parsed = parse_delta_stream(base_data);
-    rec.stored_bytes += base_data.size();
-    std::unordered_map<std::uint64_t, const ParsedChunk*> literals;
-    for (const auto& var : base_parsed.vars) {
-      if (var.kind != DeltaVarKind::kVector) continue;
-      literals.clear();
-      for (const auto& chunk : var.chunks)
-        if (chunk.tag == ChunkTag::kLiteral)
-          literals.emplace(chunk.hash, &chunk);
-      for (auto it = pending.begin(); it != pending.end();) {
-        if (it->var_id != var.id) {
-          ++it;
-          continue;
-        }
-        const auto lit = literals.find(it->hash);
-        if (lit == literals.end()) {
-          ++it;
-          continue;
-        }
+          "recover: delta chain is missing chunks for variable id " +
+          std::to_string(pending.begin()->first.first) +
+          " (base checkpoint pruned or invalidated?)");
+    auto src = store_->open_read(base);
+    FrameReader in(*src);
+    if (in.chain_len() + 1 != chain_len || in.base_version() >= base)
+      throw corrupt_stream_error("recover: delta chain links disagree at " +
+                                 std::to_string(base));
+    const auto count = in.get<std::uint32_t>();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto id = in.get<std::int32_t>();
+      (void)in.get_string();
+      const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
+      if (kind == VarKind::kBlob) {
+        in.skip(in.get<std::uint64_t>());
+        continue;
+      }
+      if (kind != VarKind::kVector)
+        throw corrupt_stream_error("recover: unknown variable kind");
+      const VectorHeader h = read_vector_header(in);
+      const auto first = pending.lower_bound({id, 0});
+      const bool wanted = first != pending.end() && first->first.first == id;
+      for (std::size_t c = 0; c < h.geo.count(); ++c) {
+        const auto chunk = in.next_chunk(h.geo.length(c) * sizeof(double));
+        if (!wanted || chunk.style == FrameStyle::kRef) continue;
+        const auto p = pending.find({id, chunk.hash});
+        if (p == pending.end()) continue;
         // The base's payloads were produced by the compressor recorded in
         // *its* stream; feeding them to a different registered decoder
         // (compressor swapped mid-chain via unprotect/protect) would
         // corrupt state silently.
-        if (it->comp->name() != var.comp_name)
+        const Entry& e = entries_.at(id);
+        const Compressor& comp = *compressor_for(e);
+        if (comp.name() != h.codec)
           throw corrupt_stream_error(
               "recover: compressor mismatch in delta chain for variable " +
-              *it->var_name + " (base stored " + var.comp_name +
-              ", registered " + it->comp->name() + ")");
-        it->comp->decompress(lit->second->payload, it->out);
-        verify_ref_hash(*it->comp, it->out, it->hash, *it->var_name);
-        it = pending.erase(it);
+              e.name + " (base stored " + h.codec + ", registered " +
+              comp.name() + ")");
+        for (const Slot& s : p->second) {
+          if (s.len != h.geo.length(c))
+            throw corrupt_stream_error("recover: reference length mismatch");
+          const std::span<double> out{e.dst->data() + s.begin, s.len};
+          decode_chunk(comp, chunk, out);
+          verify_ref_hash(comp, out, chunk.hash, e.name);
+        }
+        pending.erase(p);
       }
     }
-    base = base_parsed.base_version;
+    in.expect_end();
+    rec.stored_bytes += in.stream_bytes();
+    base = in.base_version();
+    chain_len = in.chain_len();
   }
-  if (!pending.empty())
-    throw corrupt_stream_error(
-        "recover: delta chain is missing chunks for variable " +
-        *pending.front().var_name +
-        " (base checkpoint pruned or invalidated?)");
 
   rec.compress_seconds = timer.seconds();
   if (sink_.metrics != nullptr)
-    sink_.metrics->observe("ckpt.recover_seconds", rec.compress_seconds,
-                           {{"format", "delta"}});
+    sink_.metrics->observe("ckpt.recover_seconds", rec.compress_seconds);
   recovery_pending_ = false;
   return rec;
 }

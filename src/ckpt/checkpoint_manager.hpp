@@ -30,9 +30,7 @@
 
 #include "ckpt/checkpoint_record.hpp"
 #include "ckpt/checkpoint_store.hpp"
-#include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/frame_stream.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
 #include "obs/observability.hpp"
 #include "sparse/vector_ops.hpp"
@@ -151,40 +149,24 @@ class CheckpointManager {
     retention_ = n;
   }
 
-  /// Configure the parallel block-compression pipeline: vectors larger than
-  /// `block_elems` are split into blocks compressed concurrently (per-block
-  /// CRC-32, any scheme). 0 disables. Default: BlockCompressor's block size,
-  /// so large production vectors get the parallel path automatically while
-  /// small ones keep the single-shot stream. Recovery reads whichever layout
-  /// the stored checkpoint used, so this can change between runs. Must not
-  /// change while a drain is in flight.
-  void set_block_pipeline(std::size_t block_elems) noexcept {
-    block_elems_ = block_elems;
-  }
-  [[nodiscard]] std::size_t block_pipeline_elems() const noexcept {
-    return block_elems_;
-  }
-
-  /// Default chunk size of the delta (chunked) serializer, in doubles.
+  /// Default chunk size of delta checkpoints, in doubles.
   static constexpr std::size_t kDefaultChunkElems = 4096;
 
-  /// Configure chunked delta checkpointing. `max_delta_chain` = 0 (the
-  /// default) keeps the legacy serializer, byte-identical to the
-  /// pre-chunk format. With a positive value every checkpoint uses the
-  /// content-addressed chunk format: chunks whose raw content is unchanged
-  /// since the previous committed checkpoint are stored as references, and
-  /// at most `max_delta_chain` consecutive deltas ride on one full
-  /// checkpoint before the next full is forced (bounding both recovery
-  /// read amplification and how long retention must keep chain bases).
-  /// Retention pruning never drops a version that a live chain references.
-  /// In delta mode chunks replace the block pipeline as the unit of
-  /// parallel compression. Must not change while a drain is in flight.
+  /// Configure delta checkpointing. `max_delta_chain` = 0 (the default)
+  /// writes every checkpoint in full, cut into kChunkElems chunks. With a
+  /// positive value vectors are cut into `chunk_elems` chunks, and chunks
+  /// whose raw content is unchanged since the previous committed checkpoint
+  /// are stored as references; at most `max_delta_chain` consecutive deltas
+  /// ride on one full checkpoint before the next full is forced (bounding
+  /// both recovery read amplification and how long retention must keep
+  /// chain bases). Retention pruning never drops a version that a live
+  /// chain references. Must not change while a drain is in flight.
   void set_delta(int max_delta_chain,
                  std::size_t chunk_elems = kDefaultChunkElems) {
     require(max_delta_chain >= 0,
             "checkpoint manager: max_delta_chain must be >= 0");
-    require(chunk_elems >= 1,
-            "checkpoint manager: delta chunk_elems must be >= 1");
+    require(chunk_elems >= 1 && chunk_elems <= kMaxChunkElems,
+            "checkpoint manager: delta chunk_elems must be in [1, 2^20]");
     max_delta_chain_ = max_delta_chain;
     delta_chunk_elems_ = chunk_elems;
   }
@@ -195,15 +177,9 @@ class CheckpointManager {
     return delta_chunk_elems_;
   }
 
-  /// Configure the streaming framed serializer (see frame_stream.hpp).
-  /// Enabled by default: non-delta checkpoints are produced frame-by-frame
-  /// through a store sink with bounded writer memory, and recovered
-  /// incrementally the same way. Disabling falls back to the legacy
-  /// whole-stream serializer ("CKPT" magic). Delta mode (set_delta > 0)
-  /// takes precedence: delta streams keep their own chunked "DKPT" format.
-  /// Recovery always dispatches on the stored magic, so any mode can read
-  /// checkpoints written by any other. Must not change while a drain is in
-  /// flight.
+  /// Configure the stream writer (see frame_stream.hpp): the write-buffer
+  /// size and the style of verbatim chunks. Must not change while a drain
+  /// is in flight.
   void set_streaming(const StreamingConfig& cfg) {
     cfg.validate();
     streaming_ = cfg;
@@ -260,44 +236,54 @@ class CheckpointManager {
     return e.compressor != nullptr ? e.compressor : default_compressor_;
   }
 
-  /// Serialize one snapshot into the checkpoint stream format. Shared by
-  /// the sync path and the background drain, so the two modes produce
-  /// byte-identical streams for identical variable values.
-  CheckpointRecord build_stream(const std::vector<VarView>& vars, int version,
-                                std::vector<byte_t>& bytes) const;
+  /// Chunk hashes of one variable in an encoded version. The compressor
+  /// name rides along so a mid-run codec swap can never produce a reference
+  /// to a payload the new codec cannot decode.
+  struct VarChunkHashes {
+    int id = 0;
+    std::string comp_name;
+    std::vector<std::uint64_t> hashes;
+  };
 
-  /// Serialize one snapshot as a framed stream straight into `sink` with
-  /// bounded memory (see frame_stream.hpp). Chunks each vector by the same
-  /// rule as the legacy block pipeline, so recovered values are bit-exact
-  /// against the legacy serializer for every codec. Calls FrameWriter's
-  /// finish() but NOT sink.finish() — sealing the sink is the caller's job
-  /// (the async drain seals only after releasing its staging slot).
-  CheckpointRecord build_frame_stream(const std::vector<VarView>& vars,
-                                      int version, ByteSink& sink) const;
+  /// Everything a successor checkpoint needs to delta against a version.
+  struct ChunkBaseState {
+    int version = -1;
+    std::size_t chunk_elems = 0;
+    std::uint32_t chain_len = 0;  ///< 0 for a full (chain-start) checkpoint.
+    std::vector<VarChunkHashes> vars;
 
-  /// Incremental frame-by-frame recovery of a framed stream; `src` is
-  /// positioned just past the 4-byte magic recover() peeked for dispatch.
-  CheckpointRecord recover_frame_stream(int version, ByteSource& src);
+    /// Hashes usable as reference targets for variable `id` under
+    /// compressor `comp_name` — null when the variable is new or its codec
+    /// changed.
+    [[nodiscard]] const std::vector<std::uint64_t>* hashes_for(
+        int id, const std::string& comp_name) const {
+      for (const auto& v : vars)
+        if (v.id == id) return v.comp_name == comp_name ? &v.hashes : nullptr;
+      return nullptr;
+    }
+  };
 
-  /// Serialize one snapshot as a chunked delta stream against `base`
-  /// (nullptr ⇒ full chunked checkpoint). Fills `out_state` with the
-  /// hashes a successor delta needs. Same sync/async sharing contract as
-  /// build_stream.
-  CheckpointRecord build_delta_stream(
-      const std::vector<VarView>& vars, int version,
-      const ChunkBaseState* base, std::vector<byte_t>& bytes,
-      std::shared_ptr<const ChunkBaseState>& out_state) const;
+  /// The one writer: serialize one snapshot as a stream straight into
+  /// `sink` with bounded memory (see frame_stream.hpp). `state` is non-null
+  /// in delta mode only; the writer then hashes every chunk into it and
+  /// stores chunks found in `base` (or earlier in this stream) as
+  /// references. Shared by the sync path and the background drain, so the
+  /// two produce byte-identical streams for identical variable values.
+  /// Calls FrameWriter's finish() but NOT sink.finish() — sealing the sink
+  /// is the caller's job (the async drain seals after releasing its slot).
+  CheckpointRecord write_stream(const std::vector<VarView>& vars, int version,
+                                const ChunkBaseState* base,
+                                ChunkBaseState* state, ByteSink& sink) const;
 
   /// The base the next checkpoint deltas against, or nullptr when a full
   /// checkpoint is due (no committed predecessor, chain at max length,
   /// chunk size changed, or the candidate was discarded).
   [[nodiscard]] std::shared_ptr<const ChunkBaseState> pick_delta_base() const;
 
-  /// Chain-walking recovery of a delta-format checkpoint: literal chunks
-  /// decompress in place, references resolve against base versions read
-  /// from the store, down to the chain's full checkpoint.
-  CheckpointRecord recover_delta(int version,
-                                 const std::vector<byte_t>& data);
+  /// Empty chunk-hash state for `version` on top of `base` in delta mode;
+  /// nullptr when delta checkpointing is off.
+  [[nodiscard]] std::shared_ptr<ChunkBaseState> new_delta_state(
+      int version, const ChunkBaseState* base) const;
 
   void prune_retention(int latest_committed);
   /// Insert `v` and its base_of_ chain into `live`. Hop-bounded as pure
@@ -314,22 +300,21 @@ class CheckpointManager {
   int next_version_ = 0;
   int retention_ = 1;
   int prune_floor_ = 0;  ///< Versions below this are already pruned.
-  std::size_t block_elems_ = BlockCompressor::kDefaultBlockElems;
-  StreamingConfig streaming_{};  ///< Framed serializer knobs (default on).
+  StreamingConfig streaming_{};  ///< Stream writer knobs.
   obs::Sink sink_{};  ///< Observability handles (both null => off).
   bool recovery_pending_ = false;
 
-  // Delta (chunked) checkpointing state. All owner-thread, except
-  // drained_states_, which the background drain fills (guarded by
-  // slot_mu_; the owner reads it only after wait_drain joined the drain).
+  // Delta checkpointing state, all owner-thread. A drain fills the
+  // ChunkBaseState its staged version points to; the owner reads it only
+  // after wait_drain joined that drain.
   int max_delta_chain_ = 0;
   std::size_t delta_chunk_elems_ = kDefaultChunkElems;
   /// Chunk hashes of the most recent *committed* version — the only
   /// version a new checkpoint may delta against.
   std::shared_ptr<const ChunkBaseState> committed_state_;
-  /// Chunk hashes produced by in-flight drains, keyed by version, awaiting
-  /// commit (guarded by slot_mu_).
-  std::map<int, std::shared_ptr<const ChunkBaseState>> drained_states_;
+  /// Chunk hashes of staged versions, filled by their drains, awaiting
+  /// commit.
+  std::map<int, std::shared_ptr<ChunkBaseState>> staged_states_;
   /// Committed version → base version (-1 = full); drives the ref-counted
   /// retention that keeps live chain bases alive.
   std::map<int, int> base_of_;

@@ -18,17 +18,19 @@ struct CheckpointRecord {
                                      ///< delta-chain recovery: total bytes
                                      ///< read across the whole chain.
   double compress_seconds = 0.0;     ///< Real local (de)compression time.
-  std::map<std::string, std::size_t> per_var_bytes;  ///< Stored size by name.
+  /// Stored size by variable name (checkpoints only).
+  std::map<std::string, std::size_t> per_var_bytes;
 
-  // ----- delta (chunked) checkpoints only -----------------------------------
+  // ----- delta checkpoints ----------------------------------------------------
   /// Base version this checkpoint's references resolve against, or -1 for a
-  /// full checkpoint (also -1 for every legacy non-chunked checkpoint).
+  /// full checkpoint.
   int base_version = -1;
   /// Deltas between this version and the chain's full checkpoint (0 = full).
   std::uint32_t chain_len = 0;
-  /// Chunk manifest entries across all vector variables (0 = legacy format).
+  /// Chunk frames across all vector variables: counted for delta-mode
+  /// checkpoints (0 otherwise) and for every recovery's top stream.
   std::size_t chunks = 0;
-  /// Chunks stored as references instead of payload bytes.
+  /// Chunks stored (or read) as references instead of payload bytes.
   std::size_t chunks_deduped = 0;
 };
 

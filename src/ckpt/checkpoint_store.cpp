@@ -146,13 +146,8 @@ int DiskStore::latest_version() const {
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
     // ".lck.pending" files are staged drains, not committed checkpoints.
-    if (name.starts_with("ckpt_") && name.ends_with(".lck")) {
-      const std::string digits = name.substr(5, name.size() - 9);
-      try {
-        latest = std::max(latest, std::stoi(digits));
-      } catch (...) {  // NOLINT: ignore unrelated files
-      }
-    }
+    if (const auto v = parse_versioned_name(name, "ckpt_", ".lck"))
+      latest = std::max(latest, *v);
   }
   return latest;
 }

@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/chunk/chunk_hash.hpp"
+#include "ckpt/frame_stream.hpp"
 #include "common/byte_buffer.hpp"
 #include "common/file_io.hpp"
 #include "obs/metrics.hpp"
@@ -94,52 +94,35 @@ void DedupChunkStore::write(int version, std::span<const byte_t> data) {
 
 DedupWriteStats DedupChunkStore::write_counted(int version,
                                                std::span<const byte_t> data) {
+  // Split at the chunk frames: each payload becomes a chunk keyed by the
+  // CRC-64 of its stored bytes, everything between them (stream header,
+  // frame headers, metadata) stays in the skeleton. A blob that is not a
+  // complete frame stream is stored verbatim: dedup is an optimization,
+  // never a gatekeeper.
   Skeleton skel;
   skel.logical_size = data.size();
-  bool split = false;
-  if (is_delta_stream(data)) {
-    try {
-      const ParsedDeltaStream parsed = parse_delta_stream(data);
-      std::size_t cursor = 0;
-      for (const auto& var : parsed.vars) {
-        if (var.kind != DeltaVarKind::kVector) continue;
-        for (const auto& chunk : var.chunks) {
-          if (chunk.tag != ChunkTag::kLiteral || chunk.payload.empty())
-            continue;
-          const auto offset =
-              static_cast<std::size_t>(chunk.payload.data() - data.data());
-          if (offset > cursor) {
-            Part raw;
-            raw.raw.assign(data.begin() + static_cast<std::ptrdiff_t>(cursor),
-                           data.begin() + static_cast<std::ptrdiff_t>(offset));
-            skel.parts.push_back(std::move(raw));
-          }
-          Part p;
-          p.is_chunk = true;
-          p.hash = crc64(chunk.payload);
-          p.size = chunk.payload.size();
-          skel.parts.push_back(p);
-          cursor = offset + chunk.payload.size();
-        }
-      }
-      if (cursor < data.size()) {
-        Part raw;
-        raw.raw.assign(data.begin() + static_cast<std::ptrdiff_t>(cursor),
-                       data.end());
-        skel.parts.push_back(std::move(raw));
-      }
-      split = true;
-    } catch (const corrupt_stream_error&) {
-      // A blob that looks delta-framed but does not parse is stored
-      // verbatim: dedup is an optimization, never a gatekeeper.
-      skel.parts.clear();
+  std::size_t cursor = 0;
+  const auto raw_part = [&](std::size_t end) {
+    if (end <= cursor) return;
+    Part raw;
+    raw.raw.assign(data.begin() + static_cast<std::ptrdiff_t>(cursor),
+                   data.begin() + static_cast<std::ptrdiff_t>(end));
+    skel.parts.push_back(std::move(raw));
+  };
+  if (const auto payloads = chunk_payloads(data)) {
+    for (const auto payload : *payloads) {
+      const auto offset =
+          static_cast<std::size_t>(payload.data() - data.data());
+      raw_part(offset);
+      Part p;
+      p.is_chunk = true;
+      p.hash = crc64(payload);
+      p.size = payload.size();
+      skel.parts.push_back(p);
+      cursor = offset + payload.size();
     }
   }
-  if (!split) {
-    Part raw;
-    raw.raw.assign(data.begin(), data.end());
-    skel.parts.push_back(std::move(raw));
-  }
+  raw_part(data.size());
 
   // Take the new skeleton's chunk references *before* retiring the old
   // version's: an overwrite with shared content then keeps every shared
@@ -148,7 +131,7 @@ DedupWriteStats DedupChunkStore::write_counted(int version,
   // replaying the part layout (parts partition the stream in order).
   // A throw anywhere (e.g. ENOSPC writing a chunk or the skeleton) rolls
   // the refs taken by THIS call back, so a failed write never pins chunks
-  // a reader cannot reach. The stream parse above touched no shared state,
+  // a reader cannot reach. The split above touched no shared state,
   // so concurrent writers only serialize on this index/refcount section.
   const std::lock_guard<std::mutex> lock(mu_);
   const std::size_t hits_before = hits_;
@@ -361,33 +344,16 @@ void DedupChunkStore::load_from_dir() {
     c.refs = 0;
     chunks_.emplace(hash, std::move(c));
   }
-  // Strict version parse: trailing garbage (ckpt_99backup.lck) must not
-  // register a phantom version — same discipline as the chunk-filename
-  // parse above.
-  const auto parse_version =
-      [](const std::string& digits) -> std::optional<int> {
-    if (digits.empty()) return std::nullopt;
-    try {
-      std::size_t used = 0;
-      const int v = std::stoi(digits, &used);
-      if (used != digits.size() || v < 0) return std::nullopt;
-      return v;
-    } catch (...) {
-      return std::nullopt;
-    }
-  };
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
     // Pre-dedup DiskStore history (ckpt_<v>.lck) stays readable after the
     // L3 backend swap: the files are indexed as opaque legacy versions and
     // served verbatim.
-    if (name.starts_with("ckpt_") && name.ends_with(".lck")) {
-      if (const auto v = parse_version(name.substr(5, name.size() - 9)))
-        legacy_versions_.insert(*v);
+    if (const auto v = parse_versioned_name(name, "ckpt_", ".lck")) {
+      legacy_versions_.insert(*v);
       continue;
     }
-    if (!name.starts_with("skel_") || !name.ends_with(".lcks")) continue;
-    const auto parsed_version = parse_version(name.substr(5, name.size() - 10));
+    const auto parsed_version = parse_versioned_name(name, "skel_", ".lcks");
     if (!parsed_version) continue;
     const int version = *parsed_version;
     // A skeleton that does not parse, or that references a chunk that is

@@ -1,15 +1,17 @@
 #pragma once
 /// \file dedup_store.hpp
-/// \brief Content-addressed checkpoint store: delta-format blobs are split
-///        into a skeleton (manifest + headers) plus chunk payloads keyed by
+/// \brief Content-addressed checkpoint store: checkpoint streams are split
+///        at their chunk frames (ckpt/frame_stream.hpp) into a skeleton
+///        (stream and frame headers, metadata) plus chunk payloads keyed by
 ///        the CRC-64 of their bytes, so identical chunks across versions —
 ///        and across runs, via the on-disk chunk index — are stored once.
 ///
 /// This is the L3 dedup of the tiered hierarchy: promotion hands the PFS
 /// tier a version's full stream, and the store keeps only the chunks not
 /// already resident. `read()` reassembles the original stream byte-exactly,
-/// so every reader stays dedup-agnostic. Non-delta blobs are stored
-/// verbatim (single raw part) — the store never changes observable bytes.
+/// so every reader stays dedup-agnostic. Blobs that are not a complete
+/// frame stream are stored verbatim (single raw part) — the store never
+/// changes observable bytes.
 ///
 /// Thread-safety: *internally* synchronized, unlike the other backends.
 /// One DedupChunkStore is the shared L3 of the multi-tenant

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "ckpt/async_writer.hpp"
-#include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/chunk/dedup_store.hpp"
+#include "ckpt/frame_stream.hpp"
 #include "ckpt/tier/partner_store.hpp"
 #include "obs/metrics.hpp"
 
@@ -55,7 +55,7 @@ TieredCheckpointStore::~TieredCheckpointStore() {
 void TieredCheckpointStore::write(int version, std::span<const byte_t> data) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto base = peek_delta_base(data))
+    if (const auto base = peek_base_version(data))
       delta_base_[version] = *base;
     else
       delta_base_.erase(version);
@@ -138,7 +138,7 @@ void TieredCheckpointStore::write_pending(int version,
     // The base link is recorded now (the data is at hand); if the version
     // aborts, abort() retires the entry again.
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto base = peek_delta_base(data))
+    if (const auto base = peek_base_version(data))
       delta_base_[version] = *base;
     else
       delta_base_.erase(version);

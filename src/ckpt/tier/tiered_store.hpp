@@ -187,7 +187,7 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// the fallback would transiently resurrect an invalidated version.
   std::vector<bool> preloaded_;
   /// version → delta base version, for chain-aware pruning and promotion
-  /// (absent or -1 ⇒ full / legacy blob). Learned at write/write_pending
+  /// (absent or -1 ⇒ full checkpoint). Learned at write/write_pending
   /// time by peeking the stream header.
   std::map<int, int> delta_base_;
   std::uint64_t epoch_ = 0;  ///< Bumped by invalidate()/remove().

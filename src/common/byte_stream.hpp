@@ -100,16 +100,4 @@ inline std::size_t read_fully(ByteSource& src, std::span<byte_t> dst) {
   return got;
 }
 
-/// Drain the remainder of `src` into a vector (legacy whole-blob paths).
-inline std::vector<byte_t> read_all(ByteSource& src) {
-  std::vector<byte_t> out;
-  byte_t chunk[1 << 16];
-  for (;;) {
-    const std::size_t n = src.read_some(chunk);
-    if (n == 0) break;
-    out.insert(out.end(), chunk, chunk + n);
-  }
-  return out;
-}
-
 }  // namespace lck

@@ -1,13 +1,17 @@
 #pragma once
 /// \file file_io.hpp
 /// \brief Whole-file byte I/O shared by the disk-backed checkpoint stores:
-///        bounds-checked read, and crash-safe write via the classic
-///        write-to-temporary + rename() (atomic on POSIX) pattern.
+///        bounds-checked read, crash-safe write via the classic
+///        write-to-temporary + rename() (atomic on POSIX) pattern, and the
+///        strict parse of versioned file names.
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -43,6 +47,26 @@ inline void atomic_write_file(const std::string& path,
     if (!f) throw corrupt_stream_error("file io: short write " + tmp);
   }
   std::filesystem::rename(tmp, path);
+}
+
+/// Version of a file named exactly `<prefix><digits><suffix>` with the
+/// digits in canonical form (no sign, no leading zero), or nullopt for any
+/// other name: a stray "ckpt_12 (copy).lck" or "ckpt_007.lck" must not
+/// register a version whose canonical file does not exist.
+[[nodiscard]] inline std::optional<int> parse_versioned_name(
+    std::string_view name, std::string_view prefix, std::string_view suffix) {
+  if (name.size() <= prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix))
+    return std::nullopt;
+  const std::string_view digits =
+      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), v);
+  if (ec != std::errc{} || end != digits.data() + digits.size() || v < 0 ||
+      digits != std::to_string(v))
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace lck

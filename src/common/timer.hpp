@@ -83,7 +83,7 @@ template <typename F>
 ///
 ///   {
 ///     obs::ScopedTimer t(sink.metrics, "ckpt.build_seconds",
-///                        {{"format", "framed"}});
+///                        {{"kind", "sync"}});
 ///     ... timed work ...
 ///   }
 namespace obs {

@@ -85,9 +85,7 @@ class NoneCompressor final : public Compressor {
 
 /// Factory: create a compressor by name.
 /// Names: "none", "rle", "shuffle-rle", "deflate", "shuffle-deflate",
-/// "sz", "zfp", "trunc". Lossy ones receive `eb`. A "block+" prefix
-/// (e.g. "block+sz") wraps the inner compressor in the parallel
-/// block-compression pipeline (see block_compressor.hpp).
+/// "lz4", "shuffle-lz4", "sz", "zfp", "trunc". Lossy ones receive `eb`.
 [[nodiscard]] std::unique_ptr<Compressor> make_compressor(
     const std::string& name, ErrorBound eb = ErrorBound::pointwise_rel(1e-4));
 

@@ -54,7 +54,8 @@ struct PaperMethod {
 
 /// Static-state (A, M, b) bytes re-read/reconstructed on recovery,
 /// modeled as a fraction of one dynamic vector (the paper regenerates the
-/// Poisson operator rather than reading it back; DESIGN.md §6).
+/// Poisson operator rather than reading it back, so recovery pays only a
+/// small static read on top of the dynamic state).
 [[nodiscard]] double static_state_bytes(double vector_bytes);
 
 /// A laptop-scale instance of the paper's Eq. 15 problem whose solution

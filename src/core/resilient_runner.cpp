@@ -63,7 +63,8 @@ void ResilienceConfig::validate() const {
   if (tiered.retention < 1) violation("tiered.retention must be >= 1");
   if (delta.max_delta_chain < 0)
     violation("delta.max_delta_chain must be >= 0");
-  if (delta.chunk_elems < 1) violation("delta.chunk_elems must be >= 1");
+  if (delta.chunk_elems < 1 || delta.chunk_elems > kMaxChunkElems)
+    violation("delta.chunk_elems must be in [1, 2^20]");
   if (max_steps < 1) violation("max_steps must be >= 1");
   // StreamingConfig knows its own constraints; fold its message into the
   // collected list so one throw still names every violation.

@@ -8,7 +8,8 @@
 /// Solver mathematics (iterations, residuals, compression losses) run for
 /// real; wall-clock time is accumulated on a virtual clock using the
 /// calibrated ClusterModel, so cluster-scale results (paper §5.4) are
-/// reproducible on one node. See DESIGN.md §5 for the rationale.
+/// reproducible on one node: the convergence behaviour under failures is
+/// real, and only the cluster's I/O and compute speed is modelled.
 ///
 /// Checkpoint modes (ResilienceConfig::ckpt_mode):
 ///  - CkptMode::kSync — the paper's setting: the solver stops for the full
@@ -134,8 +135,8 @@ struct ResilienceConfig {
   TieredConfig tiered{};
   PolicyConfig policy{};
   DeltaConfig delta{};
-  /// Streaming framed serializer (ckpt/frame_stream.hpp): bounded-memory
-  /// checkpoint writes/reads. On by default; delta mode takes precedence.
+  /// Stream writer knobs (ckpt/frame_stream.hpp): write-buffer size and
+  /// the style of verbatim vector chunks.
   StreamingConfig streaming{};
   /// Observability gates (obs/observability.hpp). Both off by default: no
   /// registry or recorder is allocated and every instrumentation site in

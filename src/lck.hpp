@@ -10,9 +10,9 @@
 ///                     Market I/O, make_solver / make_preconditioner
 ///  - checkpointing:   CheckpointManager (Protect/Checkpoint/Recover),
 ///                     stores (memory, disk, tiered, dedup), make_compressor,
-///                     chunked delta encoding (DeltaConfig / set_delta),
-///                     streaming framed serialization (StreamingConfig /
-///                     set_streaming)
+///                     one framed, chunk-addressed wire format
+///                     (frame_stream.hpp; StreamingConfig / set_streaming),
+///                     delta checkpoints (DeltaConfig / set_delta)
 ///  - pacing:          CheckpointPolicy + make_policy ("fixed" | "young" |
 ///                     "adaptive"), PolicyContext
 ///  - execution:       ResilientRunner + ResilienceConfig (nested
@@ -33,7 +33,6 @@
 
 #include "ckpt/checkpoint_manager.hpp"
 #include "ckpt/checkpoint_store.hpp"
-#include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/chunk/dedup_store.hpp"
 #include "ckpt/frame_stream.hpp"
 #include "common/severity.hpp"

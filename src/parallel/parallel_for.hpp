@@ -23,10 +23,15 @@ inline int num_threads() noexcept {
 }
 
 /// Parallel loop over [begin, end) with static scheduling.
-/// `body` receives the loop index.
+/// `body` receives the loop index. A range of one index runs inline: a
+/// team started for it would only leave idle workers spinning.
 template <typename Body>
 void parallel_for(index_t begin, index_t end, Body&& body) {
 #if defined(_OPENMP)
+  if (end - begin <= 1) {
+    for (index_t i = begin; i < end; ++i) body(i);
+    return;
+  }
 #pragma omp parallel for schedule(static)
   for (index_t i = begin; i < end; ++i) body(i);
 #else

@@ -3,7 +3,8 @@
 /// \brief Virtual-time model of the paper's 2,048-core Bebop environment:
 ///        PFS write/read bandwidth and parallel (de)compression throughput.
 ///
-/// Calibration (DESIGN.md §6, all straight from the paper):
+/// Calibration (all straight from the paper, so the virtual clock reproduces
+/// its reported times rather than this host's):
 ///  - 78.8 GB traditional checkpoint takes ~120 s at 2,048 ranks
 ///    ⇒ aggregate PFS write bandwidth ≈ 0.657 GB/s (shared, so checkpoint
 ///    time grows linearly with total data — paper Figs. 4–6).

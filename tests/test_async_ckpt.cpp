@@ -296,7 +296,6 @@ TEST(AsyncManager, DrainExceptionFreesStagingSlotAndPropagates) {
   // path the third stage() would deadlock on the exhausted double buffer.
   ThrowingCompressor bad;
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &bad);
-  mgr.set_block_pipeline(0);
   Vector x(64, 1.0);
   mgr.protect(0, "x", &x);
   for (int round = 0; round < 3; ++round) {
@@ -382,9 +381,6 @@ class GateCompressor final : public Compressor {
 TEST(AsyncManager, ThirdStageBlocksUntilASlotDrains) {
   GateCompressor gate;
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &gate);
-  // Keep the manager's automatic block pipeline out of the way so the gate
-  // compressor sees exactly one compress() call per stage.
-  mgr.set_block_pipeline(0);
   Vector x(64, 1.0);
   mgr.protect(0, "x", &x);
 

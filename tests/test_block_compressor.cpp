@@ -1,27 +1,29 @@
-/// Property tests for the parallel block-compression pipeline: round trips
-/// across every factory compressor × error-bound mode × block-boundary
-/// sizes, per-element error-bound verification, per-block CRC corruption
-/// detection, framing errors, and the CheckpointManager integration.
+/// Block (chunk) compression inside the checkpoint format: a vector is cut
+/// into kChunkElems chunks in a full checkpoint and into the delta chunk
+/// size in delta mode, and each chunk is compressed on its own, in
+/// parallel. Round trips across every factory compressor × error-bound
+/// mode × chunk-boundary sizes with per-element error-bound checks, decoded
+/// values equal to single-shot codec calls on each chunk's slice, and
+/// per-chunk CRC corruption detection.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 
 #include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/frame_stream.hpp"
 #include "common/rng.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
 
 namespace lck {
 namespace {
 
-// Small block so even modest test vectors span several blocks.
-constexpr std::size_t kBlock = 256;
+// Delta chunk size: small, so modest vectors span several chunks.
+constexpr std::size_t kChunk = 256;
 
-Vector solver_like(std::size_t n, std::uint64_t seed = 1) {
+Vector solver_like(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   Vector v(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -30,19 +32,15 @@ Vector solver_like(std::size_t n, std::uint64_t seed = 1) {
   return v;
 }
 
-double range_of(const Vector& v) {
-  if (v.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-  return *hi - *lo;
-}
-
-/// Per-element check that `out` respects `eb` relative to `in`. For the
-/// value-range-relative mode the block pipeline uses per-block ranges,
-/// which are never larger than the global range, so checking against the
-/// global range is the correct (weakest) guarantee.
 void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
   ASSERT_EQ(in.size(), out.size());
-  const double vrr_tol = eb.value * range_of(in);
+  // Value-range-relative codecs see per-chunk ranges, never larger than the
+  // global one, so the global range is the correct (weakest) guarantee.
+  double range = 0.0;
+  if (!in.empty()) {
+    const auto [lo, hi] = std::minmax_element(in.begin(), in.end());
+    range = *hi - *lo;
+  }
   for (std::size_t i = 0; i < in.size(); ++i) {
     const double err = std::fabs(in[i] - out[i]);
     switch (eb.mode) {
@@ -50,7 +48,7 @@ void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
         ASSERT_LE(err, eb.value + 1e-300) << "index " << i;
         break;
       case ErrorBound::Mode::kValueRangeRelative:
-        ASSERT_LE(err, vrr_tol + 1e-300) << "index " << i;
+        ASSERT_LE(err, eb.value * range + 1e-300) << "index " << i;
         break;
       case ErrorBound::Mode::kPointwiseRelative:
         ASSERT_LE(err, eb.value * std::fabs(in[i]) + 1e-300) << "index " << i;
@@ -59,85 +57,125 @@ void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
   }
 }
 
-// ----- round trips: compressor × error-bound mode × size --------------------
+ErrorBound bound(ErrorBound::Mode mode) {
+  ErrorBound eb;
+  eb.mode = mode;
+  eb.value = mode == ErrorBound::Mode::kAbsolute ? 1e-4 : 1e-5;
+  return eb;
+}
 
-using Case = std::tuple<const char*, ErrorBound::Mode>;
+using BoundCase = std::tuple<const char*, ErrorBound::Mode>;
 
-class BlockRoundTrip : public ::testing::TestWithParam<Case> {
- protected:
-  [[nodiscard]] static ErrorBound bound(ErrorBound::Mode mode) {
-    ErrorBound eb;
-    eb.mode = mode;
-    eb.value = mode == ErrorBound::Mode::kAbsolute ? 1e-4 : 1e-5;
-    return eb;
-  }
-};
+class ChunkBoundaryRoundTrip : public ::testing::TestWithParam<BoundCase> {};
 
-TEST_P(BlockRoundTrip, BoundarySizesRoundTripWithinBound) {
+TEST_P(ChunkBoundaryRoundTrip, EveryElementKeepsItsBound) {
   const auto [name, mode] = GetParam();
   const ErrorBound eb = bound(mode);
-  const auto inner = make_compressor(name, eb);
-  const BlockCompressor blk(inner.get(), kBlock);
+  const auto comp = make_compressor(name, eb);
+  struct Size {
+    std::size_t n;
+    bool delta;
+  };
+  const Size sizes[] = {{0, true},
+                        {1, true},
+                        {97, true},
+                        {kChunk - 1, true},
+                        {kChunk, true},
+                        {kChunk + 1, true},
+                        {3 * kChunk - 1, true},
+                        {3 * kChunk, true},
+                        {3 * kChunk + 1, true},
+                        {1000, true},
+                        {kChunkElems + 1, false}};
+  for (const Size s : sizes) {
+    SCOPED_TRACE("n=" + std::to_string(s.n) + (s.delta ? " delta" : " full"));
+    CheckpointManager mgr(std::make_unique<MemoryStore>(), comp.get());
+    if (s.delta) mgr.set_delta(4, kChunk);
+    Vector x = solver_like(s.n, s.n + 1);
+    const Vector in = x;
+    mgr.protect(0, "x", &x);
+    mgr.checkpoint();
+    x.assign(s.n + 3, -999.0);  // wrong size too: recover must resize
+    mgr.recover();
+    if (comp->lossy())
+      expect_bound_holds(in, x, eb);
+    else
+      EXPECT_EQ(in, x);  // lossless codecs: bit-identical
+  }
+}
 
-  // 0, 1, a single odd-size block, the exact block boundary, and ±1
-  // around it plus a multi-block odd size.
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{97}, kBlock - 1, kBlock,
-        kBlock + 1, 3 * kBlock - 1, 3 * kBlock, 3 * kBlock + 1,
-        std::size_t{1000}}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const Vector in = solver_like(n, n + 1);
-    const auto stream = blk.compress(in);
-    Vector out(n, -999.0);
-    blk.decompress(stream, out);
-    if (inner->lossy()) {
-      expect_bound_holds(in, out, eb);
-    } else {
-      // Lossless codecs must reproduce the input bit-identically, exactly
-      // as the single-shot path does.
-      EXPECT_EQ(in, out);
+TEST_P(ChunkBoundaryRoundTrip, MatchesSingleShotCodecOutputPerChunk) {
+  // Each chunk's payload is the codec's own stream for that slice, so the
+  // recovered values must equal single-shot decoding slice by slice, bit
+  // for bit, even for lossy codecs.
+  const auto [name, mode] = GetParam();
+  const auto comp = make_compressor(name, bound(mode));
+  struct Case {
+    std::size_t n;
+    std::size_t chunk;  // 0: full checkpoint, kChunkElems chunks
+  };
+  for (const Case c : {Case{kChunk, kChunk}, Case{3 * kChunk + 1, kChunk},
+                       Case{2 * kChunkElems + 7, 0}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 (c.chunk != 0 ? " delta" : " full"));
+    CheckpointManager mgr(std::make_unique<MemoryStore>(), comp.get());
+    if (c.chunk != 0) mgr.set_delta(4, c.chunk);
+    Vector x = solver_like(c.n, 42 + c.n);
+    const ChunkGeometry geo(c.n, c.chunk != 0 ? c.chunk : kChunkElems);
+    Vector expected(c.n);
+    for (std::size_t k = 0; k < geo.count(); ++k) {
+      const std::span<const double> in(x.data() + geo.begin(k),
+                                       geo.length(k));
+      comp->decompress(comp->compress(in), std::span<double>(
+                                               expected.data() + geo.begin(k),
+                                               geo.length(k)));
     }
+    mgr.protect(0, "x", &x);
+    mgr.checkpoint();
+    x.assign(c.n, 0.0);
+    mgr.recover();
+    EXPECT_EQ(x, expected);
   }
 }
 
-TEST_P(BlockRoundTrip, MatchesSingleShotDecompressedOutput) {
+TEST_P(ChunkBoundaryRoundTrip, CrcDetectsCorruptionInEveryChunk) {
   const auto [name, mode] = GetParam();
-  const ErrorBound eb = bound(mode);
-  const auto inner = make_compressor(name, eb);
-  const BlockCompressor blk(inner.get(), kBlock);
-  const Vector in = solver_like(kBlock, 42);  // exactly one block
+  const auto comp = make_compressor(name, bound(mode));
+  constexpr std::size_t kChunks = 4;
+  const Vector in = solver_like(kChunks * kChunkElems, 3);
+  std::vector<byte_t> good;
+  {
+    auto store = std::make_unique<MemoryStore>();
+    auto* store_raw = store.get();
+    CheckpointManager mgr(std::move(store), comp.get());
+    Vector x = in;
+    mgr.protect(0, "x", &x);
+    mgr.checkpoint();
+    good = store_raw->read(0);
+  }
+  const auto payloads = chunk_payloads(good);
+  ASSERT_TRUE(payloads.has_value());
+  ASSERT_EQ(payloads->size(), kChunks);
 
-  // With a single block the pipeline payload is the inner stream itself,
-  // so decompressed outputs must agree bit-for-bit even for lossy codecs.
-  Vector via_block(in.size()), via_inner(in.size());
-  blk.decompress(blk.compress(in), via_block);
-  inner->decompress(inner->compress(in), via_inner);
-  EXPECT_EQ(via_block, via_inner);
-}
-
-TEST_P(BlockRoundTrip, CrcDetectsCorruptionInEveryBlock) {
-  const auto [name, mode] = GetParam();
-  const auto inner = make_compressor(name, bound(mode));
-  const BlockCompressor blk(inner.get(), kBlock);
-  const Vector in = solver_like(4 * kBlock, 3);
-  const auto stream = blk.compress(in);
-
-  // The index table ends after the 24-byte header + 4 frames à 12 bytes;
-  // everything beyond is block payload. Flip one bit in each quarter.
-  const std::size_t payload_start = 24 + 4 * 12;
-  ASSERT_LT(payload_start, stream.size());
-  const std::size_t payload_len = stream.size() - payload_start;
-  for (int q = 0; q < 4; ++q) {
-    auto corrupted = stream;
-    corrupted[payload_start + (payload_len * q) / 4] ^= 0x10;
-    Vector out(in.size());
-    EXPECT_THROW(blk.decompress(corrupted, out), corrupt_stream_error)
-        << "corruption in quarter " << q << " undetected";
+  // Flip one bit in the middle of each chunk's payload.
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    const std::span<const byte_t> p = (*payloads)[k];
+    ASSERT_FALSE(p.empty());
+    auto bad = good;
+    bad[static_cast<std::size_t>(p.data() - good.data()) + p.size() / 2] ^=
+        0x10;
+    auto store = std::make_unique<MemoryStore>();
+    store->write(0, bad);
+    CheckpointManager mgr(std::move(store), comp.get());
+    Vector x(in.size(), 0.0);
+    mgr.protect(0, "x", &x);
+    EXPECT_THROW(mgr.recover(), corrupt_stream_error)
+        << "corruption in chunk " << k << " undetected";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Codecs, BlockRoundTrip,
+    Codecs, ChunkBoundaryRoundTrip,
     ::testing::Combine(
         ::testing::Values("none", "rle", "shuffle-rle", "deflate",
                           "shuffle-deflate", "sz", "zfp", "trunc"),
@@ -154,167 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// ----- framing and interface ------------------------------------------------
-
-TEST(BlockCompressor, NameAndLossyDelegateToInner) {
-  const BlockCompressor lossless(make_compressor("deflate"));
-  EXPECT_EQ(lossless.name(), "block+deflate");
-  EXPECT_FALSE(lossless.lossy());
-  const BlockCompressor lossy(make_compressor("sz"));
-  EXPECT_EQ(lossy.name(), "block+sz");
-  EXPECT_TRUE(lossy.lossy());
-}
-
-TEST(BlockCompressor, FactorySupportsBlockPrefix) {
-  const auto c = make_compressor("block+sz", ErrorBound::pointwise_rel(1e-5));
-  EXPECT_EQ(c->name(), "block+sz");
-  const Vector in = solver_like(1000, 5);
-  Vector out(in.size());
-  c->decompress(c->compress(in), out);
-  expect_bound_holds(in, out, ErrorBound::pointwise_rel(1e-5));
-}
-
-TEST(BlockCompressor, RejectsBadConstruction) {
-  EXPECT_THROW(BlockCompressor(static_cast<const Compressor*>(nullptr)),
-               config_error);
-  NoneCompressor none;
-  EXPECT_THROW(BlockCompressor(&none, 0), config_error);
-}
-
-TEST(BlockCompressor, RejectsMalformedStreams) {
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const Vector in = solver_like(2 * kBlock, 7);
-  const auto stream = blk.compress(in);
-  Vector out(in.size());
-
-  auto bad_magic = stream;
-  bad_magic[0] ^= 0xff;
-  EXPECT_THROW(blk.decompress(bad_magic, out), corrupt_stream_error);
-
-  Vector wrong_size(in.size() + 1);
-  EXPECT_THROW(blk.decompress(stream, wrong_size), corrupt_stream_error);
-
-  auto truncated = stream;
-  truncated.resize(truncated.size() - 1);
-  EXPECT_THROW(blk.decompress(truncated, out), corrupt_stream_error);
-
-  auto trailing = stream;
-  trailing.push_back(0);
-  EXPECT_THROW(blk.decompress(trailing, out), corrupt_stream_error);
-}
-
-TEST(BlockCompressor, HugeFrameSizeRejectedWithoutOverflow) {
-  // A corrupted frame size near 2^63 must surface as corrupt_stream_error,
-  // not wrap the payload-offset arithmetic into an out-of-bounds read.
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const Vector in = solver_like(2 * kBlock, 9);
-  auto stream = blk.compress(in);
-  // First frame's u64 size field starts right after the 24-byte header.
-  const std::uint64_t huge = (std::uint64_t{1} << 63) + 6;
-  std::memcpy(stream.data() + 24, &huge, sizeof(huge));
-  Vector out(in.size());
-  EXPECT_THROW(blk.decompress(stream, out), corrupt_stream_error);
-
-  // And a corrupted block size near 2^64 must not wrap the expected block
-  // count to 0 and decompress "successfully" without writing anything: a
-  // header-only stream claiming nblocks == 0 for a non-empty vector.
-  auto huge_be = blk.compress(in);
-  huge_be.resize(24);
-  const std::uint64_t be = ~std::uint64_t{0} - 500;
-  std::memcpy(huge_be.data() + 12, &be, sizeof(be));  // block_elems field
-  std::uint32_t zero_blocks = 0;
-  std::memcpy(huge_be.data() + 20, &zero_blocks, sizeof(zero_blocks));
-  EXPECT_THROW(blk.decompress(huge_be, out), corrupt_stream_error);
-}
-
-TEST(BlockCompressor, EmptyInputProducesHeaderOnlyStream) {
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const auto stream = blk.compress(Vector{});
-  EXPECT_EQ(stream.size(), 24u);  // magic + total + block_elems + count
-  Vector out;
-  blk.decompress(stream, out);  // must not throw
-}
-
-// ----- CheckpointManager integration ---------------------------------------
-
-TEST(BlockCompressor, ManagerUsesBlockPipelineForLargeVectors) {
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_block_pipeline(kBlock);
-  Vector big = solver_like(10 * kBlock, 11);
-  Vector small = solver_like(kBlock / 2, 12);
-  mgr.protect(0, "big", &big);
-  mgr.protect(1, "small", &small);
-  const Vector big_saved = big, small_saved = small;
-  mgr.checkpoint();
-  big.assign(big.size(), 0.0);
-  small.assign(small.size(), 0.0);
-  mgr.recover();
-  EXPECT_EQ(big, big_saved);
-  EXPECT_EQ(small, small_saved);
-}
-
-TEST(BlockCompressor, ManagerRecoversBlockCheckpointWithPipelineDisabled) {
-  // The stored compressor name, not the current configuration, decides the
-  // layout on recovery: a checkpoint written with the pipeline enabled must
-  // recover after the pipeline is turned off (and vice versa).
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(5 * kBlock, 13);
-  mgr.protect(0, "x", &x);
-  const Vector saved = x;
-  mgr.checkpoint();
-
-  mgr.set_block_pipeline(0);  // disable
-  x.assign(x.size(), -1.0);
-  mgr.recover();
-  EXPECT_EQ(x, saved);
-
-  mgr.checkpoint();  // single-shot layout this time
-  mgr.set_block_pipeline(kBlock);
-  x.assign(x.size(), -1.0);
-  mgr.recover();
-  EXPECT_EQ(x, saved);
-}
-
-TEST(BlockCompressor, ManagerDoesNotDoubleWrapBlockCompressors) {
-  // A registered "block+sz" must not be nested inside a second pipeline
-  // layer when the manager's automatic threshold also triggers.
-  const auto blk_sz = make_compressor("block+sz");
-  auto store = std::make_unique<MemoryStore>();
-  auto* store_raw = store.get();
-  CheckpointManager mgr(std::move(store), blk_sz.get());
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(4 * kBlock, 19);
-  mgr.protect(0, "x", &x);
-  mgr.checkpoint();
-  const auto raw = store_raw->read(0);
-  const std::string nested = "block+block+sz";
-  EXPECT_EQ(std::search(raw.begin(), raw.end(), nested.begin(), nested.end()),
-            raw.end())
-      << "checkpoint stream contains a nested block layer";
-  x.assign(x.size(), 0.0);
-  mgr.recover();  // and the single-layer stream must still recover
-}
-
-TEST(BlockCompressor, ManagerBlockCheckpointKeepsLossyBound) {
-  const ErrorBound eb = ErrorBound::pointwise_rel(1e-4);
-  const auto sz = make_compressor("sz", eb);
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), sz.get());
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(8 * kBlock, 17);
-  mgr.protect(0, "x", &x);
-  const Vector original = x;
-  mgr.checkpoint();
-  x.assign(x.size(), 0.0);
-  mgr.recover();
-  expect_bound_holds(original, x, eb);
-}
 
 }  // namespace
 }  // namespace lck

@@ -97,6 +97,33 @@ TEST(DiskStore, PersistsAcrossInstances) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DiskStore, StrayFilesRegisterNoPhantomVersion) {
+  // Copies and backups beside the checkpoints must not parse as versions:
+  // a "ckpt_12 (copy).lck" once made recover() chase a missing version 12.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lckpt_stray_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  NoneCompressor none;
+  Vector x = random_vector(50, 9);
+  {
+    CheckpointManager mgr(std::make_unique<DiskStore>(dir.string()), &none);
+    mgr.protect(0, "x", &x);
+    mgr.checkpoint();  // v0
+  }
+  for (const char* stray :
+       {"ckpt_12 (copy).lck", "ckpt_99backup.lck", "ckpt_-3.lck",
+        "ckpt_+4.lck", "ckpt_.lck", "ckpt_ 5.lck", "ckpt_007.lck"})
+    std::filesystem::copy_file(dir / "ckpt_0.lck", dir / stray);
+  DiskStore store(dir.string());
+  EXPECT_EQ(store.latest_version(), 0);
+  CheckpointManager mgr(std::make_unique<DiskStore>(dir.string()), &none);
+  Vector y;
+  mgr.protect(0, "x", &y);
+  EXPECT_EQ(mgr.recover().version, 0);
+  EXPECT_EQ(y, x);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DiskStore, StalePendingSweepThenRetentionPruneAfterReopen) {
   // Crash between write_pending and commit, then reopen + prune: the
   // reopen must sweep the orphaned .lck.pending file, the new manager must

@@ -1,8 +1,8 @@
-/// Chunked content-addressed delta checkpointing: codec round trips,
-/// manager delta chains (sync + staged), ref-counted retention, crash
-/// mid-chain, the L3 dedup store, tiered chain re-materialization after a
-/// node-severity failure, runner integration, and the deterministic
-/// fixed-partition vector reductions.
+/// Chunked content-addressed delta checkpointing: manager delta chains
+/// (sync + staged), within-stream and cross-version refs, ref-counted
+/// retention, crash mid-chain, the L3 dedup store, tiered chain
+/// re-materialization after a node-severity failure, runner integration,
+/// and the deterministic fixed-partition vector reductions.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -10,7 +10,6 @@
 #include <filesystem>
 
 #include "ckpt/checkpoint_manager.hpp"
-#include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/chunk/chunk_hash.hpp"
 #include "ckpt/chunk/dedup_store.hpp"
 #include "ckpt/tier/tiered_store.hpp"
@@ -57,161 +56,39 @@ TEST(Crc64, KnownVectorAndIncrementalEquivalence) {
   EXPECT_NE(crc64(data.subspan(0, 8)), crc64(data));
 }
 
-// ----- codec ----------------------------------------------------------------
-
-TEST(ChunkCodec, FullEncodeParsesBackWithAllLiterals) {
-  const Vector v = random_vector(1000, 1);
-  NoneCompressor none;
-  ByteWriter out;
-  out.put(kDeltaMagic);
-  out.put(kDeltaFormatVersion);
-  out.put(std::int32_t{-1});
-  out.put(std::uint32_t{0});
-  out.put(std::uint32_t{1});
-  out.put(std::int32_t{0});
-  out.put_string("x");
-  out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
-  std::vector<std::uint64_t> hashes;
-  const ChunkEncodeStats stats =
-      encode_chunked_vector(out, v, none, 256, nullptr, hashes);
-  EXPECT_EQ(stats.chunks, 4u);  // 1000 / 256 -> 3 full + 1 tail
-  EXPECT_EQ(stats.refs, 0u);
-  EXPECT_EQ(hashes.size(), 4u);
-
-  const auto bytes = std::move(out).take();
-  const ParsedDeltaStream parsed = parse_delta_stream(bytes);
-  EXPECT_EQ(parsed.base_version, -1);
-  ASSERT_EQ(parsed.vars.size(), 1u);
-  const auto& var = parsed.vars[0];
-  EXPECT_EQ(var.comp_name, "none");
-  EXPECT_EQ(var.elem_count, 1000u);
-  ASSERT_EQ(var.chunks.size(), 4u);
-  Vector back(1000);
-  for (std::size_t c = 0; c < 4; ++c) {
-    ASSERT_EQ(var.chunks[c].tag, ChunkTag::kLiteral);
-    EXPECT_EQ(var.chunks[c].hash, hashes[c]);
-    const std::size_t begin = c * 256;
-    const std::size_t len = std::min<std::size_t>(256, 1000 - begin);
-    none.decompress(var.chunks[c].payload, {back.data() + begin, len});
-  }
-  EXPECT_EQ(back, v);
-}
-
-TEST(ChunkCodec, UnchangedChunksBecomeRefsAgainstBase) {
-  Vector v = random_vector(1024, 2);
-  NoneCompressor none;
-  std::vector<std::uint64_t> base_hashes;
-  {
-    ByteWriter out;
-    encode_chunked_vector(out, v, none, 128, nullptr, base_hashes);
-  }
-  // Mutate exactly one chunk; every other chunk must become a ref.
-  v[5 * 128 + 3] += 1.0;
-  ByteWriter out;
-  std::vector<std::uint64_t> hashes;
-  const ChunkEncodeStats stats =
-      encode_chunked_vector(out, v, none, 128, &base_hashes, hashes);
-  EXPECT_EQ(stats.chunks, 8u);
-  EXPECT_EQ(stats.refs, 7u);
-  EXPECT_EQ(stats.literal_bytes,
-            128 * sizeof(double) + NoneCompressor::kHeaderBytes);
-  EXPECT_NE(hashes[5], base_hashes[5]);
-}
-
-TEST(ChunkCodec, WithinStreamDuplicatesDedupWithoutABase) {
-  // Constant vector: every full chunk after the first is a within-stream
-  // duplicate (the tail chunk differs in length, hence in hash).
-  const Vector v(1024, 3.25);
-  NoneCompressor none;
-  ByteWriter out;
-  std::vector<std::uint64_t> hashes;
-  const ChunkEncodeStats stats =
-      encode_chunked_vector(out, v, none, 256, nullptr, hashes);
-  EXPECT_EQ(stats.chunks, 4u);
-  EXPECT_EQ(stats.refs, 3u);
-}
-
-TEST(ChunkCodec, InconsistentChunkGeometryIsRejected) {
-  // The header carries no CRC, so a corrupted elem_count/chunk_elems/
-  // chunk_count triple must be caught by cross-validation at parse time —
-  // never reach the recovery slicing arithmetic.
-  const auto make_stream = [](std::uint64_t elem_count,
-                              std::uint64_t chunk_elems,
-                              std::uint32_t chunk_count) {
-    ByteWriter out;
-    out.put(kDeltaMagic);
-    out.put(kDeltaFormatVersion);
-    out.put(std::int32_t{-1});
-    out.put(std::uint32_t{0});
-    out.put(std::uint32_t{1});
-    out.put(std::int32_t{0});
-    out.put_string("x");
-    out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
-    out.put_string("none");
-    out.put(elem_count);
-    out.put(chunk_elems);
-    out.put(chunk_count);
-    const std::vector<byte_t> payload{1, 2, 3};
-    for (std::uint32_t c = 0; c < chunk_count; ++c) {
-      out.put(std::uint64_t{c});
-      out.put(static_cast<std::uint8_t>(ChunkTag::kLiteral));
-      out.put(static_cast<std::uint64_t>(payload.size()));
-      out.put(crc32(payload));
-      out.put_bytes(payload);
-    }
-    return std::move(out).take();
-  };
-  // Consistent geometry parses.
-  EXPECT_NO_THROW((void)parse_delta_stream(make_stream(100, 64, 2)));
-  // elem_count shrunk below the manifest (would underflow the tail length).
-  EXPECT_THROW((void)parse_delta_stream(make_stream(100, 4096, 2)),
-               corrupt_stream_error);
-  // Manifest too short (tail would stay uninitialized).
-  EXPECT_THROW((void)parse_delta_stream(make_stream(100, 10, 2)),
-               corrupt_stream_error);
-  // Zero chunk size with elements.
-  EXPECT_THROW((void)parse_delta_stream(make_stream(100, 0, 2)),
-               corrupt_stream_error);
-}
-
-TEST(ChunkCodec, PeekDeltaBaseReadsHeaderOnly) {
-  ByteWriter out;
-  out.put(kDeltaMagic);
-  out.put(kDeltaFormatVersion);
-  out.put(std::int32_t{41});
-  const auto bytes = std::move(out).take();
-  EXPECT_EQ(peek_delta_base(bytes), std::optional<int>{41});
-  const std::vector<byte_t> junk{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_EQ(peek_delta_base(junk), std::nullopt);
-}
-
 // ----- manager: sync delta chains -------------------------------------------
 
-TEST(DeltaManager, NonDeltaStreamsKeepTheNonDeltaFormats) {
-  // max_delta_chain = 0 (default) must keep the serializer out of delta
-  // mode: the stored stream is the framed format by default ("FKPT"), and
-  // the legacy format ("CKPT") with streaming disabled — never DKPT.
+TEST(DeltaManager, UnchangedChunksBecomeRefsAgainstBase) {
   NoneCompressor none;
-  auto store = std::make_unique<MemoryStore>();
-  auto* store_raw = store.get();
-  CheckpointManager mgr(std::move(store), &none);
-  Vector x = random_vector(600, 4);
-  mgr.protect(0, "x", &x);
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
+  mgr.set_delta(4, 128);
+  Vector v = random_vector(1024, 2);
+  mgr.protect(0, "v", &v);
   mgr.checkpoint();
-  const auto blob = store_raw->read(0);
-  EXPECT_FALSE(is_delta_stream(blob));
-  std::uint32_t magic;
-  std::memcpy(&magic, blob.data(), sizeof magic);
-  EXPECT_EQ(magic, kFrameStreamMagic);  // "FKPT": framed streaming format
+  // Mutate exactly one chunk; every other chunk must become a ref.
+  v[5 * 128 + 3] += 1.0;
+  const CheckpointRecord rec = mgr.checkpoint();
+  EXPECT_EQ(rec.chunks, 8u);
+  EXPECT_EQ(rec.chunks_deduped, 7u);
+  EXPECT_EQ(rec.per_var_bytes.at("v"), 128 * sizeof(double));
+}
 
-  StreamingConfig off;
-  off.enabled = false;
-  mgr.set_streaming(off);
-  mgr.checkpoint();
-  const auto legacy = store_raw->read(1);
-  EXPECT_FALSE(is_delta_stream(legacy));
-  std::memcpy(&magic, legacy.data(), sizeof magic);
-  EXPECT_EQ(magic, 0x54504b43u);  // "CKPT": pre-delta stream magic
+TEST(DeltaManager, WithinStreamDuplicatesDedupWithoutABase) {
+  // Constant vector: every full chunk after the first is a within-stream
+  // duplicate (the tail chunk differs in length, hence in hash).
+  NoneCompressor none;
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
+  mgr.set_delta(4, 256);
+  Vector v(1000, 3.25);
+  mgr.protect(0, "v", &v);
+  const CheckpointRecord rec = mgr.checkpoint();
+  EXPECT_EQ(rec.base_version, -1);
+  EXPECT_EQ(rec.chunks, 4u);
+  EXPECT_EQ(rec.chunks_deduped, 2u);
+  const Vector want = v;
+  v.assign(3, 0.0);
+  mgr.recover();
+  EXPECT_EQ(v, want);
 }
 
 TEST(DeltaManager, DeltaChainRecoversBitExactly) {

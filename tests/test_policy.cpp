@@ -280,11 +280,18 @@ TEST(ConfigValidate, CollectsEveryViolationInOneError) {
 
 // ----- FixedIntervalPolicy == pre-redesign runner behaviour -----------------
 
-/// ResilienceResults of the pre-policy-API runner (commit 1fd6ed0) for
-/// CG/grid-8 under the aggressive test config below, recorded with %.17g.
-/// The default FixedIntervalPolicy must reproduce them exactly: integer
-/// counters bit-for-bit, clock sums to 1e-9 relative (libm slack across
-/// platforms — locally the full struct is bit-identical).
+/// ResilienceResults of the fixed-interval runner for CG/grid-8 under the
+/// aggressive test config below, recorded with %.17g — first from the
+/// pre-policy-API runner (commit 1fd6ed0), re-recorded once when every
+/// checkpoint became one framed, chunk-addressed stream: the stored bytes
+/// moved by the framing, and with them the byte-priced clock sums. A few
+/// counters moved too: the fixed policy compares t − last_ckpt_t against
+/// its 20 s interval after four 5 s iterations, a difference of 0 or ±1
+/// ulp, so a last-bit change in a byte-priced duration takes or skips that
+/// checkpoint and shifts later failures. The default FixedIntervalPolicy
+/// must reproduce the table exactly: integer counters bit-for-bit, clock
+/// sums to 1e-9 relative (libm slack across platforms — locally the full
+/// struct is bit-identical).
 struct GoldenRun {
   int scheme;
   int mode;
@@ -297,18 +304,18 @@ struct GoldenRun {
 };
 
 constexpr GoldenRun kGoldenRuns[] = {
-    {0, 0, 27, 23, 6, 5, 5, 0, 155.47494620307742, 5.3200523124999997, 0, 0,
-     5.3263023124999993, 8370},
-    {0, 1, 28, 23, 6, 5, 5, 0, 154.46093588321631, 0.25000071319444445,
-     5.320052312499989, 0, 5.3263023124999993, 8370},
-    {0, 2, 25, 23, 3, 5, 2, 0, 128.65508892409409, 0.25000071319444445,
-     0.25000072656248662, 0, 1.1152606078125, 8370},
-    {2, 0, 33, 30, 6, 7, 5, 0, 187.60293017691075, 7.4480123689999997, 0, 0,
-     5.326256511666668, 684.00000000000011},
-    {2, 1, 34, 30, 6, 7, 5, 0, 184.56092633591075, 0.35000049875,
-     7.4480123689999864, 0, 5.326256511666668, 684.00000000000011},
-    {2, 2, 27, 25, 3, 6, 2, 0, 138.70508138262184, 0.3000004275,
-     0.30000555632290116, 0, 1.1152535785833335, 809.5},
+    {0, 0, 27, 23, 6, 5, 5, 0, 155.47494621307743, 5.3200526750000003, 0, 0,
+     5.3263029000000008, 8428},
+    {0, 1, 27, 23, 6, 5, 5, 0, 149.46093600071632, 0.25000071319444445,
+     5.3200526412500153, 0, 5.3263029000000008, 8422.6000000000004},
+    {0, 2, 25, 23, 3, 5, 2, 0, 128.65508904159407, 0.25000071319444445,
+     0.25000073102428999, 0, 1.1152607269444446, 8421.3999999999996},
+    {2, 0, 33, 29, 6, 7, 5, 0, 187.60293055566075, 7.4480135540000001, 0, 0,
+     5.3262569966666664, 819.42857142857144},
+    {2, 1, 34, 29, 6, 7, 5, 0, 184.56092643341074, 0.35000049875,
+     7.4480135539999921, 0, 5.3262569966666664, 819.42857142857144},
+    {2, 2, 27, 25, 3, 5, 2, 0, 138.65508140637183, 0.25000035625,
+     0.25000464296873659, 0, 1.1152536749027777, 955.79999999999995},
 };
 
 void expect_golden_near(double actual, double golden) {
@@ -334,10 +341,6 @@ TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
     cfg.static_bytes = 1e6;
     cfg.tiered.l2_promote_every = 1;
     cfg.tiered.l3_promote_every = 2;
-    // The goldens pin the *legacy* serializer's stored-bytes/clock values
-    // (recorded before the framed streaming path existed); running with
-    // streaming off keeps them guarding that pipeline against drift.
-    cfg.streaming.enabled = false;
     ResilientRunner runner(*solver, cfg);
     const ResilienceResult r = runner.run();
 

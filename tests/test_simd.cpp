@@ -424,7 +424,7 @@ TEST(CompressionKernels, Shuffle8MatchesScalarAndRoundTrips) {
       o.unshuffle8(out.data(), back.data(), n, 0, n);
       EXPECT_EQ(back, in) << simd::isa_name(isa) << " n=" << n;
       if (n > 4) {
-        // Subrange form (the parallel block pipeline shuffles slices).
+        // Subrange form of the kernel API.
         std::vector<byte_t> sub(in.size(), 0), subref(in.size(), 0);
         simd::ops_for(simd::Isa::kScalar)
             .shuffle8(in.data(), subref.data(), n, 3, n - 2);
@@ -488,7 +488,7 @@ TEST(Diagnostics, MakeCompressorUnknownNameListsRegisteredCodecs) {
     const std::string w = e.what();
     for (const char* name :
          {"none", "rle", "shuffle-rle", "deflate", "shuffle-deflate", "lz4",
-          "shuffle-lz4", "sz", "zfp", "trunc", "block+"})
+          "shuffle-lz4", "sz", "zfp", "trunc"})
       EXPECT_NE(w.find(name), std::string::npos) << "missing " << name
                                                  << " in: " << w;
   }
