@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "core/ckpt_policy.hpp"
@@ -288,34 +289,53 @@ TEST(ConfigValidate, CollectsEveryViolationInOneError) {
 /// counters moved too: the fixed policy compares t − last_ckpt_t against
 /// its 20 s interval after four 5 s iterations, a difference of 0 or ±1
 /// ulp, so a last-bit change in a byte-priced duration takes or skips that
-/// checkpoint and shifts later failures. The default FixedIntervalPolicy
+/// checkpoint and shifts later failures. The promotion-channel columns
+/// (promotions_completed, promotion_seconds_total, recoveries_by_tier) and
+/// the two delta-chain rows were recorded later from the same runner, to
+/// pin the tiered promotion schedule. The default FixedIntervalPolicy
 /// must reproduce the table exactly: integer counters bit-for-bit, clock
 /// sums to 1e-9 relative (libm slack across platforms — locally the full
 /// struct is bit-identical).
 struct GoldenRun {
   int scheme;
   int mode;
+  int max_delta_chain;  ///< > 0 also sets delta.chunk_elems = 64.
   index_t executed_steps;
   index_t convergence_iteration;
   int failures, checkpoints, recoveries, aborted_drains;
   double virtual_seconds, ckpt_seconds_total, ckpt_drain_seconds_total;
   double backpressure_seconds_total, recovery_seconds_total;
   double mean_ckpt_stored_bytes;
+  int promotions_completed;
+  double promotion_seconds_total;
+  std::array<int, 3> recoveries_by_tier;
 };
 
 constexpr GoldenRun kGoldenRuns[] = {
-    {0, 0, 27, 23, 6, 5, 5, 0, 155.47494621307743, 5.3200526750000003, 0, 0,
-     5.3263029000000008, 8428},
-    {0, 1, 27, 23, 6, 5, 5, 0, 149.46093600071632, 0.25000071319444445,
-     5.3200526412500153, 0, 5.3263029000000008, 8422.6000000000004},
-    {0, 2, 25, 23, 3, 5, 2, 0, 128.65508904159407, 0.25000071319444445,
-     0.25000073102428999, 0, 1.1152607269444446, 8421.3999999999996},
-    {2, 0, 33, 29, 6, 7, 5, 0, 187.60293055566075, 7.4480135540000001, 0, 0,
-     5.3262569966666664, 819.42857142857144},
-    {2, 1, 34, 29, 6, 7, 5, 0, 184.56092643341074, 0.35000049875,
-     7.4480135539999921, 0, 5.3262569966666664, 819.42857142857144},
-    {2, 2, 27, 25, 3, 5, 2, 0, 138.65508140637183, 0.25000035625,
-     0.25000464296873659, 0, 1.1152536749027777, 955.79999999999995},
+    {0, 0, 0, 27, 23, 6, 5, 5, 0, 155.47494621307743, 5.3200526750000003, 0,
+     0, 5.3263029000000008, 8428, 0, 0, {0, 0, 0}},
+    {0, 1, 0, 27, 23, 6, 5, 5, 0, 149.46093600071632, 0.25000071319444445,
+     5.3200526412500153, 0, 5.3263029000000008, 8422.6000000000004, 0, 0,
+     {0, 0, 0}},
+    {0, 2, 0, 25, 23, 3, 5, 2, 0, 128.65508904159407, 0.25000071319444445,
+     0.25000073102428999, 0, 1.1152607269444446, 8421.3999999999996, 8,
+     3.6920323509791668, {1, 0, 1}},
+    {2, 0, 0, 33, 29, 6, 7, 5, 0, 187.60293055566075, 7.4480135540000001, 0,
+     0, 5.3262569966666664, 819.42857142857144, 0, 0, {0, 0, 0}},
+    {2, 1, 0, 34, 29, 6, 7, 5, 0, 184.56092643341074, 0.35000049875,
+     7.4480135539999921, 0, 5.3262569966666664, 819.42857142857144, 0, 0,
+     {0, 0, 0}},
+    {2, 2, 0, 27, 25, 3, 5, 2, 0, 138.65508140637183, 0.25000035625,
+     0.25000464296873659, 0, 1.1152536749027777, 955.79999999999995, 8,
+     3.6920040408125003, {1, 0, 1}},
+    // Delta chains over the tiers: promotions carry chain bases the L3
+    // cadence skipped, and recoveries are priced over whole chains.
+    {0, 2, 4, 25, 23, 3, 5, 2, 0, 128.6550894090941, 0.25000071319444445,
+     0.25000076024305429, 0, 1.1152610995486112, 8758, 10, 5.8200556497916676,
+     {1, 0, 1}},
+    {2, 2, 4, 27, 25, 3, 6, 2, 0, 138.70508301262186, 0.3000004275,
+     0.30000568427430707, 0, 1.1152552312222221, 2037.8333333333333, 11,
+     5.9200137459791664, {1, 0, 1}},
 };
 
 void expect_golden_near(double actual, double golden) {
@@ -325,7 +345,8 @@ void expect_golden_near(double actual, double golden) {
 TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
   for (const GoldenRun& g : kGoldenRuns) {
     SCOPED_TRACE("scheme=" + std::to_string(g.scheme) +
-                 " mode=" + std::to_string(g.mode));
+                 " mode=" + std::to_string(g.mode) +
+                 " delta=" + std::to_string(g.max_delta_chain));
     const LocalProblem p = make_local_problem("cg", 8, 1e-8);
     auto solver = p.make_solver();
     ResilienceConfig cfg;
@@ -341,6 +362,10 @@ TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
     cfg.static_bytes = 1e6;
     cfg.tiered.l2_promote_every = 1;
     cfg.tiered.l3_promote_every = 2;
+    if (g.max_delta_chain > 0) {
+      cfg.delta.max_delta_chain = g.max_delta_chain;
+      cfg.delta.chunk_elems = 64;
+    }
     ResilientRunner runner(*solver, cfg);
     const ResilienceResult r = runner.run();
 
@@ -358,6 +383,9 @@ TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
                        g.backpressure_seconds_total);
     expect_golden_near(r.recovery_seconds_total, g.recovery_seconds_total);
     expect_golden_near(r.mean_ckpt_stored_bytes, g.mean_ckpt_stored_bytes);
+    EXPECT_EQ(r.promotions_completed, g.promotions_completed);
+    expect_golden_near(r.promotion_seconds_total, g.promotion_seconds_total);
+    EXPECT_EQ(r.recoveries_by_tier, g.recoveries_by_tier);
     // Pacing observability: the fixed policy never adjusts.
     EXPECT_DOUBLE_EQ(r.policy_interval_final, 20.0);
     EXPECT_EQ(r.interval_adjustments, 0);
