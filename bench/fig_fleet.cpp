@@ -138,8 +138,7 @@ FleetResult run_fleet(const std::vector<Flavor>& flavors, int jobs) {
           flavors[static_cast<std::size_t>(j) % flavors.size()];
       auto job = service.open_job({.name = flavor.name + "-" +
                                        std::to_string(j),
-                                   .l3_promote_every = 2,
-                                   .background_promotions = false});
+                                   .l3_promote_every = 2});
       auto solver = flavor.problem.make_solver();
       const auto res =
           ResilientRunner(*solver, fleet_config(flavor, job)).run();
@@ -194,8 +193,7 @@ int main(int argc, char** argv) {
     bool conv = false;
     {
       auto job = service.open_job({.name = flavors[f].name,
-                                   .l3_promote_every = 2,
-                                   .background_promotions = false});
+                                   .l3_promote_every = 2});
       auto solver = flavors[f].problem.make_solver();
       conv = ResilientRunner(*solver, fleet_config(flavors[f], job))
                  .run()

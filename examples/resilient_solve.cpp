@@ -124,8 +124,7 @@ int main(int argc, char** argv) {
     for (int j = 0; j < jobs; ++j)
       threads.emplace_back([&, j] {
         auto job = service.open_job({.name = "job" + std::to_string(j),
-                                     .l3_promote_every = 2,
-                                     .background_promotions = false});
+                                     .l3_promote_every = 2});
         auto solver = p.make_solver();
         ResilienceConfig cfg = base_cfg(CkptScheme::kLossy,
                                         CkptMode::kTiered);

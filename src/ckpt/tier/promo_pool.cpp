@@ -1,11 +1,11 @@
-#include "svc/promo_pool.hpp"
+#include "ckpt/tier/promo_pool.hpp"
 
 #include <algorithm>
 #include <utility>
 
 #include "common/types.hpp"
 
-namespace lck::svc {
+namespace lck {
 
 PromotionPool::PromotionPool(int workers, std::size_t quantum_bytes)
     : quantum_(quantum_bytes) {
@@ -87,9 +87,4 @@ std::size_t PromotionPool::executed() const {
   return executed_;
 }
 
-std::size_t PromotionPool::pending() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
-}
-
-}  // namespace lck::svc
+}  // namespace lck

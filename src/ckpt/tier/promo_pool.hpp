@@ -1,17 +1,19 @@
 #pragma once
 /// \file promo_pool.hpp
-/// \brief Shared promotion worker pool with byte-weighted deficit-round-
-///        robin fairness across jobs — the PromotionExecutor the
-///        CheckpointService installs into every tenant's tiered store.
+/// \brief Promotion worker pool with byte-weighted deficit-round-robin
+///        fairness across clients — where every self-promoting tiered
+///        store runs its background promotion jobs.
 ///
-/// One pool replaces N per-store promotion threads: each tenant submits
-/// under its own fairness class (fair_key = job id), and workers pick the
-/// next task by deficit round robin over the classes [Shreedhar &
-/// Varghese]: every visit to a non-empty class tops its deficit up by one
-/// quantum, and the class's head task runs once the accumulated deficit
-/// covers its byte weight. A job checkpointing 100 MB blobs therefore
-/// cannot starve a job checkpointing 1 MB blobs — between two heavy tasks
-/// the light class accumulates enough deficit to run many of its own.
+/// A store either owns a one-worker pool or shares one across stores (the
+/// CheckpointService installs its pool into every tenant's stack, so N
+/// tenants do not spawn N threads). Each client submits under its own
+/// fairness class (fair_key = job id), and workers pick the next task by
+/// deficit round robin over the classes [Shreedhar & Varghese]: every
+/// visit to a non-empty class tops its deficit up by one quantum, and the
+/// class's head task runs once the accumulated deficit covers its byte
+/// weight. A job checkpointing 100 MB blobs therefore cannot starve a job
+/// checkpointing 1 MB blobs — between two heavy tasks the light class
+/// accumulates enough deficit to run many of its own.
 ///
 /// Tasks are opaque closures; the pool guarantees every accepted task runs
 /// exactly once, including during shutdown (tiered stores block in
@@ -28,18 +30,16 @@
 #include <thread>
 #include <vector>
 
-#include "ckpt/tier/tiered_store.hpp"
+namespace lck {
 
-namespace lck::svc {
-
-class PromotionPool final : public PromotionExecutor {
+class PromotionPool {
  public:
   /// `workers` threads drain the queues; `quantum_bytes` is the DRR
   /// increment per class visit (≈ the typical blob size keeps one task per
   /// visit; the scheduler is fair for any positive value).
   explicit PromotionPool(int workers = 2,
                          std::size_t quantum_bytes = std::size_t{1} << 20);
-  ~PromotionPool() override;
+  ~PromotionPool();
 
   PromotionPool(const PromotionPool&) = delete;
   PromotionPool& operator=(const PromotionPool&) = delete;
@@ -47,15 +47,10 @@ class PromotionPool final : public PromotionExecutor {
   /// Enqueue `task` under fairness class `fair_key`. Weight 0 is treated
   /// as 1 byte so a zero-cost task still consumes schedule share.
   void submit(int fair_key, std::size_t weight_bytes,
-              std::function<void()> task) override;
+              std::function<void()> task);
 
   /// Tasks executed to completion (cumulative).
   [[nodiscard]] std::size_t executed() const;
-  /// Tasks queued but not yet started.
-  [[nodiscard]] std::size_t pending() const;
-  [[nodiscard]] int workers() const noexcept {
-    return static_cast<int>(threads_.size());
-  }
 
  private:
   struct Task {
@@ -86,4 +81,4 @@ class PromotionPool final : public PromotionExecutor {
   std::vector<std::thread> threads_;
 };
 
-}  // namespace lck::svc
+}  // namespace lck

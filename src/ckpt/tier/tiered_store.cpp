@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "ckpt/async_writer.hpp"
 #include "ckpt/chunk/dedup_store.hpp"
 #include "ckpt/frame_stream.hpp"
 #include "ckpt/tier/partner_store.hpp"
+#include "ckpt/tier/promo_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace lck {
@@ -15,7 +15,11 @@ namespace {
 /// Upper bound on delta-chain walks inside the hierarchy. A real chain is
 /// bounded by the manager's max_delta_chain; this only guards against a
 /// corrupt blob whose base links form a loop.
-constexpr int kMaxChainHops = 1024;
+constexpr std::size_t kMaxChainHops = 1024;
+
+VersionRecord record_blob(std::span<const byte_t> data) {
+  return {peek_base_version(data).value_or(-1), data.size()};
+}
 
 }  // namespace
 
@@ -30,24 +34,23 @@ TieredCheckpointStore::TieredCheckpointStore(std::vector<Level> levels,
             "tiered store: promote_every must be >= 1");
   }
   committed_.resize(levels_.size());
+  planned_.resize(levels_.size());
   level_mu_.reserve(levels_.size());
   preloaded_.reserve(levels_.size());
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     level_mu_.push_back(std::make_unique<std::mutex>());
     preloaded_.push_back(levels_[i].store->latest_version() >= 0);
   }
-  // The promotion worker is created lazily by the first scheduled
-  // promotion: a store whose promotions run on an external executor (the
-  // service's shared pool) must never spawn its own thread.
+  // The promotion pool is created lazily by the first background job: a
+  // store whose jobs run on a shared pool (the service's) must never spawn
+  // its own thread.
 }
 
 TieredCheckpointStore::~TieredCheckpointStore() {
-  // The promoter's destructor drains the queue before joining, and it is
-  // the last-declared member, so jobs never touch dead levels. Reap first
-  // so unfetched outcomes do not outlive the store. With an external
-  // executor the drain waits for our in-flight tasks instead, so a shared
-  // pool worker never runs against a destroyed store.
-  if (promoter_ != nullptr || executor_ != nullptr) drain_promotions();
+  // Pool workers must never run a job against a destroyed store, so wait
+  // for this store's submitted jobs; an own pool (the last-declared member)
+  // then joins its idle worker before the levels and mutexes die.
+  drain_promotions();
 }
 
 // ----- CheckpointStore interface --------------------------------------------
@@ -55,10 +58,7 @@ TieredCheckpointStore::~TieredCheckpointStore() {
 void TieredCheckpointStore::write(int version, std::span<const byte_t> data) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto base = peek_base_version(data))
-      delta_base_[version] = *base;
-    else
-      delta_base_.erase(version);
+    records_[version] = record_blob(data);
     {
       const std::lock_guard<std::mutex> l0(*level_mu_[0]);
       levels_.front().store->write(version, data);
@@ -73,44 +73,39 @@ void TieredCheckpointStore::write(int version, std::span<const byte_t> data) {
     }
     prune_level_locked(0);
   }
-  if (auto_promote_) schedule_promotions(version, data.size());
+  if (auto_promote_) schedule_promotions(version);
 }
 
 std::vector<byte_t> TieredCheckpointStore::read(int version) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (int lv = 0; lv < level_count(); ++lv)
-    if (committed_at_locked(lv, version)) {
-      std::vector<byte_t> data;
-      {
-        const std::lock_guard<std::mutex> ll(
-            *level_mu_[static_cast<std::size_t>(lv)]);
-        data = levels_[static_cast<std::size_t>(lv)].store->read(version);
-      }
-      if (obs_.metrics != nullptr) {
-        const std::string& tier =
-            levels_[static_cast<std::size_t>(lv)].spec.name;
-        obs_.metrics->add("tier.reads", 1.0, {{"tier", tier}});
-        obs_.metrics->observe("tier.read_bytes",
-                              static_cast<double>(data.size()),
-                              {{"tier", tier}});
-      }
-      return data;
-    }
-  throw corrupt_stream_error("tiered store: no tier holds version " +
-                             std::to_string(version));
+  const int lv = level_of_locked(version);
+  if (lv < 0)
+    throw corrupt_stream_error("tiered store: no tier holds version " +
+                               std::to_string(version));
+  std::vector<byte_t> data;
+  {
+    const std::lock_guard<std::mutex> ll(
+        *level_mu_[static_cast<std::size_t>(lv)]);
+    data = levels_[static_cast<std::size_t>(lv)].store->read(version);
+  }
+  if (obs_.metrics != nullptr) {
+    const std::string& tier = levels_[static_cast<std::size_t>(lv)].spec.name;
+    obs_.metrics->add("tier.reads", 1.0, {{"tier", tier}});
+    obs_.metrics->observe("tier.read_bytes", static_cast<double>(data.size()),
+                          {{"tier", tier}});
+  }
+  return data;
 }
 
 bool TieredCheckpointStore::exists(int version) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (int lv = 0; lv < level_count(); ++lv)
-    if (committed_at_locked(lv, version)) return true;
-  return false;
+  return level_of_locked(version) >= 0;
 }
 
 void TieredCheckpointStore::remove(int version) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++epoch_;  // a stale in-flight promotion of this version must not land
-  delta_base_.erase(version);
+  records_.erase(version);
   for (std::size_t lv = 0; lv < levels_.size(); ++lv) {
     const std::lock_guard<std::mutex> ll(*level_mu_[lv]);
     levels_[lv].store->remove(version);
@@ -135,14 +130,10 @@ int TieredCheckpointStore::latest_version() const {
 void TieredCheckpointStore::write_pending(int version,
                                           std::span<const byte_t> data) {
   {
-    // The base link is recorded now (the data is at hand); if the version
-    // aborts, abort() retires the entry again.
+    // The record is taken now (the data is at hand); if the version
+    // aborts, abort() retires it again.
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto base = peek_base_version(data))
-      delta_base_[version] = *base;
-    else
-      delta_base_.erase(version);
-    pending_bytes_[version] = data.size();
+    records_[version] = record_blob(data);
   }
   // Runs on the async drain thread. The L1 backend's pending protocol is
   // thread-safe against committed-side reads by contract; the level lock
@@ -152,7 +143,6 @@ void TieredCheckpointStore::write_pending(int version,
 }
 
 void TieredCheckpointStore::commit(int version) {
-  std::size_t weight = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     {
@@ -160,24 +150,18 @@ void TieredCheckpointStore::commit(int version) {
       levels_.front().store->commit(version);
     }
     committed_.front().insert(version);
-    if (const auto it = pending_bytes_.find(version);
-        it != pending_bytes_.end()) {
-      weight = it->second;
-      pending_bytes_.erase(it);
-    }
     if (obs_.metrics != nullptr)
       obs_.metrics->add("tier.writes", 1.0,
                         {{"tier", levels_.front().spec.name}});
     prune_level_locked(0);
   }
-  if (auto_promote_) schedule_promotions(version, weight);
+  if (auto_promote_) schedule_promotions(version);
 }
 
 void TieredCheckpointStore::abort(int version) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    delta_base_.erase(version);
-    pending_bytes_.erase(version);
+    records_.erase(version);
   }
   const std::lock_guard<std::mutex> ll(*level_mu_[0]);
   levels_.front().store->abort(version);
@@ -206,11 +190,21 @@ bool TieredCheckpointStore::committed_at_locked(int level, int version) const {
   return levels_[lv].store->exists(version);
 }
 
-int TieredCheckpointStore::level_of(int version) const {
-  const std::lock_guard<std::mutex> lock(mu_);
+int TieredCheckpointStore::level_of_locked(int version) const {
   for (int lv = 0; lv < level_count(); ++lv)
     if (committed_at_locked(lv, version)) return lv;
   return -1;
+}
+
+int TieredCheckpointStore::source_locked(int version, int level) const {
+  for (int lv = level - 1; lv >= 0; --lv)
+    if (committed_at_locked(lv, version)) return lv;
+  return -1;
+}
+
+int TieredCheckpointStore::level_of(int version) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return level_of_locked(version);
 }
 
 bool TieredCheckpointStore::exists_at(int level, int version) const {
@@ -219,9 +213,11 @@ bool TieredCheckpointStore::exists_at(int level, int version) const {
   return committed_at_locked(level, version);
 }
 
-const CheckpointStore& TieredCheckpointStore::store_at(int level) const {
-  require(level >= 0 && level < level_count(), "tiered store: bad level");
-  return *levels_[static_cast<std::size_t>(level)].store;
+std::optional<VersionRecord> TieredCheckpointStore::record(int version) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = records_.find(version);
+  if (it == records_.end()) return std::nullopt;
+  return it->second;
 }
 
 int TieredCheckpointStore::latest_version_at(int level) const {
@@ -246,6 +242,8 @@ void TieredCheckpointStore::invalidate(FailureSeverity severity) {
                       {{"severity", to_string(severity)}});
   for (std::size_t lv = 0; lv < levels_.size(); ++lv) {
     Level& level = levels_[lv];
+    // Hops planned before the failure describe a hierarchy that is gone.
+    planned_[lv].clear();
     const std::lock_guard<std::mutex> ll(*level_mu_[lv]);
     if (severity > level.spec.survives) {
       if (obs_.metrics != nullptr && !committed_[lv].empty())
@@ -270,26 +268,14 @@ void TieredCheckpointStore::invalidate(FailureSeverity severity) {
         partner->fail_node(PartnerStore::kLocalHalf);
     }
   }
-  // Base links of versions no surviving tier holds are dead; retire them so
+  // Records of versions no surviving tier holds are dead; retire them so
   // repeated failures cannot grow the map for the life of the store.
-  std::erase_if(delta_base_, [this](const auto& e) {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      if (committed_[l].contains(e.first)) return false;
-      if (preloaded_[l]) {
-        const std::lock_guard<std::mutex> lp(*level_mu_[l]);
-        if (levels_[l].store->exists(e.first)) return false;
-      }
-    }
-    return true;
+  std::erase_if(records_, [this](const auto& e) {
+    return level_of_locked(e.first) < 0;
   });
 }
 
 // ----- promotion ------------------------------------------------------------
-
-int TieredCheckpointStore::delta_base_locked(int version) const {
-  const auto it = delta_base_.find(version);
-  return it != delta_base_.end() ? it->second : -1;
-}
 
 void TieredCheckpointStore::prune_level_locked(int level) {
   const auto lv = static_cast<std::size_t>(level);
@@ -307,7 +293,8 @@ void TieredCheckpointStore::prune_level_locked(int level) {
     int v = *it;
     while (v >= 0 && !live.contains(v)) {
       live.insert(v);
-      v = delta_base_locked(v);
+      const auto rec = records_.find(v);
+      v = rec != records_.end() ? rec->second.base : -1;
     }
   }
 
@@ -325,91 +312,56 @@ void TieredCheckpointStore::prune_level_locked(int level) {
     }
   }
   // A version pruned from its last tier can never be a chain base again;
-  // retire its base-link entry so the map stays bounded over long runs. A
-  // preloaded backend can serve versions outside the committed sets, so ask
-  // it per victim rather than skipping the sweep wholesale.
-  for (const int v : victims) {
-    bool resident = false;
-    for (std::size_t l = 0; l < levels_.size() && !resident; ++l) {
-      resident = committed_[l].contains(v);
-      if (!resident && preloaded_[l]) {
-        const std::lock_guard<std::mutex> lp(*level_mu_[l]);
-        resident = levels_[l].store->exists(v);
-      }
-    }
-    if (!resident) delta_base_.erase(v);
-  }
+  // retire its record so the map stays bounded over long runs. A preloaded
+  // backend can serve versions outside the committed sets, so ask per
+  // victim rather than skipping the sweep wholesale.
+  for (const int v : victims)
+    if (level_of_locked(v) < 0) records_.erase(v);
 }
 
-bool TieredCheckpointStore::promote_locked(int version, int level,
-                                           int depth) {
-  const auto lv = static_cast<std::size_t>(level);
-  if (committed_[lv].contains(version)) return true;  // already promoted
-  if (depth > kMaxChainHops) return false;            // corrupt base loop
-  int src = -1;
-  for (int i = level - 1; i >= 0; --i)
-    if (committed_at_locked(i, version)) {
-      src = i;
-      break;
-    }
-  if (src < 0) return false;  // source invalidated or pruned meanwhile
-  // A delta version is only recoverable at the target tier alongside its
-  // chain bases; copy them first (deepest first), so the tier never holds
-  // a dangling delta. A base that no longer exists anywhere below is a
-  // best-effort skip — reads fall back across tiers per version.
-  if (const int base = delta_base_locked(version); base >= 0)
-    promote_locked(base, level, depth + 1);
-  std::vector<byte_t> data;
-  {
-    const std::lock_guard<std::mutex> ls(
-        *level_mu_[static_cast<std::size_t>(src)]);
-    data = levels_[static_cast<std::size_t>(src)].store->read(version);
-  }
-  {
-    const std::lock_guard<std::mutex> ld(*level_mu_[lv]);
-    levels_[lv].store->write(version, data);
-  }
-  committed_[lv].insert(version);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->add("tier.promotes", 1.0,
-                      {{"tier", levels_[lv].spec.name}});
-    obs_.metrics->observe("tier.promote_bytes",
-                          static_cast<double>(data.size()),
-                          {{"tier", levels_[lv].spec.name}});
-  }
-  prune_level_locked(level);
-  return true;
-}
-
-bool TieredCheckpointStore::promote_now(int version, int level) {
+std::vector<PromotionHop> TieredCheckpointStore::plan_promotion(int version,
+                                                                int level) {
   require(level >= 1 && level < level_count(),
           "tiered store: promotion level must be in [1, levels)");
+  const auto lv = static_cast<std::size_t>(level);
   const std::lock_guard<std::mutex> lock(mu_);
-  return promote_locked(version, level);
+  if (source_locked(version, level) < 0) return {};
+  // A delta version is only recoverable at the target tier alongside its
+  // chain bases, so the plan carries every base the tier lacks. A base the
+  // tier holds or already expects had its own bases handled then; a base
+  // with no record is no longer held anywhere — best effort, reads fall
+  // back across tiers per version.
+  std::vector<PromotionHop> hops;
+  for (int v = version; v >= 0 && hops.size() <= kMaxChainHops;) {
+    if (committed_at_locked(level, v) || planned_[lv].contains(v)) break;
+    const auto it = records_.find(v);
+    if (it == records_.end() && v != version) break;
+    const VersionRecord rec =
+        it != records_.end() ? it->second : VersionRecord{};
+    hops.push_back({v, level, rec.bytes});
+    v = rec.base;
+  }
+  std::reverse(hops.begin(), hops.end());  // deepest base first
+  for (const PromotionHop& hop : hops) planned_[lv].insert(hop.version);
+  return hops;
 }
 
-void TieredCheckpointStore::promote_background(int version, int level,
-                                               int depth) {
-  if (depth > kMaxChainHops) return;  // corrupt base loop
-  const auto lv = static_cast<std::size_t>(level);
+bool TieredCheckpointStore::promote(const PromotionHop& hop) {
+  require(hop.level >= 1 && hop.level < level_count(),
+          "tiered store: promotion level must be in [1, levels)");
+  const auto lv = static_cast<std::size_t>(hop.level);
   std::uint64_t epoch = 0;
   int src = -1;
-  int base = -1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (committed_[lv].contains(version)) return;  // already promoted
+    // Unplanned since: invalidate() ran, and the hop describes a hierarchy
+    // that no longer exists.
+    if (planned_[lv].erase(hop.version) == 0) return false;
+    if (committed_[lv].contains(hop.version)) return true;
+    src = source_locked(hop.version, hop.level);
+    if (src < 0) return false;  // source invalidated or pruned meanwhile
     epoch = epoch_;
-    for (int i = level - 1; i >= 0; --i)
-      if (committed_at_locked(i, version)) {
-        src = i;
-        break;
-      }
-    base = delta_base_locked(version);
   }
-  if (src < 0) return;  // source invalidated or pruned meanwhile
-  // Chain bases first (deepest first): the target tier must never hold a
-  // delta whose bases it cannot also serve.
-  if (base >= 0) promote_background(base, level, depth + 1);
 
   // Copy outside mu_ so slow interconnect/PFS backends never stall L1
   // traffic; the per-level locks serialize against same-tier access only.
@@ -417,17 +369,17 @@ void TieredCheckpointStore::promote_background(int version, int level,
   try {
     const std::lock_guard<std::mutex> ls(
         *level_mu_[static_cast<std::size_t>(src)]);
-    data = levels_[static_cast<std::size_t>(src)].store->read(version);
+    data = levels_[static_cast<std::size_t>(src)].store->read(hop.version);
   } catch (...) {  // pruned between the decision and the read: benign skip
-    return;
+    return false;
   }
   try {
     const std::lock_guard<std::mutex> ld(*level_mu_[lv]);
-    levels_[lv].store->write(version, data);
+    levels_[lv].store->write(hop.version, data);
   } catch (...) {  // destination tier failed; lower tiers still hold it
     const std::lock_guard<std::mutex> lock(mu_);
     ++failed_promotions_;
-    return;
+    return false;
   }
 
   const std::lock_guard<std::mutex> lock(mu_);
@@ -435,77 +387,73 @@ void TieredCheckpointStore::promote_background(int version, int level,
     // invalidate()/remove() ran while we copied: the blob we just wrote
     // describes a world that no longer exists — take it back out.
     const std::lock_guard<std::mutex> ld(*level_mu_[lv]);
-    levels_[lv].store->remove(version);
-    return;
+    levels_[lv].store->remove(hop.version);
+    return false;
   }
-  committed_[lv].insert(version);
-  prune_level_locked(level);
+  committed_[lv].insert(hop.version);
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->add("tier.promotes", 1.0, {{"tier", levels_[lv].spec.name}});
+    obs_.metrics->observe("tier.promote_bytes",
+                          static_cast<double>(data.size()),
+                          {{"tier", levels_[lv].spec.name}});
+  }
+  prune_level_locked(hop.level);
+  return true;
 }
 
-void TieredCheckpointStore::reap_finished_locked() {
-  // Promotion jobs never throw (errors are counted in failed_promotions_),
-  // so waiting on a finished key returns immediately and cannot rethrow.
-  while (promoter_ != nullptr && !finished_keys_.empty()) {
-    const int key = finished_keys_.front();
-    finished_keys_.pop_front();
-    (void)promoter_->wait(key);
-  }
+bool TieredCheckpointStore::promote_now(int version, int level) {
+  const std::lock_guard<std::mutex> order(promo_order_mu_);
+  for (const PromotionHop& hop : plan_promotion(version, level)) promote(hop);
+  return exists_at(level, version);
 }
 
 void TieredCheckpointStore::run_promotion_pass(int version) {
+  const std::lock_guard<std::mutex> order(promo_order_mu_);
   for (int lv = 1; lv < level_count(); ++lv) {
     if (version % levels_[static_cast<std::size_t>(lv)].spec.promote_every !=
         0)
       continue;
-    promote_background(version, lv);
+    for (const PromotionHop& hop : plan_promotion(version, lv)) promote(hop);
   }
 }
 
-void TieredCheckpointStore::schedule_promotions(int version,
-                                                std::size_t weight) {
+void TieredCheckpointStore::schedule_promotions(int version) {
   std::unique_lock<std::mutex> lock(mu_);
-  reap_finished_locked();
   // Back-pressure: a commit that would exceed the in-flight bound waits for
   // the promotion worker instead of queueing unbounded staged copies.
   promo_cv_.wait(lock, [&] { return promo_in_flight_ < max_inflight_; });
   ++promo_in_flight_;
-  const int key = promo_seq_++;
-  if (executor_ == nullptr && promoter_ == nullptr)
-    promoter_ = std::make_unique<AsyncCheckpointWriter>();
+  if (pool_ == nullptr) {
+    own_pool_ = std::make_unique<PromotionPool>(1);
+    pool_ = own_pool_.get();
+  }
+  PromotionPool* const pool = pool_;
+  const int key = fair_key_;
+  const auto rec = records_.find(version);
+  const std::size_t weight = rec != records_.end() ? rec->second.bytes : 0;
   lock.unlock();
 
-  if (executor_ != nullptr) {
-    executor_->submit(fair_key_, weight, [this, version] {
+  pool->submit(key, weight, [this, version] {
+    bool ok = true;
+    try {
       run_promotion_pass(version);
-      // Decrement and notify under the lock: the destructor's drain may be
-      // waiting on promo_in_flight_ == 0, and once it returns the store —
-      // and this condition variable — are gone. After the unlock a pool
-      // worker touches nothing of `this`.
-      const std::lock_guard<std::mutex> lock(mu_);
-      --promo_in_flight_;
-      promo_cv_.notify_all();
-    });
-    return;
-  }
-
-  promoter_->submit(key, [this, version, key] {
-    run_promotion_pass(version);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --promo_in_flight_;
-      finished_keys_.push_back(key);
+    } catch (...) {  // never let a job's error escape into a pool worker
+      ok = false;
     }
+    // Decrement and notify under the lock: drain_promotions() (and so the
+    // destructor) may be waiting on promo_in_flight_ == 0, and once it
+    // returns the store — and this condition variable — are gone. After
+    // the unlock a pool worker touches nothing of `this`.
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!ok) ++failed_promotions_;
+    --promo_in_flight_;
     promo_cv_.notify_all();
-    CheckpointRecord rec;
-    rec.version = version;
-    return rec;
   });
 }
 
 void TieredCheckpointStore::drain_promotions() {
   std::unique_lock<std::mutex> lock(mu_);
   promo_cv_.wait(lock, [&] { return promo_in_flight_ == 0; });
-  reap_finished_locked();
 }
 
 std::size_t TieredCheckpointStore::promotions_in_flight() const {
@@ -536,13 +484,13 @@ std::size_t TieredCheckpointStore::failed_promotions() const {
   return failed_promotions_;
 }
 
-void TieredCheckpointStore::set_promotion_executor(PromotionExecutor* exec,
-                                                   int fair_key) {
-  require(exec != nullptr, "tiered store: null promotion executor");
+void TieredCheckpointStore::set_promotion_pool(PromotionPool* pool,
+                                               int fair_key) {
+  require(pool != nullptr, "tiered store: null promotion pool");
   const std::lock_guard<std::mutex> lock(mu_);
-  require(promoter_ == nullptr && promo_in_flight_ == 0,
-          "tiered store: install the promotion executor before any traffic");
-  executor_ = exec;
+  require(pool_ == nullptr && promo_in_flight_ == 0,
+          "tiered store: install the promotion pool before any traffic");
+  pool_ = pool;
   fair_key_ = fair_key;
 }
 

@@ -5,11 +5,18 @@
 ///
 /// All writes (including the async pipeline's pending→committed protocol)
 /// land in the cheapest tier, L1. Committed versions are then *promoted*
-/// up the hierarchy — L1→L2→L3 — either by a background worker (an
-/// `AsyncCheckpointWriter` running one promotion job per version, so the
-/// solver never blocks on a PFS write) or, for the virtual-time
-/// `ResilientRunner`, by explicit `promote_now()` calls issued when the
-/// simulated promotion window elapses.
+/// up the hierarchy — L1→L2→L3 — along one path: plan_promotion(version,
+/// level) lists the copies still needed (the delta-chain bases the tier
+/// lacks, deepest first, then the version itself), and promote(hop) makes
+/// one copy. Only who executes a plan differs:
+///  - a self-promoting store (`auto_promote`) runs each committed version's
+///    plan as a background job on a PromotionPool — its own one-worker
+///    pool, or a shared one installed with set_promotion_pool() — so the
+///    solver never blocks on a PFS write;
+///  - a caller-driven store leaves execution to its owner: promote_now()
+///    runs a plan synchronously, and the virtual-time ResilientRunner
+///    prices each hop on its simulated clock and calls promote(hop) when
+///    the hop's window closes.
 ///
 /// Failures carry a `FailureSeverity`; `invalidate(severity)` destroys the
 /// contents of every tier that does not survive it (per its `TierSpec`),
@@ -19,11 +26,10 @@
 /// PFS-backed L3.
 
 #include <condition_variable>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,23 +39,7 @@
 
 namespace lck {
 
-class AsyncCheckpointWriter;
-
-/// Where a tiered store's background promotion jobs run. By default each
-/// store owns a single worker thread; the multi-tenant CheckpointService
-/// instead installs one shared, fairness-scheduled pool across all jobs'
-/// stores via set_promotion_executor(), so N tenants cannot each spawn a
-/// thread and the pool can arbitrate who promotes next.
-class PromotionExecutor {
- public:
-  virtual ~PromotionExecutor() = default;
-  /// Run `task` asynchronously. `fair_key` identifies the submitting client
-  /// (one per tenant) and `weight_bytes` the job's cost, so a deficit-
-  /// round-robin scheduler can keep heavy writers from starving light ones.
-  /// Implementations must eventually run every accepted task exactly once.
-  virtual void submit(int fair_key, std::size_t weight_bytes,
-                      std::function<void()> task) = 0;
-};
+class PromotionPool;
 
 /// Static description of one tier of the hierarchy.
 struct TierSpec {
@@ -65,6 +55,19 @@ struct TierSpec {
   int promote_every = 1;
 };
 
+/// One copy of a committed version into a higher tier.
+struct PromotionHop {
+  int version = -1;
+  int level = -1;
+  std::size_t bytes = 0;  ///< Stream size of the version.
+};
+
+/// What the store records about a version as it enters the hierarchy.
+struct VersionRecord {
+  int base = -1;          ///< Delta base version; -1 for a full checkpoint.
+  std::size_t bytes = 0;  ///< Stream size.
+};
+
 class TieredCheckpointStore final : public CheckpointStore {
  public:
   struct Level {
@@ -72,9 +75,9 @@ class TieredCheckpointStore final : public CheckpointStore {
     std::unique_ptr<CheckpointStore> store;
   };
 
-  /// `auto_promote` spawns the background promotion worker; pass false when
-  /// an external driver (the virtual-time runner) calls `promote_now()`
-  /// itself.
+  /// `auto_promote` runs every committed version's promotions as a
+  /// background job; pass false when the owner executes plans itself
+  /// (promote_now(), or the virtual-time runner's promote(hop) calls).
   explicit TieredCheckpointStore(std::vector<Level> levels,
                                  bool auto_promote = true);
   ~TieredCheckpointStore() override;
@@ -101,23 +104,39 @@ class TieredCheckpointStore final : public CheckpointStore {
   [[nodiscard]] int level_of(int version) const;
   [[nodiscard]] bool exists_at(int level, int version) const;
   [[nodiscard]] int latest_version_at(int level) const;
-  /// Backend of one level, e.g. to inspect the L3 DedupChunkStore's chunk
-  /// index. External synchronization: do not touch it while background
-  /// promotions are running.
-  [[nodiscard]] const CheckpointStore& store_at(int level) const;
+  /// Delta base and stream size of `version`, learned by peeking the blob
+  /// header as it entered the hierarchy; nullopt once no tier holds it (or
+  /// for a version a reopened backend held before construction).
+  [[nodiscard]] std::optional<VersionRecord> record(int version) const;
 
   // ----- severity model -----------------------------------------------------
   /// Destroy every tier whose spec does not survive `severity`. A node
   /// failure against a surviving PartnerStore tier additionally drops the
   /// lost node's pieces, so subsequent reads exercise the real
-  /// parity-reconstruction path.
+  /// parity-reconstruction path. Planned hops are forgotten: a promote()
+  /// of one planned before the failure declines.
   void invalidate(FailureSeverity severity);
 
   // ----- promotion ----------------------------------------------------------
-  /// Synchronously copy `version` into `level` from the nearest lower tier
-  /// that still holds it. Returns false (no-op) when no source survives —
-  /// e.g. the version was invalidated or pruned before the promotion ran.
+  /// The copies that would bring `version` into `level` (in [1, levels)):
+  /// the chain bases the level lacks, deepest first, then the version. A
+  /// hop already at the level or already planned is skipped, and the walk
+  /// stops there and at a base the store has no record of. Empty when the
+  /// version is at the level, already planned, or held by no lower tier.
+  /// Marks every returned hop planned until promote() runs it.
+  [[nodiscard]] std::vector<PromotionHop> plan_promotion(int version,
+                                                         int level);
+  /// Copy one planned hop from the nearest lower tier that holds it. True
+  /// when the version is at hop.level afterwards. False (no copy) when
+  /// invalidate() ran since the plan, no lower tier still holds the version,
+  /// or the destination write threw (counted in failed_promotions()).
+  bool promote(const PromotionHop& hop);
+  /// plan_promotion() + promote() of every hop, synchronously. True when
+  /// `version` is at `level` on return.
   bool promote_now(int version, int level);
+
+  /// Whether committed versions are promoted by background jobs.
+  [[nodiscard]] bool auto_promote() const noexcept { return auto_promote_; }
 
   /// Block until every queued background promotion has finished.
   void drain_promotions();
@@ -130,9 +149,9 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// cannot accumulate unbounded staged copies). Must be >= 1.
   void set_max_inflight_promotions(std::size_t n);
 
-  /// Promotions that failed inside the background worker (source tier read
-  /// or destination write threw). The copy is skipped — lower tiers still
-  /// hold the version — and the error is counted rather than propagated.
+  /// Promotions whose destination write threw. The copy is skipped — lower
+  /// tiers still hold the version — and the error is counted rather than
+  /// propagated.
   [[nodiscard]] std::size_t failed_promotions() const;
 
   /// Attach observability handles; forwarded to every level backend (the
@@ -140,74 +159,66 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// concurrent traffic, like the other configuration methods.
   void set_observability(obs::Sink sink) override;
 
-  /// Route background promotions to `exec` (tagged `fair_key`) instead of a
-  /// store-owned worker thread. Call before any traffic; the executor must
+  /// Run background promotions on `pool` (tagged `fair_key`) instead of a
+  /// store-owned one-worker pool. Call before any traffic; the pool must
   /// outlive this store. The in-flight bound and drain_promotions() still
-  /// apply — the destructor waits for this store's submitted tasks, so pool
+  /// apply — the destructor waits for this store's submitted jobs, so pool
   /// workers never touch a dead store.
-  void set_promotion_executor(PromotionExecutor* exec, int fair_key);
+  void set_promotion_pool(PromotionPool* pool, int fair_key);
 
  private:
   [[nodiscard]] bool committed_at_locked(int level, int version) const;
-  bool promote_locked(int version, int level, int depth = 0);
-  /// Background single-hop promotion: decides under mu_, copies under the
-  /// per-level store locks only (so the owner's L1 writes and other-tier
-  /// reads keep flowing), republishes under mu_ with an epoch check so a
-  /// concurrent invalidate() cannot be undone by a stale copy.
-  void promote_background(int version, int level, int depth = 0);
+  /// Cheapest level holding `version`, or -1.
+  [[nodiscard]] int level_of_locked(int version) const;
+  /// Nearest level below `level` holding `version` (a promotion's copy
+  /// source), or -1.
+  [[nodiscard]] int source_locked(int version, int level) const;
   void prune_level_locked(int level);
-  /// Delta base of `version` (-1 full / non-delta), learned by peeking the
-  /// blob header as it entered the hierarchy. Guarded by mu_.
-  [[nodiscard]] int delta_base_locked(int version) const;
-  /// Enqueue the background promotion of `version` through levels 1..N-1
-  /// (per their promote_every filters). Blocks while the queue is full.
-  /// `weight` is the version's blob size, forwarded to an installed
-  /// executor for fairness scheduling.
-  void schedule_promotions(int version, std::size_t weight);
-  /// One queued job's work: promote `version` into every eligible tier.
+  /// Submit the background promotion job of `version`. Blocks while the
+  /// queue is full.
+  void schedule_promotions(int version);
+  /// One background job: plan and promote `version` into every tier whose
+  /// promote_every filter admits it.
   void run_promotion_pass(int version);
-  void reap_finished_locked();
 
   std::vector<Level> levels_;
   const bool auto_promote_;
   obs::Sink obs_{};  ///< Observability handles (both null => off).
 
-  /// Lock order: mu_ before any level mutex, never the reverse. mu_ guards
-  /// the committed-version sets, the epoch and the promotion bookkeeping;
-  /// level_mu_[i] guards levels_[i].store operations, so a slow background
-  /// copy into L2/L3 never blocks L1 traffic.
+  /// Lock order: promo_order_mu_, then mu_, then any level mutex — never
+  /// the reverse. promo_order_mu_ serializes the plan-and-copy sequences of
+  /// background jobs and promote_now(), so a version never lands in a tier
+  /// ahead of the chain bases another sequence planned for it. mu_ guards
+  /// the committed-version sets, the records, the planned marks, the epoch
+  /// and the promotion bookkeeping; level_mu_[i] guards levels_[i].store
+  /// operations, so a slow copy into L2/L3 never blocks L1 traffic.
+  std::mutex promo_order_mu_;
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<std::mutex>> level_mu_;
   std::condition_variable promo_cv_;
-  std::vector<std::set<int>> committed_;   ///< Per level.
+  std::vector<std::set<int>> committed_;  ///< Per level.
+  std::vector<std::set<int>> planned_;    ///< Per level: hops not yet run.
   /// Levels whose backend held versions at construction (a reopened
   /// DiskStore): only these may satisfy reads from the backend without a
   /// committed_-set entry. Fresh backends must not — a stale background
   /// promotion writes the destination store before its epoch check, and
   /// the fallback would transiently resurrect an invalidated version.
   std::vector<bool> preloaded_;
-  /// version → delta base version, for chain-aware pruning and promotion
-  /// (absent or -1 ⇒ full checkpoint). Learned at write/write_pending
-  /// time by peeking the stream header.
-  std::map<int, int> delta_base_;
+  /// One record per version some tier (or L1's pending slot) holds, for
+  /// chain-aware pruning, promotion planning and background job weights.
+  std::map<int, VersionRecord> records_;
   std::uint64_t epoch_ = 0;  ///< Bumped by invalidate()/remove().
   std::size_t promo_in_flight_ = 0;
   std::size_t max_inflight_ = 16;
   std::size_t failed_promotions_ = 0;
-  int promo_seq_ = 0;                      ///< Unique writer job keys.
-  std::deque<int> finished_keys_;          ///< Completed jobs awaiting reap.
-  /// Blob size of each pending (write_pending, not yet committed) version:
-  /// commit() forwards it as the promotion weight. Erased at commit/abort,
-  /// so the map is bounded by the async pipeline's in-flight pendings.
-  std::map<int, std::size_t> pending_bytes_;
-  /// External promotion executor (non-owning) and this store's fairness
-  /// key; nullptr ⇒ the store lazily spawns its own worker below.
-  PromotionExecutor* executor_ = nullptr;
+  /// Where background jobs run (non-owning) and this store's fairness key;
+  /// nullptr until set_promotion_pool() or the first background job.
+  PromotionPool* pool_ = nullptr;
   int fair_key_ = 0;
-  /// Declared last so the worker joins before the levels and mutex die.
-  /// Created lazily on the first scheduled promotion (never when an
-  /// external executor is installed).
-  std::unique_ptr<AsyncCheckpointWriter> promoter_;
+  /// Declared last so its worker joins before the levels and mutexes die.
+  /// Created lazily by the first background job when no shared pool is
+  /// installed.
+  std::unique_ptr<PromotionPool> own_pool_;
 };
 
 /// The canonical 3-level hierarchy: L1 node-local (MemoryStore), L2

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/tier/tiered_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pass_counter.hpp"
 #include "obs/trace.hpp"
@@ -130,8 +129,14 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
     // only needs the tiered interface for its virtual promotion channel.
     store = cfg_.store_factory();
     require(store != nullptr, "runner: store_factory returned null");
+    auto* stack = dynamic_cast<TieredCheckpointStore*>(store.get());
+    // What a recovery sees must follow from the virtual clock alone; a
+    // stack copying versions in real time would race the channel.
+    require(stack == nullptr || !stack->auto_promote(),
+            "runner: store_factory must yield a caller-driven stack (a "
+            "TieredCheckpointStore with auto_promote off)");
     if (cfg_.ckpt_mode == CkptMode::kTiered) {
-      tiered_ = dynamic_cast<TieredCheckpointStore*>(store.get());
+      tiered_ = stack;
       require(tiered_ != nullptr,
               "runner: tiered mode requires store_factory to yield a "
               "TieredCheckpointStore");
@@ -139,8 +144,8 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
     }
   } else if (cfg_.ckpt_mode == CkptMode::kTiered) {
     // Canonical 3-level hierarchy with virtual-time promotion: the runner
-    // itself issues promote_now() when the simulated background channel
-    // finishes a copy, so runs are bit-stable regardless of host speed.
+    // itself executes each planned hop when the simulated background
+    // channel finishes it, so runs are bit-stable regardless of host speed.
     auto tiered = make_tiered_store(cfg_.tiered.retention,
                                     cfg_.tiered.l2_promote_every,
                                     cfg_.tiered.l3_promote_every, "",
@@ -419,33 +424,10 @@ void ResilientRunner::commit_pending(double overlapped_drain_seconds) {
   if (tiered_ != nullptr) apply_promotions(t_);
   manager_->commit_version(pending_version_);
   account_committed(pending_rec_);
-  if (tiered_ != nullptr) {
-    version_bytes_[pending_version_] = {stored_bytes_last_,
-                                        raw_dyn_bytes_last_,
-                                        pending_rec_.base_version};
-    // Only versions still resident in some tier can ever be recovered;
-    // drop size entries older than the deepest possible retention window
-    // so the map stays O(retention) over arbitrarily long runs. The window
-    // follows the policy's *current* cadence; if an adaptive policy later
-    // stretches it, recovery from an already-pruned entry falls back to the
-    // last committed sizes (tiered_recovery_duration handles the miss).
-    const int keep_span =
-        cfg_.tiered.retention * std::max({1, cfg_.tiered.l2_promote_every,
-                                          cfg_.tiered.l3_promote_every,
-                                          policy_->l2_promote_every(),
-                                          policy_->l3_promote_every()}) +
-        cfg_.delta.max_delta_chain + 1;
-    version_bytes_.erase(
-        version_bytes_.begin(),
-        version_bytes_.lower_bound(pending_version_ - keep_span));
-    for (auto& scheduled : scheduled_promos_)
-      scheduled.erase(scheduled.begin(),
-                      scheduled.lower_bound(pending_version_ - keep_span));
-    // The version became durable at L1 when its drain window closed; the
-    // background channel starts its L2/L3 hops no earlier than that.
-    schedule_virtual_promotions(pending_version_, stored_bytes_last_,
-                                drain_end_t_);
-  }
+  // The version became durable at L1 when its drain window closed; the
+  // background channel starts its L2/L3 hops no earlier than that.
+  if (tiered_ != nullptr)
+    schedule_virtual_promotions(pending_version_, drain_end_t_);
   ++result_.checkpoints;
   result_.ckpt_drain_seconds_total += overlapped_drain_seconds;
   committed_blocking_total_ += pending_blocking_;
@@ -578,61 +560,45 @@ bool ResilientRunner::do_stage() {
 // ----- tiered promotion channel ---------------------------------------------
 
 void ResilientRunner::schedule_virtual_promotions(int version,
-                                                  double stored_bytes,
                                                   double ready_t) {
   promo_tail_t_ = std::max(promo_tail_t_, ready_t);
-  const auto enqueue = [this](int v, int level, double stored) {
-    const double cost = level == 1 ? cfg_.cluster.partner_write_seconds(stored)
-                                   : cfg_.cluster.write_seconds(stored);
-    promo_tail_t_ += cost;
-    promo_queue_.push_back({v, level, promo_tail_t_, cost});
-    scheduled_promos_[static_cast<std::size_t>(level - 1)].insert(v);
-  };
-  // A delta version is only recoverable at a tier if its chain bases are
-  // there too, so a promotion hop carries any base the cadence skipped —
-  // deepest (chain-start) first, each at its own stored size.
-  const auto enqueue_chain = [this, &enqueue](int v, int level,
-                                              double stored) {
-    std::vector<std::pair<int, double>> hops{{v, stored}};
-    auto it = version_bytes_.find(v);
-    int base = it != version_bytes_.end() ? it->second.base : -1;
-    while (base >= 0 &&
-           !scheduled_promos_[static_cast<std::size_t>(level - 1)].contains(
-               base) &&
-           !tiered_->exists_at(level, base)) {
-      it = version_bytes_.find(base);
-      if (it == version_bytes_.end()) break;  // pruned accounting: best effort
-      hops.emplace_back(base, it->second.stored);
-      base = it->second.base;
+  const std::array<int, 2> every{policy_->l2_promote_every(),
+                                 policy_->l3_promote_every()};
+  for (int level = 1; level <= 2; ++level) {
+    if (version % every[static_cast<std::size_t>(level - 1)] != 0) continue;
+    // Each hop (a chain base the tier lacks, or the version itself) costs
+    // its own stored size on the channel.
+    for (const PromotionHop& hop : tiered_->plan_promotion(version, level)) {
+      const double stored = static_cast<double>(hop.bytes) *
+                            cfg_.dynamic_scale;
+      const double cost = level == 1
+                              ? cfg_.cluster.partner_write_seconds(stored)
+                              : cfg_.cluster.write_seconds(stored);
+      promo_tail_t_ += cost;
+      promo_queue_.push_back({hop, promo_tail_t_, cost});
     }
-    for (auto h = hops.rbegin(); h != hops.rend(); ++h)
-      enqueue(h->first, level, h->second);
-  };
-  if (version % policy_->l2_promote_every() == 0)
-    enqueue_chain(version, 1, stored_bytes);
-  if (version % policy_->l3_promote_every() == 0)
-    enqueue_chain(version, 2, stored_bytes);
+  }
 }
 
 void ResilientRunner::apply_promotions(double now) {
   while (!promo_queue_.empty() && promo_queue_.front().done_t <= now) {
     const VirtualPromotion p = promo_queue_.front();
     promo_queue_.pop_front();
-    // promote_now() declines when the source version was invalidated or
-    // pruned in the meantime — the copy simply never happened.
-    if (tiered_->promote_now(p.version, p.level)) {
+    // promote() declines when the source version was invalidated or pruned
+    // in the meantime — the copy simply never happened.
+    if (tiered_->promote(p.hop)) {
       ++result_.promotions_completed;
       result_.promotion_seconds_total += p.cost;
-      const char* const tier = p.level == 1 ? "L2" : "L3";
+      const char* const tier = p.hop.level == 1 ? "L2" : "L3";
       if (metrics_ != nullptr) {
         metrics_->add("tier.promotions_completed", 1.0, {{"tier", tier}});
         metrics_->observe("tier.promotion_seconds", p.cost);
         metrics_->observe("tier.promotion_seconds", p.cost, {{"tier", tier}});
       }
       if (trace_ != nullptr)
-        trace_->complete(p.level == 1 ? "promote-L2" : "promote-L3",
+        trace_->complete(p.hop.level == 1 ? "promote-L2" : "promote-L3",
                          "promote", p.done_t - p.cost, p.done_t,
-                         {obs::TraceArg::num("version", p.version)});
+                         {obs::TraceArg::num("version", p.hop.version)});
     }
   }
 }
@@ -641,9 +607,6 @@ void ResilientRunner::apply_promotions(double now) {
 
 double ResilientRunner::tiered_recovery_duration(int version, int level,
                                                  FailureSeverity worst) const {
-  double raw = raw_dyn_bytes_last_;
-  if (const auto it = version_bytes_.find(version); it != version_bytes_.end())
-    raw = it->second.raw;
   // Process failures restart within the allocation: the static state (A, M,
   // b) is still resident. Node-or-worse failures re-read it from the PFS,
   // exactly like the single-level model.
@@ -653,7 +616,9 @@ double ResilientRunner::tiered_recovery_duration(int version, int level,
   // recovery reads checkpoint + static state in one PFS pass, matching
   // recovery_duration()'s single-level accounting (no double latency).
   // A delta version additionally re-reads its chain bases, each from the
-  // cheapest tier still holding it and at its own stored size.
+  // cheapest tier still holding it and at its own stored size (the store's
+  // record; a version it has no record of ends the walk at the last
+  // committed size).
   double seconds = 0.0;
   bool static_folded = false;
   int v = version;
@@ -662,13 +627,13 @@ double ResilientRunner::tiered_recovery_duration(int version, int level,
     double stored = stored_bytes_last_;
     int base = -1;
     int lvl = level;
-    if (const auto it = version_bytes_.find(v); it != version_bytes_.end()) {
-      stored = it->second.stored;
-      base = it->second.base;
+    if (const auto rec = tiered_->record(v)) {
+      stored = static_cast<double>(rec->bytes) * cfg_.dynamic_scale;
+      base = rec->base;
     }
     if (hops > 1) {
       // Chain bases may live at a different tier than the target version.
-      const int found = tiered_ != nullptr ? tiered_->level_of(v) : -1;
+      const int found = tiered_->level_of(v);
       if (found >= 0) lvl = found;
     }
     switch (lvl) {
@@ -691,7 +656,9 @@ double ResilientRunner::tiered_recovery_duration(int version, int level,
   }
   if (read_static && !static_folded)
     seconds += cfg_.cluster.read_seconds(cfg_.static_bytes);
-  return seconds + decompress_cost(raw);
+  // Every checkpoint of a run has the same raw size: the protected vectors
+  // never resize, and save_scalars writes a fixed count.
+  return seconds + decompress_cost(raw_dyn_bytes_last_);
 }
 
 void ResilientRunner::note_failure(FailureSeverity sev) {
@@ -707,12 +674,8 @@ void ResilientRunner::note_failure(FailureSeverity sev) {
     // everything still on the channel is lost with the staging buffers.
     apply_promotions(t_);
     promo_queue_.clear();
-    // Queued-but-dead promotions never happened; exists_at() is the only
-    // truth about what reached each tier, so future chain scheduling must
-    // re-check rather than trust these entries.
-    for (auto& scheduled : scheduled_promos_) scheduled.clear();
     promo_tail_t_ = t_;
-    tiered_->invalidate(sev);
+    tiered_->invalidate(sev);  // also forgets the dropped hops' plans
   }
 }
 

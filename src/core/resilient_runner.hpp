@@ -23,7 +23,10 @@
 ///  - CkptMode::kTiered — multi-level hierarchy (FTI/VeloC style): the
 ///    staged drain lands in a node-local L1 tier (cheap), and committed
 ///    versions are promoted L1→L2(partner)→L3(PFS) on a virtual background
-///    channel that never blocks the solver. Failures carry a severity
+///    channel that never blocks the solver. The store plans each promotion
+///    (TieredCheckpointStore::plan_promotion: missing chain bases, then the
+///    version); the runner only prices the hops on the channel and executes
+///    each one when its virtual window closes. Failures carry a severity
 ///    (process/node/partition/system, sampled per ResilienceConfig
 ///    weights); a severity-k failure destroys the tiers that do not survive
 ///    it and recovery reads the cheapest surviving tier, paying that tier's
@@ -32,12 +35,11 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/tier/tiered_store.hpp"
 #include "common/severity.hpp"
 #include "core/ckpt_policy.hpp"
 #include "obs/observability.hpp"
@@ -46,8 +48,6 @@
 #include "solvers/solver.hpp"
 
 namespace lck {
-
-class TieredCheckpointStore;
 
 /// Which checkpointing scheme to run (paper §5.1 terminology).
 enum class CkptScheme { kTraditional, kLossless, kLossy };
@@ -148,7 +148,10 @@ struct ResilienceConfig {
   /// instead of building its own store (the multi-tenant CheckpointService
   /// hands per-job stacks out this way — see svc/checkpoint_service.hpp).
   /// In tiered mode the factory must yield a TieredCheckpointStore (the
-  /// runner drives promote_now on it); any CheckpointStore works otherwise.
+  /// runner executes its promotions); any CheckpointStore works otherwise.
+  /// A TieredCheckpointStore that promotes on its own (auto_promote) is
+  /// rejected in every mode: its real-time copies would race the runner's
+  /// virtual clock.
   /// The returned store is owned by the runner's manager; resources it
   /// borrows (the service's shared L3) must outlive the runner.
   std::function<std::unique_ptr<CheckpointStore>()> store_factory;
@@ -326,10 +329,10 @@ class ResilientRunner {
   /// matured promotions, drops in-flight promotion work and invalidates
   /// the destroyed tiers.
   void note_failure(FailureSeverity sev);
-  /// Enqueue the virtual L1→L2/L3 promotion of a committed version on the
-  /// (serial) background channel, starting no earlier than `ready_t`.
-  void schedule_virtual_promotions(int version, double stored_bytes,
-                                   double ready_t);
+  /// Price the store's promotion plan of a committed version into every
+  /// tier the policy's cadence admits, hop by hop, on the (serial)
+  /// background channel, starting no earlier than `ready_t`.
+  void schedule_virtual_promotions(int version, double ready_t);
   /// Execute every queued promotion whose virtual window ended by `now`.
   void apply_promotions(double now);
 
@@ -371,30 +374,15 @@ class ResilientRunner {
 
   // Tiered hierarchy: borrowed from manager_'s store (manager owns it).
   TieredCheckpointStore* tiered_ = nullptr;
-  /// One committed-version hop (into L2 or L3) on the serial virtual
-  /// promotion channel.
+  /// One planned hop (into L2 or L3) on the serial virtual promotion
+  /// channel.
   struct VirtualPromotion {
-    int version = -1;
-    int level = -1;
+    PromotionHop hop;
     double done_t = 0.0;  ///< Virtual completion time.
     double cost = 0.0;    ///< Seconds of background channel time.
   };
   std::deque<VirtualPromotion> promo_queue_;
   double promo_tail_t_ = 0.0;  ///< Busy-until time of the promotion channel.
-  /// Cluster-scale stored/raw bytes and delta base per committed version,
-  /// so recovery from an older tier copy is charged that version's true
-  /// size — including its chain bases when delta encoding is on.
-  struct VersionBytes {
-    double stored = 0.0;
-    double raw = 0.0;
-    int base = -1;
-  };
-  std::map<int, VersionBytes> version_bytes_;
-  /// Versions already enqueued on the promotion channel per target level
-  /// (index 0 = L2, 1 = L3), so a delta's chain bases are promoted exactly
-  /// once even when the cadence skips them. Cleared on failure: the queue
-  /// died, and exists_at() tells us what actually made it.
-  std::array<std::set<int>, 2> scheduled_promos_;
 };
 
 }  // namespace lck

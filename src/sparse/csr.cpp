@@ -45,7 +45,7 @@ double CsrMatrix::residual_norm2(std::span<const double> b,
   require(static_cast<index_t>(y.size()) == rows_, "residual: y size mismatch");
   // One fused sweep saves the separate norm pass over y; count it like the
   // norm2() call it replaces.
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   return std::sqrt(spmv::residual_norm2_sq(row_ptr_.data(), col_idx_.data(),
                                            values_.data(), b.data(), x.data(),
                                            y.data(), rows_));

@@ -39,28 +39,12 @@ namespace lck {
 
 using Vector = std::vector<double>;
 
-namespace detail {
-
-/// Instrumentation: every kernel in this file adds the number of full-vector
-/// data passes it performs (one relaxed atomic add per *call*, not per
-/// element, so the cost is invisible next to the sweep itself). Tests and
-/// benches use the counter to assert that the fused per-iteration solver
-/// bodies really cut the sweep count, instead of trusting a comment. The
-/// counter itself lives in obs/pass_counter.hpp so the observability layer
-/// can sample it into the metrics registry.
-inline void count_passes(std::uint64_t n) noexcept {
-  obs::add_vector_passes(n);
-}
-
-}  // namespace detail
-
-/// Total full-vector passes performed by vector_ops kernels so far.
-/// (Shim over obs::vector_passes(), kept for existing callers/tests.)
-[[nodiscard]] inline std::uint64_t vector_pass_count() noexcept {
-  return obs::vector_passes();
-}
-
-inline void reset_vector_pass_count() noexcept { obs::reset_vector_passes(); }
+// Instrumentation: every kernel in this file adds the number of full-vector
+// data passes it performs to obs::vector_passes() (one relaxed atomic add per
+// *call*, not per element, so the cost is invisible next to the sweep
+// itself). Tests and benches use the counter to assert that the fused
+// per-iteration solver bodies really cut the sweep count, instead of
+// trusting a comment.
 
 namespace detail {
 
@@ -165,20 +149,20 @@ template <typename Term>
 /// y := x (sizes must match).
 inline void copy(std::span<const double> x, std::span<double> y) {
   require(x.size() == y.size(), "copy: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()), [&](index_t i) { y[i] = x[i]; });
 }
 
 /// x := alpha.
 inline void fill(std::span<double> x, double alpha) {
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()), [&](index_t i) { x[i] = alpha; });
 }
 
 /// y := alpha*x + y.
 inline void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   require(x.size() == y.size(), "axpy: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()),
                [&](index_t i) { y[i] += alpha * x[i]; });
 }
@@ -186,7 +170,7 @@ inline void axpy(double alpha, std::span<const double> x, std::span<double> y) {
 /// y := x + beta*y  (the "xpby" update used by CG's direction recurrence).
 inline void xpby(std::span<const double> x, double beta, std::span<double> y) {
   require(x.size() == y.size(), "xpby: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()),
                [&](index_t i) { y[i] = x[i] + beta * y[i]; });
 }
@@ -195,14 +179,14 @@ inline void xpby(std::span<const double> x, double beta, std::span<double> y) {
 inline void waxpy(std::span<const double> x, double alpha,
                   std::span<const double> y, std::span<double> w) {
   require(x.size() == y.size() && x.size() == w.size(), "waxpy: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()),
                [&](index_t i) { w[i] = x[i] + alpha * y[i]; });
 }
 
 /// x := alpha*x.
 inline void scale(std::span<double> x, double alpha) {
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()), [&](index_t i) { x[i] *= alpha; });
 }
 
@@ -210,7 +194,7 @@ inline void scale(std::span<double> x, double alpha) {
 /// any thread count and any simd::active_isa()).
 [[nodiscard]] inline double dot(std::span<const double> x, std::span<const double> y) {
   require(x.size() == y.size(), "dot: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   const double* xp = x.data();
   const double* yp = y.data();
@@ -221,7 +205,7 @@ inline void scale(std::span<double> x, double alpha) {
 
 /// Euclidean norm ||x||₂ (lane-canonical deterministic reduction).
 [[nodiscard]] inline double norm2(std::span<const double> x) {
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   const double* xp = x.data();
   return std::sqrt(detail::reduce_blocks_sum(
@@ -231,7 +215,7 @@ inline void scale(std::span<double> x, double alpha) {
 
 /// Max norm ||x||∞ (lane-canonical deterministic reduction).
 [[nodiscard]] inline double norm_inf(std::span<const double> x) {
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   const double* xp = x.data();
   return detail::reduce_blocks_max(
@@ -243,7 +227,7 @@ inline void scale(std::span<double> x, double alpha) {
 [[nodiscard]] inline double max_abs_diff(std::span<const double> x,
                                          std::span<const double> y) {
   require(x.size() == y.size(), "max_abs_diff: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   const double* xp = x.data();
   const double* yp = y.data();
@@ -289,14 +273,14 @@ struct DotAxpyResult {
   const auto n = static_cast<index_t>(p.size());
   const auto& o = simd::ops();
   DotAxpyResult res;
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   res.pq = detail::reduce_blocks_sum(n, [&](index_t b, index_t e) {
     return o.sum_mul(p.data(), q.data(), b, e);
   });
   if (res.pq == 0.0 || !std::isfinite(res.pq)) return res;
   res.alpha = rho / res.pq;
   const double alpha = res.alpha;
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   res.rr = detail::reduce_blocks_sum(n, [&](index_t b, index_t e) {
     return o.update_xr_sq(alpha, p.data(), q.data(), x.data(), r.data(), b, e);
   });
@@ -309,7 +293,7 @@ struct DotAxpyResult {
 [[nodiscard]] inline double axpy_norm2(double alpha, std::span<const double> x,
                                        std::span<double> y) {
   require(x.size() == y.size(), "axpy_norm2: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   return std::sqrt(detail::reduce_blocks_sum(
       static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
@@ -327,7 +311,7 @@ struct DotAxpyResult {
                                       std::span<const double> z) {
   require(x.size() == y.size() && x.size() == w.size() && x.size() == z.size(),
           "waxpy_dot: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   return detail::reduce_blocks_sum(
       static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
@@ -350,7 +334,7 @@ struct DotAxpyResult {
                                                     std::span<const double> z) {
   require(x.size() == y.size() && x.size() == z.size(), "dot2: size mismatch");
   const auto n = static_cast<index_t>(x.size());
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   if (n <= detail::kReductionBlockElems) {
     double a = 0.0, b = 0.0;
@@ -382,7 +366,7 @@ struct DotAxpyResult {
 inline void axpy2(double alpha, std::span<const double> x, double beta,
                   std::span<const double> y, std::span<double> z) {
   require(x.size() == y.size() && x.size() == z.size(), "axpy2: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(x.size()), [&](index_t i) {
     const double t = z[i] + alpha * x[i];
     z[i] = t + beta * y[i];
@@ -396,7 +380,7 @@ inline void axpy2(double alpha, std::span<const double> x, double beta,
                                         std::span<double> z) {
   require(x.size() == y.size() && x.size() == z.size(),
           "axpy2_norm2: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   const auto& o = simd::ops();
   return std::sqrt(detail::reduce_blocks_sum(
       static_cast<index_t>(x.size()), [&](index_t b, index_t e) {
@@ -414,7 +398,7 @@ inline void waxpy2_scale(std::span<const double> v, double alpha,
                          std::span<double> w) {
   require(v.size() == x.size() && v.size() == y.size() && v.size() == w.size(),
           "waxpy2_scale: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(v.size()), [&](index_t i) {
     const double t = v[i] + alpha * x[i];
     w[i] = (t + beta * y[i]) * s;
@@ -426,7 +410,7 @@ inline void diag_axpy(std::span<const double> d, std::span<const double> r,
                       std::span<double> x) {
   require(d.size() == r.size() && d.size() == x.size(),
           "diag_axpy: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(d.size()),
                [&](index_t i) { x[i] += d[i] * r[i]; });
 }
@@ -439,7 +423,7 @@ inline void axpy_xpby(double alpha, std::span<const double> v,
                       std::span<double> p) {
   require(v.size() == r.size() && v.size() == p.size(),
           "axpy_xpby: size mismatch");
-  detail::count_passes(1);
+  obs::add_vector_passes(1);
   parallel_for(0, static_cast<index_t>(v.size()), [&](index_t i) {
     const double t = p[i] + alpha * v[i];
     p[i] = r[i] + beta * t;

@@ -24,9 +24,6 @@ void ServiceConfig::validate() const {
   if (namespace_stride < 1) violation("svc.namespace_stride must be >= 1");
   if (admission_bytes < 1) violation("svc.admission_bytes must be >= 1");
   if (admission_inflight < 1) violation("svc.admission_inflight must be >= 1");
-  if (promo_workers < 1) violation("svc.promo_workers must be >= 1");
-  if (promo_quantum_bytes < 1)
-    violation("svc.promo_quantum_bytes must be >= 1");
   if (!violations.empty())
     throw config_error("checkpoint service config: " + violations);
 }
@@ -142,8 +139,7 @@ class CheckpointService::NamespaceStore final : public CheckpointStore {
 CheckpointService::CheckpointService(ServiceConfig cfg)
     : cfg_((cfg.validate(), std::move(cfg))),
       l3_(std::make_unique<DedupChunkStore>(cfg_.l3_dir)),
-      admission_(cfg_.admission_bytes, cfg_.admission_inflight),
-      pool_(cfg_.promo_workers, cfg_.promo_quantum_bytes) {
+      admission_(cfg_.admission_bytes, cfg_.admission_inflight) {
   l3_->set_observability(obs::Sink{&metrics_, nullptr});
   refresh_gauges();
 }
@@ -160,8 +156,6 @@ JobHandle CheckpointService::open_job(JobConfig cfg) {
   require(cfg.retention >= 1, "svc job: retention must be >= 1");
   require(cfg.l2_promote_every >= 1 && cfg.l3_promote_every >= 1,
           "svc job: promote_every must be >= 1");
-  require(cfg.max_inflight_promotions >= 1,
-          "svc job: promotion bound must be >= 1");
 
   std::unique_lock<std::mutex> lock(mu_);
   jobs_cv_.wait(lock, [&] {
@@ -205,7 +199,7 @@ std::shared_ptr<CheckpointService::JobState> CheckpointService::state_of(
 }
 
 std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
-    int job_id) {
+    int job_id, bool promote_on_pool) {
   const std::shared_ptr<JobState> state = state_of(job_id);
   const JobConfig& jc = state->cfg;
 
@@ -219,15 +213,12 @@ std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
   levels.push_back({TierSpec{"L3-pfs", FailureSeverity::kSystem, jc.retention,
                              jc.l3_promote_every},
                     std::make_unique<NamespaceStore>(this, state)});
-  auto store = std::make_unique<TieredCheckpointStore>(
-      std::move(levels), jc.background_promotions);
-  if (jc.background_promotions) {
-    // All jobs' promotions ride the one shared pool, keyed by job id for
-    // deficit-round-robin fairness; the per-store bound still back-
-    // pressures this job's own commits.
-    store->set_promotion_executor(&pool_, state->id);
-    store->set_max_inflight_promotions(jc.max_inflight_promotions);
-  }
+  auto store = std::make_unique<TieredCheckpointStore>(std::move(levels),
+                                                      promote_on_pool);
+  // All jobs' promotions ride the one shared pool, keyed by job id for
+  // deficit-round-robin fairness; the per-store bound still back-pressures
+  // this job's own commits.
+  if (promote_on_pool) store->set_promotion_pool(&pool_, state->id);
   return store;
 }
 
@@ -262,7 +253,7 @@ std::string JobHandle::name() const {
 
 std::unique_ptr<CheckpointStore> JobHandle::make_store() const {
   require(open(), "job handle: closed");
-  return svc_->make_store_for(id_);
+  return svc_->make_store_for(id_, /*promote_on_pool=*/true);
 }
 
 std::function<std::unique_ptr<CheckpointStore>()> JobHandle::store_factory()
@@ -270,7 +261,9 @@ std::function<std::unique_ptr<CheckpointStore>()> JobHandle::store_factory()
   require(open(), "job handle: closed");
   CheckpointService* svc = svc_;
   const int id = id_;
-  return [svc, id] { return svc->make_store_for(id); };
+  return [svc, id] {
+    return svc->make_store_for(id, /*promote_on_pool=*/false);
+  };
 }
 
 JobStats JobHandle::stats() const {

@@ -20,9 +20,10 @@
 ///  - admission control (svc::AdmissionController): every namespace write
 ///    first reserves its byte size against a global budget, so the fleet's
 ///    aggregate in-flight L3 bytes are bounded (back-pressure, not failure);
-///  - fairness (svc::PromotionPool): all jobs' background promotions run on
-///    one deficit-round-robin pool keyed by job id, so a heavy writer
-///    cannot starve a light one and N tenants do not spawn N threads.
+///  - fairness (PromotionPool): the background promotions of every stack
+///    made by make_store() run on one deficit-round-robin pool keyed by
+///    job id, so a heavy writer cannot starve a light one and N tenants do
+///    not spawn N threads.
 ///
 /// The service owns an always-on MetricsRegistry: global gauges
 /// (svc.jobs_active, svc.l3_logical_bytes, svc.l3_physical_bytes), global
@@ -44,9 +45,9 @@
 #include <string>
 
 #include "ckpt/chunk/dedup_store.hpp"
+#include "ckpt/tier/promo_pool.hpp"
 #include "obs/metrics.hpp"
 #include "svc/admission.hpp"
-#include "svc/promo_pool.hpp"
 
 namespace lck::svc {
 
@@ -65,9 +66,6 @@ struct ServiceConfig {
   std::size_t admission_bytes = std::size_t{256} << 20;
   /// Admission bound on the count of in-flight shared-L3 writes.
   std::size_t admission_inflight = 64;
-  /// Shared promotion pool width and DRR quantum.
-  int promo_workers = 2;
-  std::size_t promo_quantum_bytes = std::size_t{1} << 20;
 
   /// Throws config_error naming every violated constraint.
   void validate() const;
@@ -82,11 +80,6 @@ struct JobConfig {
   int retention = 2;
   int l2_promote_every = 1;
   int l3_promote_every = 1;
-  /// true: background promotions ride the service's shared pool. false:
-  /// the caller drives promote_now() explicitly (virtual-time runner mode).
-  bool background_promotions = true;
-  /// Back-pressure bound on this job's queued background promotions.
-  std::size_t max_inflight_promotions = 16;
 };
 
 /// What one job has done to the shared tier (monotonic, per job).
@@ -128,14 +121,16 @@ class JobHandle {
   [[nodiscard]] std::string name() const;
 
   /// Build this job's store stack: private L1 (memory) + L2 (partner) and
-  /// the namespaced shared-L3 level. The stack satisfies the plain
-  /// CheckpointStore interface, so CheckpointManager / ResilientRunner use
-  /// it unchanged. May be called again after discarding a stack — the
-  /// namespace's surviving shared-L3 versions are visible to the new stack
-  /// (restart/recovery).
+  /// the namespaced shared-L3 level, promoting in the background on the
+  /// service's shared pool. The stack satisfies the plain CheckpointStore
+  /// interface, so a CheckpointManager uses it unchanged. May be called
+  /// again after discarding a stack — the namespace's surviving shared-L3
+  /// versions are visible to the new stack (restart/recovery).
   [[nodiscard]] std::unique_ptr<CheckpointStore> make_store() const;
 
-  /// make_store() packaged for ResilienceConfig::store_factory.
+  /// The same stack, caller-driven (no background promotions), packaged
+  /// for ResilienceConfig::store_factory: the runner executes promotions
+  /// on its virtual clock.
   [[nodiscard]] std::function<std::unique_ptr<CheckpointStore>()>
   store_factory() const;
 
@@ -180,7 +175,6 @@ class CheckpointService {
   [[nodiscard]] const AdmissionController& admission() const {
     return admission_;
   }
-  [[nodiscard]] const PromotionPool& pool() const { return pool_; }
 
   /// Service-owned registry (always on): svc.* series plus everything the
   /// shared L3 records. Scrape with metrics().to_prometheus().
@@ -196,7 +190,8 @@ class CheckpointService {
   struct JobState;
 
   void close_job(int job_id);
-  [[nodiscard]] std::unique_ptr<CheckpointStore> make_store_for(int job_id);
+  [[nodiscard]] std::unique_ptr<CheckpointStore> make_store_for(
+      int job_id, bool promote_on_pool);
   [[nodiscard]] std::shared_ptr<JobState> state_of(int job_id) const;
   void refresh_gauges();
 

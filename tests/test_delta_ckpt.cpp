@@ -521,6 +521,44 @@ TEST(DeltaTiered, PromotionCarriesSkippedChainBases) {
   EXPECT_EQ(x, want);
 }
 
+TEST(PromotionPlan, BasesFirstAndInvalidateDropsThePlan) {
+  auto tiered = make_tiered_store(8, 1, 1, "", /*auto_promote=*/false);
+  auto* tiered_raw = tiered.get();
+  NoneCompressor none;
+  CheckpointManager mgr(std::unique_ptr<CheckpointStore>(std::move(tiered)),
+                        &none);
+  mgr.set_delta(4, 64);
+  mgr.set_retention(1 << 28);
+  Vector x = random_vector(256, 18);
+  mgr.protect(0, "x", &x);
+  for (int k = 0; k < 3; ++k) {  // v0 full, v1..v2 deltas
+    if (k > 0) x[static_cast<std::size_t>(k)] += 1.0;
+    mgr.checkpoint();
+  }
+
+  const std::vector<PromotionHop> hops = tiered_raw->plan_promotion(2, 2);
+  ASSERT_EQ(hops.size(), 3u);
+  for (int v = 0; v <= 2; ++v) {  // deepest base first, each at its size
+    const PromotionHop& hop = hops[static_cast<std::size_t>(v)];
+    EXPECT_EQ(hop.version, v);
+    EXPECT_EQ(hop.level, 2);
+    EXPECT_EQ(hop.bytes, tiered_raw->record(v)->bytes);
+  }
+  EXPECT_TRUE(tiered_raw->plan_promotion(2, 2).empty()) << "already planned";
+
+  // A failure drops the plan: its hops no longer run, even though L1 (the
+  // source) survives a process failure.
+  tiered_raw->invalidate(FailureSeverity::kProcess);
+  EXPECT_FALSE(tiered_raw->promote(hops[0]));
+  EXPECT_FALSE(tiered_raw->exists_at(2, 0));
+
+  for (const PromotionHop& hop : tiered_raw->plan_promotion(2, 2))
+    EXPECT_TRUE(tiered_raw->promote(hop));
+  for (int v = 0; v <= 2; ++v)
+    EXPECT_TRUE(tiered_raw->exists_at(2, v)) << "version " << v;
+  EXPECT_TRUE(tiered_raw->plan_promotion(2, 2).empty()) << "already there";
+}
+
 TEST(DeltaTiered, PerLevelRetentionKeepsLiveBases) {
   auto tiered = make_tiered_store(/*retention=*/1, 1, 1, "",
                                   /*auto_promote=*/false);

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
+#include "obs/pass_counter.hpp"
 #include "solvers/bicgstab.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/minres.hpp"
@@ -390,12 +391,12 @@ TEST(SolverTrajectories, CgIdentityBitwiseAndPassReduction) {
 
   std::uint64_t fused_passes = 0, naive_passes = 0;
   for (int it = 0; it < 40; ++it) {
-    reset_vector_pass_count();
+    obs::reset_vector_passes();
     solver.step();
-    fused_passes += vector_pass_count();
-    reset_vector_pass_count();
+    fused_passes += obs::vector_passes();
+    obs::reset_vector_passes();
     naive.step();
-    naive_passes += vector_pass_count();
+    naive_passes += obs::vector_passes();
     EXPECT_EQ(solver.residual_norm(), naive.res_norm) << "iter " << it;
     expect_bitwise_eq(solver.solution(), naive.x, "cg x");
   }
@@ -490,12 +491,12 @@ TEST(SolverTrajectories, BicgstabIdentityBitwiseAndPassReduction) {
 
   std::uint64_t fused_passes = 0, naive_passes = 0;
   for (int it = 0; it < 30; ++it) {
-    reset_vector_pass_count();
+    obs::reset_vector_passes();
     solver.step();
-    fused_passes += vector_pass_count();
-    reset_vector_pass_count();
+    fused_passes += obs::vector_passes();
+    obs::reset_vector_passes();
     naive.step();
-    naive_passes += vector_pass_count();
+    naive_passes += obs::vector_passes();
     EXPECT_EQ(solver.residual_norm(), naive.res_norm) << "iter " << it;
     expect_bitwise_eq(solver.solution(), naive.x, "bicgstab x");
   }

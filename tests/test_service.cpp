@@ -26,7 +26,6 @@ namespace {
 using svc::AdmissionController;
 using svc::CheckpointService;
 using svc::JobConfig;
-using svc::PromotionPool;
 using svc::ServiceConfig;
 
 std::vector<byte_t> blob(std::size_t n, byte_t fill) {
@@ -163,12 +162,10 @@ TEST(PromoPool, DeficitRoundRobinKeepsLightJobUnstarved) {
 
 TEST(Service, NamespaceIsolationAcrossPruneAndInvalidate) {
   CheckpointService service;
-  auto job_a = service.open_job({.name = "a", .retention = 2,
-                                 .background_promotions = false});
-  auto job_b = service.open_job({.name = "b", .retention = 2,
-                                 .background_promotions = false});
-  auto store_a = job_a.make_store();
-  auto store_b = job_b.make_store();
+  auto job_a = service.open_job({.name = "a", .retention = 2});
+  auto job_b = service.open_job({.name = "b", .retention = 2});
+  auto store_a = job_a.store_factory()();  // caller-driven: promote_now
+  auto store_b = job_b.store_factory()();
   auto* tier_a = dynamic_cast<TieredCheckpointStore*>(store_a.get());
   auto* tier_b = dynamic_cast<TieredCheckpointStore*>(store_b.get());
   ASSERT_NE(tier_a, nullptr);
@@ -210,10 +207,10 @@ TEST(Service, NamespaceIsolationAcrossPruneAndInvalidate) {
 
 TEST(Service, ReopenedNamespaceSeesSurvivingVersions) {
   CheckpointService service;
-  auto job = service.open_job({.background_promotions = false});
+  auto job = service.open_job();
   const auto data = blob(2048, 0x5A);
   {
-    auto store = job.make_store();
+    auto store = job.store_factory()();
     auto* tier = dynamic_cast<TieredCheckpointStore*>(store.get());
     store->write(3, data);
     tier->promote_now(3, 2);
@@ -305,12 +302,10 @@ TEST(Service, ConcurrentJobsHitAdmissionBackpressure) {
   cfg.admission_inflight = 1;
   CheckpointService service(cfg);
 
-  auto big_job = service.open_job(
-      {.name = "big", .background_promotions = false});
-  auto small_job = service.open_job(
-      {.name = "small", .background_promotions = false});
-  auto big_store = big_job.make_store();
-  auto small_store = small_job.make_store();
+  auto big_job = service.open_job({.name = "big"});
+  auto small_job = service.open_job({.name = "small"});
+  auto big_store = big_job.store_factory()();  // caller-driven: promote_now
+  auto small_store = small_job.store_factory()();
   auto* big_tier = dynamic_cast<TieredCheckpointStore*>(big_store.get());
   auto* small_tier = dynamic_cast<TieredCheckpointStore*>(small_store.get());
   const auto big_blob = blob(32 * 1024 * 1024, 0xB1);
@@ -387,12 +382,10 @@ TEST(Service, RunnerRerunsAreBitStableAndMatchBuiltinTiered) {
   // namespace would legitimately let the runner recover from the previous
   // run's surviving L3 versions — persistence, not a determinism bug.
   auto job1 = service.open_job({.retention = 2, .l2_promote_every = 1,
-                                .l3_promote_every = 2,
-                                .background_promotions = false});
+                                .l3_promote_every = 2});
   const auto r1 = run_via_service(job1);
   auto job2 = service.open_job({.retention = 2, .l2_promote_every = 1,
-                                .l3_promote_every = 2,
-                                .background_promotions = false});
+                                .l3_promote_every = 2});
   const auto r2 = run_via_service(job2);
 
   // Service-backed runs are bit-stable across namespaces and against the
@@ -412,8 +405,7 @@ TEST(Service, RunnerRerunsAreBitStableAndMatchBuiltinTiered) {
 TEST(Service, WeibullFailureModelRunsThroughServiceStore) {
   const LocalProblem p = make_local_problem("cg", 8, 1e-8);
   CheckpointService service;
-  auto job = service.open_job({.l3_promote_every = 2,
-                               .background_promotions = false});
+  auto job = service.open_job({.l3_promote_every = 2});
   auto solver = p.make_solver();
   ResilienceConfig cfg = tiered_config();
   cfg.failure.distribution = "weibull";

@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
+#include "obs/metrics.hpp"
 #include "sim/perf_model.hpp"
 #include "sparse/vector_ops.hpp"
 
@@ -258,6 +259,45 @@ TEST(TieredStore, SaturatedPromotionQueueBackpressuresWrites) {
   // One worker, FIFO jobs: promotions land strictly in version order.
   EXPECT_EQ(gate->write_order(), (std::vector<int>{0, 1}));
   EXPECT_EQ(store.failed_promotions(), 0u);
+}
+
+TEST(TieredPromotionMetrics, BackgroundCopiesRecordPromotes) {
+  // Every promotion counts, whoever executes it: the background worker's
+  // copies record tier.promotes / tier.promote_bytes like promote_now's.
+  obs::MetricsRegistry metrics;
+  auto store = make_tiered_store(2, 1, 1);
+  store->set_observability({&metrics, nullptr});
+  std::size_t written = 0;
+  for (int v = 0; v < 3; ++v) {
+    const auto data =
+        pattern_blob(200 + 100 * static_cast<std::size_t>(v),
+                     static_cast<std::uint64_t>(v));
+    store->write(v, data);
+    written += data.size();
+    // Drain per write: L1 keeps two versions, so a worker still behind
+    // after the third write would find v0 pruned and skip its copy.
+    store->drain_promotions();
+  }
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("tier.promotes{tier=L2-partner}"), 3.0);
+  EXPECT_EQ(snap.counter("tier.promotes{tier=L3-pfs}"), 3.0);
+  EXPECT_EQ(snap.hist_sum_total("tier.promote_bytes"),
+            static_cast<double>(2 * written));
+}
+
+TEST(RunnerStoreFactory, RejectsAStackThatPromotesOnItsOwn) {
+  // The runner prices promotions on its virtual clock and executes them
+  // when their window closes; a stack that also copies in real time would
+  // make what a recovery sees depend on thread timing.
+  const LocalProblem p = make_local_problem("cg", 6, 1e-8);
+  auto solver = p.make_solver();
+  ResilienceConfig cfg;
+  cfg.ckpt_mode = CkptMode::kTiered;
+  cfg.store_factory = [] {
+    return std::unique_ptr<CheckpointStore>(
+        make_tiered_store(2, 1, 1, "", /*auto_promote=*/true));
+  };
+  EXPECT_THROW(ResilientRunner(*solver, cfg), config_error);
 }
 
 // ----- bit-identical recovery vs single-level -------------------------------
