@@ -1,7 +1,8 @@
 /// Beyond the paper: a multi-tenant checkpoint fleet. N concurrent jobs —
 /// a mix of Poisson and KKT problems across the three schemes — share one
 /// CheckpointService: a single content-addressed L3 with per-job
-/// namespaces, global admission control and a fair shared promotion pool.
+/// namespaces and global admission control; each job's runner executes its
+/// own promotions.
 ///
 ///   build/bench/fig_fleet [--json <path>]
 ///

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "ckpt/async_writer.hpp"
 #include "ckpt/chunk/chunk_hash.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -126,10 +125,10 @@ CheckpointManager::~CheckpointManager() {
   // Versions still undecided at destruction roll back: their pending store
   // blobs (e.g. DiskStore's .lck.pending files) must not outlive the
   // manager, and the last *committed* version stays the recovery point.
-  const std::set<int> undecided = staged_versions_;
-  for (const int v : undecided) {
+  for (const auto& [v, f] : in_flight_) {
+    f.drain.wait();
     try {
-      abort_version(v);
+      store_->abort(v);
     } catch (...) {  // NOLINT: best-effort cleanup in a destructor
     }
   }
@@ -318,7 +317,7 @@ void CheckpointManager::prune_retention(int latest_committed) {
     if (!base_of_.empty()) {
       std::set<int> live;
       mark_chain(latest_committed, live);
-      for (const auto& [staged, base] : staged_base_) mark_chain(base, live);
+      for (const auto& [v, f] : in_flight_) mark_chain(f.base, live);
       std::erase_if(base_of_,
                     [&live](const auto& e) { return !live.contains(e.first); });
     }
@@ -329,10 +328,10 @@ void CheckpointManager::prune_retention(int latest_committed) {
   // long as a retained (or in-flight staged) version's delta chain still
   // references it — dropping it would break that chain's recovery.
   std::set<int> live;
-  if (!base_of_.empty() || !staged_base_.empty()) {
+  if (!base_of_.empty() || !in_flight_.empty()) {
     for (int v = std::max(0, keep_from); v <= latest_committed; ++v)
       mark_chain(v, live);
-    for (const auto& [staged, base] : staged_base_) mark_chain(base, live);
+    for (const auto& [v, f] : in_flight_) mark_chain(f.base, live);
   }
 
   for (int v = prune_floor_; v < keep_from; ++v) {
@@ -345,8 +344,8 @@ void CheckpointManager::prune_retention(int latest_committed) {
   // re-examined once the chain referencing it retires).
   int advance_to = keep_from;
   if (!live.empty()) advance_to = std::min(advance_to, *live.begin());
-  if (!staged_versions_.empty())
-    advance_to = std::min(advance_to, *staged_versions_.begin());
+  if (!in_flight_.empty())
+    advance_to = std::min(advance_to, in_flight_.begin()->first);
   prune_floor_ = std::max(prune_floor_, advance_to);
 }
 
@@ -431,7 +430,7 @@ void CheckpointManager::release_slot(int slot) {
 
 StageTicket CheckpointManager::stage() {
   require(!entries_.empty(), "stage: nothing protected");
-  if (writer_ == nullptr) writer_ = std::make_unique<AsyncCheckpointWriter>();
+  if (worker_ == nullptr) worker_ = std::make_unique<SerialWorker>();
 
   const int slot_idx = acquire_slot();
   StagingSlot& slot = slots_[static_cast<std::size_t>(slot_idx)];
@@ -482,7 +481,7 @@ StageTicket CheckpointManager::stage() {
   const auto base = pick_delta_base();
   const auto state = new_delta_state(version, base.get());
   auto drain = [this, version, slot_idx, base, state] {
-    const WallTimer job_timer;  // Runs on the writer thread; registry shards.
+    const WallTimer job_timer;  // Runs on the worker thread; registry shards.
     std::unique_ptr<ByteSink> sink;
     CheckpointRecord rec;
     try {
@@ -523,16 +522,12 @@ StageTicket CheckpointManager::stage() {
   // Track the version before enqueueing so a failed submit can unwind
   // completely: nothing else releases the slot once it is marked busy.
   try {
-    staged_versions_.insert(version);
-    if (state != nullptr) {
-      staged_base_[version] = base != nullptr ? base->version : -1;
-      staged_states_[version] = state;
-    }
-    writer_->submit(version, std::move(drain));
+    InFlight& f = in_flight_[version];
+    f.base = base != nullptr ? base->version : -1;
+    f.state = state;
+    f.drain = worker_->submit(std::move(drain)).share();
   } catch (...) {
-    staged_versions_.erase(version);
-    staged_base_.erase(version);
-    staged_states_.erase(version);
+    in_flight_.erase(version);
     release_slot(slot_idx);
     throw;
   }
@@ -540,63 +535,37 @@ StageTicket CheckpointManager::stage() {
 }
 
 CheckpointRecord CheckpointManager::wait_drain(int version) {
-  // The writer surrenders each outcome once, so waiting on a version that
-  // was already committed/aborted (or never staged) would block forever —
-  // fail fast instead.
-  require(staged_versions_.contains(version),
+  // A committed/aborted (or never staged) version has no drain to join.
+  const auto it = in_flight_.find(version);
+  require(it != in_flight_.end(),
           "wait_drain: version is not an in-flight drain");
-  if (const auto it = drained_.find(version); it != drained_.end())
-    return it->second;
-  // The writer surrenders each outcome exactly once, so a drain that threw
-  // is remembered here — re-waiting on it would block forever.
-  if (failed_drains_.contains(version))
-    throw corrupt_stream_error("wait_drain: drain already failed for version " +
-                               std::to_string(version));
-  require(writer_ != nullptr, "wait_drain: no drain was submitted");
-  try {
-    const CheckpointRecord rec = writer_->wait(version);
-    drained_[version] = rec;
-    return rec;
-  } catch (...) {
-    failed_drains_.insert(version);
-    throw;
-  }
+  return it->second.drain.get();
 }
 
 void CheckpointManager::commit_version(int version) {
   const CheckpointRecord rec = wait_drain(version);
   store_->commit(version);
-  drained_.erase(version);
-  staged_versions_.erase(version);
-  // The drain joined above, so the hashes it wrote into the staged state
+  // The drain joined above, so the hashes it wrote into the state
   // happened-before this read.
-  if (const auto it = staged_states_.find(version);
-      it != staged_states_.end()) {
+  auto done = in_flight_.extract(version);
+  if (done.mapped().state != nullptr) {
     base_of_[version] = rec.base_version;
-    committed_state_ = std::move(it->second);
-    staged_states_.erase(it);
+    committed_state_ = std::move(done.mapped().state);
   }
-  staged_base_.erase(version);
   // Prune against the highest committed version, so an out-of-order commit
   // of an already-superseded version retires it immediately.
   prune_retention(store_->latest_version());
 }
 
 void CheckpointManager::abort_version(int version) {
-  require(staged_versions_.contains(version),
+  const auto it = in_flight_.find(version);
+  require(it != in_flight_.end(),
           "abort_version: version is not an in-flight drain");
-  try {
-    wait_drain(version);
-  } catch (...) {
-    // The drain itself failed; there is nothing pending to drop, but the
-    // version must still be retired below.
-  }
+  // A drain that failed left nothing pending to drop, but the version must
+  // still be retired.
+  it->second.drain.wait();
   store_->abort(version);
-  drained_.erase(version);
-  failed_drains_.erase(version);
-  staged_versions_.erase(version);
-  staged_base_.erase(version);
-  staged_states_.erase(version);
+  in_flight_.erase(it);
 }
 
 void CheckpointManager::discard_version(int version) {

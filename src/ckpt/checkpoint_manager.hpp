@@ -10,8 +10,8 @@
 ///    write + commit inline, blocking the caller for the full duration.
 ///  - stage() / wait_drain() / commit_version() / abort_version() — the
 ///    staged pipeline (CkptMode::kAsync): stage() memcpys the protected
-///    variables into one of two staging slots and returns immediately; a
-///    background AsyncCheckpointWriter drains the slot (compression + store
+///    variables into one of two staging slots and returns immediately; the
+///    manager's SerialWorker thread drains the slot (compression + store
 ///    write) into a *pending* store version; the caller later promotes it
 ///    with commit_version() or rolls it back with abort_version(). A third
 ///    stage() while both slots are busy blocks until a drain finishes
@@ -20,6 +20,7 @@
 #include <array>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,13 +32,12 @@
 #include "ckpt/checkpoint_record.hpp"
 #include "ckpt/checkpoint_store.hpp"
 #include "ckpt/frame_stream.hpp"
+#include "common/serial_worker.hpp"
 #include "compress/compressor.hpp"
 #include "obs/observability.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace lck {
-
-class AsyncCheckpointWriter;
 
 /// Whether checkpoints block for the full compress+write (kSync), only for
 /// the staging copy with the drain in the background (kAsync), or go
@@ -104,7 +104,7 @@ class CheckpointManager {
 
   /// Block until `version`'s drain (compression + pending store write) has
   /// finished and return its record. Idempotent until the version is
-  /// committed or aborted. Rethrows any drain-side exception.
+  /// committed or aborted: every call rethrows a failed drain's exception.
   CheckpointRecord wait_drain(int version);
 
   /// Promote a drained version to committed and prune per retention.
@@ -117,7 +117,7 @@ class CheckpointManager {
 
   /// Drains submitted but not yet committed/aborted.
   [[nodiscard]] int versions_in_flight() const noexcept {
-    return static_cast<int>(staged_versions_.size());
+    return static_cast<int>(in_flight_.size());
   }
 
   // --------------------------------------------------------------------------
@@ -191,7 +191,7 @@ class CheckpointManager {
   [[nodiscard]] const CheckpointStore& store() const { return *store_; }
 
   /// Attach (or detach, with a null sink) the observability handles. The
-  /// sink is forwarded to the store hierarchy and the async writer; the
+  /// sink is forwarded to the store hierarchy and the drain; the
   /// pointed-to registry/recorder must outlive the manager or be detached
   /// before they die. Must not change while a drain is in flight.
   void set_observability(obs::Sink sink);
@@ -312,28 +312,32 @@ class CheckpointManager {
   /// Chunk hashes of the most recent *committed* version — the only
   /// version a new checkpoint may delta against.
   std::shared_ptr<const ChunkBaseState> committed_state_;
-  /// Chunk hashes of staged versions, filled by their drains, awaiting
-  /// commit.
-  std::map<int, std::shared_ptr<ChunkBaseState>> staged_states_;
   /// Committed version → base version (-1 = full); drives the ref-counted
   /// retention that keeps live chain bases alive.
   std::map<int, int> base_of_;
-  /// Staged (uncommitted) version → the base captured at stage time, so
-  /// pruning cannot retire a base an in-flight delta still needs.
-  std::map<int, int> staged_base_;
 
-  // Async pipeline state. The writer thread is created on first stage(), so
+  /// A stage()d version until commit_version() or abort_version() retires
+  /// it.
+  struct InFlight {
+    /// The drain's record, or its exception — for every wait.
+    std::shared_future<CheckpointRecord> drain;
+    /// Delta base captured at stage time (-1: a full checkpoint, or delta
+    /// mode off), so pruning cannot retire a base the drain still needs.
+    int base = -1;
+    /// Chunk hashes the drain fills, installed as the delta base on commit;
+    /// null when delta mode is off.
+    std::shared_ptr<ChunkBaseState> state;
+  };
+
+  // Async pipeline state. The worker is created on the first stage(), so
   // purely synchronous users never spawn a thread.
   std::array<StagingSlot, 2> slots_;
   std::mutex slot_mu_;
   std::condition_variable slot_cv_;
-  std::map<int, CheckpointRecord> drained_;  ///< wait_drain() results cache.
-  std::set<int> failed_drains_;  ///< Versions whose drain threw (awaiting abort).
-  std::set<int> staged_versions_;  ///< stage()d, not yet committed/aborted.
-  // Declared last: drain jobs touch the slots, the slot mutex and the
-  // store, so the worker must join (writer destruction) before any of them
-  // is torn down.
-  std::unique_ptr<AsyncCheckpointWriter> writer_;
+  std::map<int, InFlight> in_flight_;
+  // Declared last: drains touch the slots, the slot mutex and the store, so
+  // the worker must join before any of them is torn down.
+  std::unique_ptr<SerialWorker> worker_;
 };
 
 }  // namespace lck

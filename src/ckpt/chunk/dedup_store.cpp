@@ -1,6 +1,5 @@
 #include "ckpt/chunk/dedup_store.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -38,10 +37,6 @@ std::string DedupChunkStore::skel_path(int version) const {
 
 std::string DedupChunkStore::chunk_path(std::uint64_t hash) const {
   return dir_ + "/chunks/" + hash_hex(hash) + ".chk";
-}
-
-std::string DedupChunkStore::legacy_path(int version) const {
-  return dir_ + "/ckpt_" + std::to_string(version) + ".lck";
 }
 
 void DedupChunkStore::add_chunk_ref(std::uint64_t hash,
@@ -174,12 +169,9 @@ DedupWriteStats DedupChunkStore::write_counted(int version,
 std::vector<byte_t> DedupChunkStore::read(int version) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = skeletons_.find(version);
-  if (it == skeletons_.end()) {
-    if (legacy_versions_.contains(version))
-      return read_file_bytes(legacy_path(version));
+  if (it == skeletons_.end())
     throw corrupt_stream_error("dedup store: no checkpoint version " +
                                std::to_string(version));
-  }
   std::vector<byte_t> out;
   out.reserve(it->second.logical_size);
   for (const auto& part : it->second.parts) {
@@ -207,7 +199,7 @@ std::vector<byte_t> DedupChunkStore::read(int version) const {
 
 bool DedupChunkStore::exists(int version) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return skeletons_.contains(version) || legacy_versions_.contains(version);
+  return skeletons_.contains(version);
 }
 
 void DedupChunkStore::remove(int version) {
@@ -216,11 +208,6 @@ void DedupChunkStore::remove(int version) {
 }
 
 void DedupChunkStore::remove_locked(int version) {
-  if (!dir_.empty()) {
-    std::error_code ec;
-    fs::remove(legacy_path(version), ec);
-  }
-  legacy_versions_.erase(version);
   const auto it = skeletons_.find(version);
   if (it == skeletons_.end()) return;
   // Skeleton file first, then the chunks it referenced: a crash between the
@@ -237,10 +224,7 @@ void DedupChunkStore::remove_locked(int version) {
 
 int DedupChunkStore::latest_version() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  int latest = skeletons_.empty() ? -1 : skeletons_.rbegin()->first;
-  if (!legacy_versions_.empty())
-    latest = std::max(latest, *legacy_versions_.rbegin());
-  return latest;
+  return skeletons_.empty() ? -1 : skeletons_.rbegin()->first;
 }
 
 std::vector<int> DedupChunkStore::versions_in(int lo, int hi) const {
@@ -249,10 +233,6 @@ std::vector<int> DedupChunkStore::versions_in(int lo, int hi) const {
   for (auto it = skeletons_.lower_bound(lo);
        it != skeletons_.end() && it->first < hi; ++it)
     out.push_back(it->first);
-  for (auto it = legacy_versions_.lower_bound(lo);
-       it != legacy_versions_.end() && *it < hi; ++it)
-    out.push_back(*it);
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -346,13 +326,6 @@ void DedupChunkStore::load_from_dir() {
   }
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    // Pre-dedup DiskStore history (ckpt_<v>.lck) stays readable after the
-    // L3 backend swap: the files are indexed as opaque legacy versions and
-    // served verbatim.
-    if (const auto v = parse_versioned_name(name, "ckpt_", ".lck")) {
-      legacy_versions_.insert(*v);
-      continue;
-    }
     const auto parsed_version = parse_versioned_name(name, "skel_", ".lcks");
     if (!parsed_version) continue;
     const int version = *parsed_version;

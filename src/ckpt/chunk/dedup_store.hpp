@@ -15,16 +15,16 @@
 ///
 /// Thread-safety: *internally* synchronized, unlike the other backends.
 /// One DedupChunkStore is the shared L3 of the multi-tenant
-/// CheckpointService, where N jobs' promotion workers write genuinely
-/// concurrently — each job's TieredCheckpointStore level lock serializes
-/// only that job's traffic, so refcount acquire/release, the skeleton
-/// index and the hit counters are guarded by one internal mutex here.
+/// CheckpointService, where N jobs promote genuinely concurrently, each
+/// from its own thread — each job's TieredCheckpointStore level lock
+/// serializes only that job's traffic, so refcount acquire/release, the
+/// skeleton index and the hit counters are guarded by one internal mutex
+/// here.
 /// (Single-tenant stacks pay one uncontended lock per call.)
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -59,7 +59,7 @@ class DedupChunkStore final : public CheckpointStore {
   [[nodiscard]] bool exists(int version) const override;
   void remove(int version) override;
   [[nodiscard]] int latest_version() const override;
-  /// Committed (skeleton or legacy) versions in [lo, hi), ascending — how a
+  /// Committed versions in [lo, hi), ascending — how a
   /// namespace view over the shared store enumerates its own key range.
   [[nodiscard]] std::vector<int> versions_in(int lo, int hi) const;
 
@@ -106,19 +106,15 @@ class DedupChunkStore final : public CheckpointStore {
   void persist_skeleton(int version, const Skeleton& skel) const;
   [[nodiscard]] std::string skel_path(int version) const;
   [[nodiscard]] std::string chunk_path(std::uint64_t hash) const;
-  [[nodiscard]] std::string legacy_path(int version) const;
   void load_from_dir();
 
   /// Guards every member below (and the chunk/skeleton files' lifecycle):
-  /// the service's promotion pool makes concurrent writers the norm, so
+  /// the service's concurrent jobs make concurrent writers the norm, so
   /// refcounts, the indexes and the counters are one critical section.
   mutable std::mutex mu_;
   std::string dir_;  ///< Empty ⇒ in-memory only.
   std::map<int, Skeleton> skeletons_;
   std::map<std::uint64_t, Chunk> chunks_;
-  /// Versions a pre-dedup DiskStore left in the directory as ckpt_<v>.lck
-  /// files; served verbatim so the backend swap cannot orphan old history.
-  std::set<int> legacy_versions_;
   std::size_t hits_ = 0;
   std::size_t bytes_saved_ = 0;
   obs::Sink obs_{};  ///< Observability handles (both null => off).

@@ -6,7 +6,6 @@
 #include "ckpt/chunk/dedup_store.hpp"
 #include "ckpt/frame_stream.hpp"
 #include "ckpt/tier/partner_store.hpp"
-#include "ckpt/tier/promo_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace lck {
@@ -41,16 +40,6 @@ TieredCheckpointStore::TieredCheckpointStore(std::vector<Level> levels,
     level_mu_.push_back(std::make_unique<std::mutex>());
     preloaded_.push_back(levels_[i].store->latest_version() >= 0);
   }
-  // The promotion pool is created lazily by the first background job: a
-  // store whose jobs run on a shared pool (the service's) must never spawn
-  // its own thread.
-}
-
-TieredCheckpointStore::~TieredCheckpointStore() {
-  // Pool workers must never run a job against a destroyed store, so wait
-  // for this store's submitted jobs; an own pool (the last-declared member)
-  // then joins its idle worker before the levels and mutexes die.
-  drain_promotions();
 }
 
 // ----- CheckpointStore interface --------------------------------------------
@@ -423,27 +412,17 @@ void TieredCheckpointStore::schedule_promotions(int version) {
   // the promotion worker instead of queueing unbounded staged copies.
   promo_cv_.wait(lock, [&] { return promo_in_flight_ < max_inflight_; });
   ++promo_in_flight_;
-  if (pool_ == nullptr) {
-    own_pool_ = std::make_unique<PromotionPool>(1);
-    pool_ = own_pool_.get();
-  }
-  PromotionPool* const pool = pool_;
-  const int key = fair_key_;
-  const auto rec = records_.find(version);
-  const std::size_t weight = rec != records_.end() ? rec->second.bytes : 0;
+  if (promoter_ == nullptr) promoter_ = std::make_unique<SerialWorker>();
+  SerialWorker* const promoter = promoter_.get();
   lock.unlock();
 
-  pool->submit(key, weight, [this, version] {
+  promoter->submit([this, version] {
     bool ok = true;
     try {
       run_promotion_pass(version);
-    } catch (...) {  // never let a job's error escape into a pool worker
+    } catch (...) {  // a failed copy is counted, never propagated
       ok = false;
     }
-    // Decrement and notify under the lock: drain_promotions() (and so the
-    // destructor) may be waiting on promo_in_flight_ == 0, and once it
-    // returns the store — and this condition variable — are gone. After
-    // the unlock a pool worker touches nothing of `this`.
     const std::lock_guard<std::mutex> lock(mu_);
     if (!ok) ++failed_promotions_;
     --promo_in_flight_;
@@ -482,16 +461,6 @@ void TieredCheckpointStore::set_observability(obs::Sink sink) {
 std::size_t TieredCheckpointStore::failed_promotions() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return failed_promotions_;
-}
-
-void TieredCheckpointStore::set_promotion_pool(PromotionPool* pool,
-                                               int fair_key) {
-  require(pool != nullptr, "tiered store: null promotion pool");
-  const std::lock_guard<std::mutex> lock(mu_);
-  require(pool_ == nullptr && promo_in_flight_ == 0,
-          "tiered store: install the promotion pool before any traffic");
-  pool_ = pool;
-  fair_key_ = fair_key;
 }
 
 // ----- canonical 3-level factory --------------------------------------------

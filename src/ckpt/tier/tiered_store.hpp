@@ -10,9 +10,8 @@
 /// lacks, deepest first, then the version itself), and promote(hop) makes
 /// one copy. Only who executes a plan differs:
 ///  - a self-promoting store (`auto_promote`) runs each committed version's
-///    plan as a background job on a PromotionPool — its own one-worker
-///    pool, or a shared one installed with set_promotion_pool() — so the
-///    solver never blocks on a PFS write;
+///    plan as a background job on its own SerialWorker, in commit order, so
+///    the solver never blocks on a PFS write;
 ///  - a caller-driven store leaves execution to its owner: promote_now()
 ///    runs a plan synchronously, and the virtual-time ResilientRunner
 ///    prices each hop on its simulated clock and calls promote(hop) when
@@ -35,11 +34,10 @@
 #include <vector>
 
 #include "ckpt/checkpoint_store.hpp"
+#include "common/serial_worker.hpp"
 #include "common/severity.hpp"
 
 namespace lck {
-
-class PromotionPool;
 
 /// Static description of one tier of the hierarchy.
 struct TierSpec {
@@ -80,7 +78,6 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// (promote_now(), or the virtual-time runner's promote(hop) calls).
   explicit TieredCheckpointStore(std::vector<Level> levels,
                                  bool auto_promote = true);
-  ~TieredCheckpointStore() override;
 
   // ----- CheckpointStore interface (writes target L1, reads fall back) ------
   void write(int version, std::span<const byte_t> data) override;
@@ -159,13 +156,6 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// concurrent traffic, like the other configuration methods.
   void set_observability(obs::Sink sink) override;
 
-  /// Run background promotions on `pool` (tagged `fair_key`) instead of a
-  /// store-owned one-worker pool. Call before any traffic; the pool must
-  /// outlive this store. The in-flight bound and drain_promotions() still
-  /// apply — the destructor waits for this store's submitted jobs, so pool
-  /// workers never touch a dead store.
-  void set_promotion_pool(PromotionPool* pool, int fair_key);
-
  private:
   [[nodiscard]] bool committed_at_locked(int level, int version) const;
   /// Cheapest level holding `version`, or -1.
@@ -205,20 +195,16 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// the fallback would transiently resurrect an invalidated version.
   std::vector<bool> preloaded_;
   /// One record per version some tier (or L1's pending slot) holds, for
-  /// chain-aware pruning, promotion planning and background job weights.
+  /// chain-aware pruning and promotion planning.
   std::map<int, VersionRecord> records_;
   std::uint64_t epoch_ = 0;  ///< Bumped by invalidate()/remove().
   std::size_t promo_in_flight_ = 0;
   std::size_t max_inflight_ = 16;
   std::size_t failed_promotions_ = 0;
-  /// Where background jobs run (non-owning) and this store's fairness key;
-  /// nullptr until set_promotion_pool() or the first background job.
-  PromotionPool* pool_ = nullptr;
-  int fair_key_ = 0;
-  /// Declared last so its worker joins before the levels and mutexes die.
-  /// Created lazily by the first background job when no shared pool is
-  /// installed.
-  std::unique_ptr<PromotionPool> own_pool_;
+  /// Runs the background jobs; created by the first one. Declared last, so
+  /// it finishes every queued job and joins before the levels and mutexes
+  /// die.
+  std::unique_ptr<SerialWorker> promoter_;
 };
 
 /// The canonical 3-level hierarchy: L1 node-local (MemoryStore), L2

@@ -178,7 +178,7 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
 ResilientRunner::~ResilientRunner() = default;
 
 std::unique_ptr<obs::TraceRecorder> ResilientRunner::take_trace() noexcept {
-  // The manager (and its async writer / stores) hold sink_ copies; tear the
+  // The manager and its stores hold sink_ copies; tear the
   // trace pointer out of them before moving ownership so no component can
   // record into a recorder the caller may destroy.
   sink_.trace = nullptr;

@@ -24,8 +24,8 @@
 ///                     MetricsRegistry / MetricsSnapshot (JSON + Prometheus
 ///                     text), TraceRecorder + write_chrome_trace (Perfetto)
 ///  - multi-tenancy:   svc::CheckpointService + JobHandle (shared dedup L3,
-///                     per-job namespaces, admission control, fair shared
-///                     promotion pool)
+///                     per-job namespaces, admission control, per-job
+///                     metrics)
 ///
 /// Headers outside this set (individual solver classes, compressor
 /// internals, tier stores) remain usable but are implementation surface and

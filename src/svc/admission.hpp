@@ -13,9 +13,9 @@
 /// budget is clamped to the budget rather than rejected: it admits alone,
 /// which is the only meaningful way to run an oversized write.
 ///
-/// This is back-pressure, not scheduling: fairness *among* queued
-/// promotions is the PromotionPool's deficit-round-robin; admission only
-/// bounds the total bytes simultaneously in flight against the shared L3.
+/// This is back-pressure, not scheduling: admission only bounds the total
+/// bytes simultaneously in flight against the shared L3, and FIFO order is
+/// the only fairness among the writers it queues.
 
 #include <condition_variable>
 #include <cstddef>

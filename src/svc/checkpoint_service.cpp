@@ -199,7 +199,7 @@ std::shared_ptr<CheckpointService::JobState> CheckpointService::state_of(
 }
 
 std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
-    int job_id, bool promote_on_pool) {
+    int job_id) {
   const std::shared_ptr<JobState> state = state_of(job_id);
   const JobConfig& jc = state->cfg;
 
@@ -213,13 +213,8 @@ std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
   levels.push_back({TierSpec{"L3-pfs", FailureSeverity::kSystem, jc.retention,
                              jc.l3_promote_every},
                     std::make_unique<NamespaceStore>(this, state)});
-  auto store = std::make_unique<TieredCheckpointStore>(std::move(levels),
-                                                      promote_on_pool);
-  // All jobs' promotions ride the one shared pool, keyed by job id for
-  // deficit-round-robin fairness; the per-store bound still back-pressures
-  // this job's own commits.
-  if (promote_on_pool) store->set_promotion_pool(&pool_, state->id);
-  return store;
+  return std::make_unique<TieredCheckpointStore>(std::move(levels),
+                                                 /*auto_promote=*/false);
 }
 
 JobStats CheckpointService::job_stats(int job_id) const {
@@ -251,19 +246,12 @@ std::string JobHandle::name() const {
   return svc_->state_of(id_)->name;
 }
 
-std::unique_ptr<CheckpointStore> JobHandle::make_store() const {
-  require(open(), "job handle: closed");
-  return svc_->make_store_for(id_, /*promote_on_pool=*/true);
-}
-
 std::function<std::unique_ptr<CheckpointStore>()> JobHandle::store_factory()
     const {
   require(open(), "job handle: closed");
   CheckpointService* svc = svc_;
   const int id = id_;
-  return [svc, id] {
-    return svc->make_store_for(id, /*promote_on_pool=*/false);
-  };
+  return [svc, id] { return svc->make_store_for(id); };
 }
 
 JobStats JobHandle::stats() const {

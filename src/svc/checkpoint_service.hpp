@@ -1,13 +1,13 @@
 #pragma once
 /// \file checkpoint_service.hpp
 /// \brief Multi-tenant checkpoint service: one shared content-addressed L3
-///        (DedupChunkStore) and one shared promotion worker pool serving N
-///        concurrent solver jobs, each isolated in its own namespace.
+///        (DedupChunkStore) serving N concurrent solver jobs, each isolated
+///        in its own namespace.
 ///
 ///   job 0 ── L1 Memory ─ L2 Partner ─┐                 ┌ admission tokens
 ///   job 1 ── L1 Memory ─ L2 Partner ─┼── NamespaceStore┼── shared L3
 ///   ...                              │   (key = id·S+v)│   DedupChunkStore
-///   job N ── L1 Memory ─ L2 Partner ─┘                 └ shared PromotionPool
+///   job N ── L1 Memory ─ L2 Partner ─┘                 └ per-job metrics
 ///
 /// Every job gets its own TieredCheckpointStore (private L1/L2, per-job
 /// retention and promotion cadence) whose L3 level is a namespace view over
@@ -16,14 +16,12 @@
 /// another job's versions, while identical chunk payloads across jobs —
 /// the common static problem state — are stored once (cross-job dedup).
 ///
-/// Two service-wide mechanisms arbitrate the shared tier:
-///  - admission control (svc::AdmissionController): every namespace write
-///    first reserves its byte size against a global budget, so the fleet's
-///    aggregate in-flight L3 bytes are bounded (back-pressure, not failure);
-///  - fairness (PromotionPool): the background promotions of every stack
-///    made by make_store() run on one deficit-round-robin pool keyed by
-///    job id, so a heavy writer cannot starve a light one and N tenants do
-///    not spawn N threads.
+/// Admission control (svc::AdmissionController) arbitrates the shared
+/// tier: every namespace write first reserves its byte size against a
+/// global budget, so the fleet's aggregate in-flight L3 bytes are bounded
+/// (back-pressure, not failure). The service starts no thread of its own:
+/// every job stack is caller-driven — the job's runner executes its
+/// promotions on its virtual clock.
 ///
 /// The service owns an always-on MetricsRegistry: global gauges
 /// (svc.jobs_active, svc.l3_logical_bytes, svc.l3_physical_bytes), global
@@ -33,19 +31,20 @@
 /// metrics().to_prometheus() directly.
 ///
 /// Lifetime discipline: stores made by a JobHandle borrow the service's
-/// shared L3 and pool, so they must be destroyed before the handle closes,
+/// shared L3, so they must be destroyed before the handle closes,
 /// and every handle must close before the service dies (the destructor
 /// checks). The handles plug into ResilientRunner unchanged via
 /// ResilienceConfig::store_factory.
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "ckpt/chunk/dedup_store.hpp"
-#include "ckpt/tier/promo_pool.hpp"
 #include "obs/metrics.hpp"
 #include "svc/admission.hpp"
 
@@ -120,17 +119,13 @@ class JobHandle {
   [[nodiscard]] int id() const noexcept { return id_; }
   [[nodiscard]] std::string name() const;
 
-  /// Build this job's store stack: private L1 (memory) + L2 (partner) and
-  /// the namespaced shared-L3 level, promoting in the background on the
-  /// service's shared pool. The stack satisfies the plain CheckpointStore
-  /// interface, so a CheckpointManager uses it unchanged. May be called
-  /// again after discarding a stack — the namespace's surviving shared-L3
+  /// Builds this job's store stack: private L1 (memory) + L2 (partner) and
+  /// the namespaced shared-L3 level, as a caller-driven
+  /// TieredCheckpointStore (no background promotions), packaged for
+  /// ResilienceConfig::store_factory: the runner executes promotions on its
+  /// virtual clock; other owners call promote_now(). May be called again
+  /// after discarding a stack — the namespace's surviving shared-L3
   /// versions are visible to the new stack (restart/recovery).
-  [[nodiscard]] std::unique_ptr<CheckpointStore> make_store() const;
-
-  /// The same stack, caller-driven (no background promotions), packaged
-  /// for ResilienceConfig::store_factory: the runner executes promotions
-  /// on its virtual clock.
   [[nodiscard]] std::function<std::unique_ptr<CheckpointStore>()>
   store_factory() const;
 
@@ -190,8 +185,7 @@ class CheckpointService {
   struct JobState;
 
   void close_job(int job_id);
-  [[nodiscard]] std::unique_ptr<CheckpointStore> make_store_for(
-      int job_id, bool promote_on_pool);
+  [[nodiscard]] std::unique_ptr<CheckpointStore> make_store_for(int job_id);
   [[nodiscard]] std::shared_ptr<JobState> state_of(int job_id) const;
   void refresh_gauges();
 
@@ -204,10 +198,6 @@ class CheckpointService {
   std::condition_variable jobs_cv_;
   std::map<int, std::shared_ptr<JobState>> jobs_;
   int next_job_id_ = 0;
-
-  /// Declared last: its destructor drains the queued promotion closures,
-  /// which touch the members above.
-  PromotionPool pool_;
 };
 
 }  // namespace lck::svc

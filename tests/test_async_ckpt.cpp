@@ -1,25 +1,29 @@
-/// Asynchronous (staged) checkpoint pipeline tests: stage/drain/commit and
-/// abort semantics at the manager level, double-buffer back-pressure on the
-/// real writer thread, pending-vs-committed store states, retention
-/// interplay, and the ResilientRunner async mode (failure during drain
-/// recovers from the previous committed version, bit-stable reruns, and the
-/// blocking-time win over sync).
+/// Asynchronous (staged) checkpoint pipeline tests: the SerialWorker that
+/// runs every drain (FIFO order, futures, draining destructor),
+/// stage/drain/commit and abort semantics at the manager level,
+/// double-buffer back-pressure on the real drain thread, pending-vs-committed
+/// store states, retention interplay, and the ResilientRunner async mode
+/// (failure during drain recovers from the previous committed version,
+/// bit-stable reruns, and the blocking-time win over sync).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <system_error>
 #include <thread>
+#include <vector>
 
-#include "ckpt/async_writer.hpp"
 #include "ckpt/checkpoint_manager.hpp"
 #include "common/rng.hpp"
+#include "common/serial_worker.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
 #include "sparse/vector_ops.hpp"
@@ -34,51 +38,49 @@ Vector random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// ----- AsyncCheckpointWriter ------------------------------------------------
+// ----- SerialWorker ---------------------------------------------------------
 
-TEST(AsyncWriter, RunsJobsInOrderAndReturnsRecords) {
-  AsyncCheckpointWriter w;
-  std::atomic<int> order{0};
-  int first = -1, second = -1;
-  w.submit(0, [&] {
-    first = order.fetch_add(1);
+TEST(SerialWorker, RunsTasksInSubmitOrderAndReturnsResults) {
+  SerialWorker w;
+  std::vector<int> order;  // written by the worker only; read after get()
+  auto first = w.submit([&] {
+    order.push_back(0);
     CheckpointRecord rec;
-    rec.version = 0;
     rec.stored_bytes = 11;
     return rec;
   });
-  w.submit(1, [&] {
-    second = order.fetch_add(1);
+  auto second = w.submit([&] {
+    order.push_back(1);
     CheckpointRecord rec;
-    rec.version = 1;
     rec.stored_bytes = 22;
     return rec;
   });
-  EXPECT_EQ(w.wait(1).stored_bytes, 22u);
-  EXPECT_EQ(w.wait(0).stored_bytes, 11u);
-  EXPECT_EQ(first, 0);
-  EXPECT_EQ(second, 1);
+  EXPECT_EQ(second.get().stored_bytes, 22u);
+  EXPECT_EQ(first.get().stored_bytes, 11u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(AsyncWriter, PropagatesJobExceptions) {
-  AsyncCheckpointWriter w;
-  w.submit(5, []() -> CheckpointRecord {
+TEST(SerialWorker, FutureCarriesTheTaskException) {
+  SerialWorker w;
+  auto failed = w.submit([]() -> CheckpointRecord {
     throw corrupt_stream_error("drain blew up");
   });
-  EXPECT_THROW((void)w.wait(5), corrupt_stream_error);
+  EXPECT_THROW((void)failed.get(), corrupt_stream_error);
+  // The throw stayed in the future: the worker keeps serving tasks.
+  EXPECT_EQ(w.submit([] { return 7; }).get(), 7);
 }
 
-TEST(AsyncWriter, DestructorDrainsQueuedJobs) {
+TEST(SerialWorker, DestructorRunsEveryQueuedTask) {
   std::atomic<int> ran{0};
   {
-    AsyncCheckpointWriter w;
-    for (int v = 0; v < 8; ++v)
-      w.submit(v, [&ran] {
-        ++ran;
-        return CheckpointRecord{};
-      });
+    SerialWorker w;
+    // The first task holds the thread while the rest queue up, so the
+    // destructor starts with a full queue.
+    w.submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+    for (int i = 0; i < 200; ++i) w.submit([&ran] { ran.fetch_add(1); });
   }
-  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(ran.load(), 200);
 }
 
 // ----- manager: stage/drain/commit ------------------------------------------
@@ -306,6 +308,42 @@ TEST(AsyncManager, DrainExceptionFreesStagingSlotAndPropagates) {
   }
   EXPECT_EQ(mgr.versions_in_flight(), 0);
   EXPECT_FALSE(mgr.has_checkpoint());
+}
+
+/// Compressor whose compress() fails like a full disk.
+class FullDiskCompressor final : public Compressor {
+ public:
+  [[nodiscard]] std::string name() const override { return "full-disk"; }
+  [[nodiscard]] bool lossy() const noexcept override { return false; }
+  [[nodiscard]] std::vector<byte_t> compress(
+      std::span<const double>) const override {
+    throw std::system_error(ENOSPC, std::generic_category(), "drain write");
+  }
+  void decompress(std::span<const byte_t>, std::span<double>) const override {
+    throw corrupt_stream_error("unreachable");
+  }
+};
+
+TEST(AsyncManager, RewaitingAFailedDrainRethrowsItsError) {
+  // Every wait reports the drain's own error: a full disk must not turn
+  // into a stream-corruption report on the second wait.
+  FullDiskCompressor full;
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &full);
+  Vector x(64, 1.0);
+  mgr.protect(0, "x", &x);
+  const StageTicket t = mgr.stage();
+  for (int wait = 0; wait < 2; ++wait) {
+    try {
+      (void)mgr.wait_drain(t.version);
+      ADD_FAILURE() << "wait " << wait << " returned";
+    } catch (const std::system_error& e) {
+      EXPECT_EQ(e.code(), std::errc::no_space_on_device) << "wait " << wait;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wait " << wait << " threw " << e.what();
+    }
+  }
+  mgr.abort_version(t.version);
+  EXPECT_EQ(mgr.versions_in_flight(), 0);
 }
 
 TEST(AsyncManager, LossyStagedCheckpointHonoursErrorBound) {

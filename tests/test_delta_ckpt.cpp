@@ -413,25 +413,6 @@ TEST(DedupStore, ReopenSurvivesACrashInsideRemovesDeletionWindow) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DedupStore, LegacyDiskStoreFilesStayReadableAfterBackendSwap) {
-  // A pfs_dir written by the pre-dedup DiskStore (ckpt_<v>.lck) must stay
-  // readable when the tier reopens on the DedupChunkStore backend.
-  const auto dir = unique_dir("legacy_lck");
-  const std::vector<byte_t> old_blob{7, 8, 9, 10};
-  {
-    DiskStore old_store(dir.string());
-    old_store.write(3, old_blob);
-  }
-  DedupChunkStore store(dir.string());
-  EXPECT_TRUE(store.exists(3));
-  EXPECT_EQ(store.latest_version(), 3);
-  EXPECT_EQ(store.read(3), old_blob);
-  store.remove(3);
-  EXPECT_FALSE(store.exists(3));
-  EXPECT_FALSE(std::filesystem::exists(dir / "ckpt_3.lck"));
-  std::filesystem::remove_all(dir);
-}
-
 TEST(DeltaManager, CompressorSwapMidChainForcesLiteralsAndRecovers) {
   // Re-protecting a variable with a different codec must not let the next
   // delta reference the old codec's payloads.

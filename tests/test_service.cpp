@@ -1,12 +1,15 @@
 /// Multi-tenant checkpoint service tests: namespace isolation, cross-job
-/// dedup accounting, admission back-pressure, promotion-pool fairness,
-/// bit-stable reruns through the service, and a concurrent-writer stress
-/// over the shared DedupChunkStore (the TSan target).
+/// dedup accounting, admission back-pressure, bit-stable reruns through the
+/// service, a concurrent-writer stress over the shared DedupChunkStore (the
+/// TSan target), and the thread topology: which owners start a background
+/// thread, and when.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,59 +108,6 @@ TEST(Admission, FifoKeepsSmallRequestsFromStarvingLargeOnes) {
   EXPECT_EQ(order[1], "small");
 }
 
-// ----- promotion pool fairness ----------------------------------------------
-
-TEST(PromoPool, RunsEverySubmittedTaskBeforeShutdown) {
-  std::atomic<int> ran{0};
-  {
-    PromotionPool pool(3, 1024);
-    for (int i = 0; i < 200; ++i)
-      pool.submit(i % 7, 100, [&] { ran.fetch_add(1); });
-  }  // destructor drains
-  EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(PromoPool, DeficitRoundRobinKeepsLightJobUnstarved) {
-  // One worker for a deterministic serving order. A gate task occupies the
-  // worker while both jobs queue: a heavy job with 40 quantum-sized tasks
-  // and a light job with 5 tiny ones. DRR must interleave the light job's
-  // tasks with the head of the heavy backlog, not append them behind it.
-  constexpr std::size_t kQuantum = 1 << 20;
-  PromotionPool pool(1, kQuantum);
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  pool.submit(99, 1, [&] {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  });
-  std::mutex order_mu;
-  std::vector<int> order;  // job id per completed task
-  for (int i = 0; i < 40; ++i)
-    pool.submit(1, kQuantum, [&] {
-      const std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(1);
-    });
-  for (int i = 0; i < 5; ++i)
-    pool.submit(2, 1024, [&] {
-      const std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(2);
-    });
-  {
-    const std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  while (pool.executed() < 46) std::this_thread::yield();
-  int last_light = -1;
-  for (int i = 0; i < static_cast<int>(order.size()); ++i)
-    if (order[i] == 2) last_light = i;
-  // Strict DRR alternation serves the 5th light task by position ~10; any
-  // starvation (light job appended after the heavy 40) would put it at 44.
-  EXPECT_LT(last_light, 15);
-  EXPECT_EQ(order.size(), 45u);
-}
-
 // ----- service: namespaces --------------------------------------------------
 
 TEST(Service, NamespaceIsolationAcrossPruneAndInvalidate) {
@@ -215,7 +165,7 @@ TEST(Service, ReopenedNamespaceSeesSurvivingVersions) {
     store->write(3, data);
     tier->promote_now(3, 2);
   }  // job's stack dies; the shared L3 retains its namespace
-  auto store = job.make_store();
+  auto store = job.store_factory()();
   EXPECT_EQ(store->latest_version(), 3);
   EXPECT_EQ(store->read(3), data);
 }
@@ -255,15 +205,14 @@ TEST(Service, CrossJobDedupHitsAreAttributedToTheWritingJob) {
   auto job_b = service.open_job({.name = "second", .l3_promote_every = 1});
 
   const auto run_job = [&](svc::JobHandle& job) {
-    auto store = job.make_store();
+    auto store = job.store_factory()();
     auto* tier = dynamic_cast<TieredCheckpointStore*>(store.get());
     Vector mine = x;
     CheckpointManager mgr(std::move(store), &none);
     mgr.set_retention(1 << 20);  // tier retention governs
     mgr.set_delta(4, 256);
     mgr.protect(0, "x", &mine);
-    mgr.checkpoint();
-    tier->drain_promotions();
+    tier->promote_now(mgr.checkpoint().version, 2);
   };
   run_job(job_a);
   run_job(job_b);
@@ -465,6 +414,75 @@ TEST(DedupStoreConcurrency, ParallelWritersKeepRefcountsAndBytesExact) {
   EXPECT_GT(probe.chunks, 0u);
   EXPECT_EQ(probe.hits, probe.chunks);
   EXPECT_LT(store.physical_bytes(), store.logical_bytes() / 4);
+}
+
+// ----- thread topology ------------------------------------------------------
+
+/// Threads of this process. Reads /proc/self/task until two reads agree, so
+/// a thread joined just before is not miscounted while the kernel reaps it.
+int thread_count() {
+  const auto read = [] {
+    int n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  int last = read();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int now = read();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+TEST(ThreadTopology, OnlyBackgroundWorkStartsAThreadAndOnlyOnePerOwner) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "/proc/self/task is absent";
+  // One-chunk vectors and blobs throughout, so no OpenMP team starts.
+  NoneCompressor none;
+  Vector x(64, 1.0);
+  {
+    const int before = thread_count();
+    CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
+    mgr.protect(0, "x", &x);
+    mgr.checkpoint();
+    EXPECT_EQ(thread_count() - before, 0) << "synchronous checkpoints only";
+    const StageTicket first = mgr.stage();
+    EXPECT_EQ(thread_count() - before, 1) << "after the first stage()";
+    const StageTicket second = mgr.stage();
+    EXPECT_EQ(thread_count() - before, 1) << "after a second stage()";
+    mgr.commit_version(first.version);
+    mgr.commit_version(second.version);
+  }
+  {
+    const int before = thread_count();
+    auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/false);
+    store->write(0, blob(256, 1));
+    store->promote_now(0, 2);
+    EXPECT_EQ(thread_count() - before, 0) << "caller-driven tiered store";
+  }
+  {
+    const int before = thread_count();
+    auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/true);
+    EXPECT_EQ(thread_count() - before, 0)
+        << "self-promoting store before its first commit";
+    store->write(0, blob(256, 1));
+    store->write(1, blob(256, 2));
+    EXPECT_EQ(thread_count() - before, 1)
+        << "self-promoting store after two commits";
+  }
+  {
+    const int before = thread_count();
+    CheckpointService service;
+    auto job = service.open_job();
+    auto store = job.store_factory()();
+    EXPECT_EQ(thread_count() - before, 0) << "service, job and its stack";
+  }
 }
 
 }  // namespace
