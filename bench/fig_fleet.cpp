@@ -1,16 +1,15 @@
 /// Beyond the paper: a multi-tenant checkpoint fleet. N concurrent jobs —
 /// a mix of Poisson and KKT problems across the three schemes — share one
 /// CheckpointService: a single content-addressed L3 with per-job
-/// namespaces and global admission control; each job's runner executes its
-/// own promotions.
+/// namespaces; each job's runner decides and executes its own promotions.
 ///
 ///   build/bench/fig_fleet [--json <path>]
 ///
 /// For N in {1, 4, 16, 64}: job throughput (jobs/s), aggregate L3 logical
-/// vs physical bytes, cross-job dedup hit rate, p99 shared-tier write
-/// latency under contention, and admission waits. Solo per-flavor baselines
-/// anchor the headline claim: the fleet's physical bytes grow with the
-/// number of *distinct* problems, not the number of jobs.
+/// vs physical bytes, cross-job dedup hit rate and p99 shared-tier write
+/// latency under contention. Solo per-flavor baselines anchor the headline
+/// claim: the fleet's physical bytes grow with the number of *distinct*
+/// problems, not the number of jobs.
 ///
 /// Exit code enforces the claim: at N = 16 the shared tier must hold less
 /// than 0.5x the sum of the 16 jobs' solo physical footprints, and every
@@ -91,12 +90,6 @@ ResilienceConfig fleet_config(const Flavor& flavor,
   return cfg;
 }
 
-svc::ServiceConfig fleet_service_config() {
-  svc::ServiceConfig cfg;
-  cfg.max_jobs = 128;  // above the largest fleet, so open_job never blocks
-  return cfg;
-}
-
 /// Merge every per-job `svc.l3_write_seconds{job=...}` series into one
 /// histogram so the fleet-wide p99 reflects all shared-tier writes.
 obs::HistogramSnapshot merged_l3_write_hist(const obs::MetricsSnapshot& snap) {
@@ -125,11 +118,10 @@ struct FleetResult {
   std::uint64_t dedup_hits = 0;
   std::uint64_t chunks = 0;
   double p99_l3_write_seconds = 0.0;
-  double admission_waits = 0.0;
 };
 
 FleetResult run_fleet(const std::vector<Flavor>& flavors, int jobs) {
-  svc::CheckpointService service(fleet_service_config());
+  svc::CheckpointService service;
   std::vector<std::thread> threads;
   std::atomic<bool> converged{true};
   const WallTimer timer;
@@ -137,9 +129,8 @@ FleetResult run_fleet(const std::vector<Flavor>& flavors, int jobs) {
     threads.emplace_back([&, j] {
       const Flavor& flavor =
           flavors[static_cast<std::size_t>(j) % flavors.size()];
-      auto job = service.open_job({.name = flavor.name + "-" +
-                                       std::to_string(j),
-                                   .l3_promote_every = 2});
+      auto job = service.open_job(
+          {.name = flavor.name + "-" + std::to_string(j)});
       auto solver = flavor.problem.make_solver();
       const auto res =
           ResilientRunner(*solver, fleet_config(flavor, job)).run();
@@ -159,7 +150,6 @@ FleetResult run_fleet(const std::vector<Flavor>& flavors, int jobs) {
              r.dedup_hits;
   const obs::HistogramSnapshot hist = merged_l3_write_hist(snap);
   r.p99_l3_write_seconds = hist.count > 0 ? hist.quantile(0.99) : 0.0;
-  r.admission_waits = snap.counter("svc.admission_waits");
   return r;
 }
 
@@ -190,11 +180,10 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> solo_physical;
   bool solos_converged = true;
   for (std::size_t f = 0; f < flavors.size(); ++f) {
-    svc::CheckpointService service(fleet_service_config());
+    svc::CheckpointService service;
     bool conv = false;
     {
-      auto job = service.open_job({.name = flavors[f].name,
-                                   .l3_promote_every = 2});
+      auto job = service.open_job({.name = flavors[f].name});
       auto solver = flavors[f].problem.make_solver();
       conv = ResilientRunner(*solver, fleet_config(flavors[f], job))
                  .run()
@@ -209,9 +198,9 @@ int main(int argc, char** argv) {
 
   // ----- fleets --------------------------------------------------------------
   std::printf("\nFleets (N concurrent jobs, one shared service)\n");
-  std::printf("%-6s %-9s %-10s %-13s %-13s %-9s %-12s %-8s\n", "N",
-              "jobs/s", "converged", "logical B", "physical B", "hit rate",
-              "p99 L3 wr s", "adm wait");
+  std::printf("%-6s %-9s %-10s %-13s %-13s %-9s %-12s\n", "N", "jobs/s",
+              "converged", "logical B", "physical B", "hit rate",
+              "p99 L3 wr s");
   std::vector<std::vector<double>> fleet_rows;
   FleetResult fleet16;
   bool fleets_converged = true;
@@ -223,17 +212,16 @@ int main(int argc, char** argv) {
         r.chunks > 0 ? static_cast<double>(r.dedup_hits) /
                            static_cast<double>(r.chunks)
                      : 0.0;
-    std::printf("%-6d %-9.2f %-10s %-13zu %-13zu %-9.3f %-12.6f %-8.0f\n",
-                r.jobs, static_cast<double>(r.jobs) / r.wall_seconds,
+    std::printf("%-6d %-9.2f %-10s %-13zu %-13zu %-9.3f %-12.6f\n", r.jobs,
+                static_cast<double>(r.jobs) / r.wall_seconds,
                 r.all_converged ? "all" : "SOME NOT", r.logical_bytes,
-                r.physical_bytes, hit_rate, r.p99_l3_write_seconds,
-                r.admission_waits);
+                r.physical_bytes, hit_rate, r.p99_l3_write_seconds);
     fleet_rows.push_back({static_cast<double>(r.jobs),
                           static_cast<double>(r.jobs) / r.wall_seconds,
                           r.all_converged ? 1.0 : 0.0,
                           static_cast<double>(r.logical_bytes),
                           static_cast<double>(r.physical_bytes), hit_rate,
-                          r.p99_l3_write_seconds, r.admission_waits});
+                          r.p99_l3_write_seconds});
   }
 
   // ----- the sublinear-bytes claim ------------------------------------------
@@ -261,8 +249,7 @@ int main(int argc, char** argv) {
 
   json.table("fleet",
              {"jobs", "jobs_per_sec", "all_converged", "logical_bytes",
-              "physical_bytes", "dedup_hit_rate", "p99_l3_write_seconds",
-              "admission_waits"},
+              "physical_bytes", "dedup_hit_rate", "p99_l3_write_seconds"},
              fleet_rows);
   json.scalar("solo_physical_sum_16", solo_sum_16);
   json.scalar("fleet16_physical_bytes",

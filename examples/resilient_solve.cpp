@@ -14,9 +14,8 @@
 ///
 /// --jobs N switches to multi-tenant mode: N concurrent copies of the lossy
 /// tiered run share one CheckpointService (one content-addressed L3, per-job
-/// namespaces, admission control); prints per-job and aggregate dedup stats.
-/// Delta chunking defaults on in this mode — it is the unit of cross-job
-/// dedup.
+/// namespaces); prints per-job and aggregate dedup stats. Delta chunking
+/// defaults on in this mode — it is the unit of cross-job dedup.
 ///
 /// --trace merges every scheme x mode run into one Chrome trace_event file
 /// (one pid per run; open in Perfetto). --metrics writes one JSON object
@@ -115,16 +114,13 @@ int main(int argc, char** argv) {
     // Every job runs the same deterministic simulation, so their delta
     // chunks collide in the shared content-addressed L3: the aggregate
     // physical footprint stays near one job's, not N jobs'.
-    svc::ServiceConfig scfg;
-    if (jobs > scfg.max_jobs) scfg.max_jobs = jobs;
-    svc::CheckpointService service(scfg);
+    svc::CheckpointService service;
     std::vector<svc::JobStats> stats(static_cast<std::size_t>(jobs));
     std::vector<char> ok(static_cast<std::size_t>(jobs), 0);
     std::vector<std::thread> threads;
     for (int j = 0; j < jobs; ++j)
       threads.emplace_back([&, j] {
-        auto job = service.open_job({.name = "job" + std::to_string(j),
-                                     .l3_promote_every = 2});
+        auto job = service.open_job({.name = "job" + std::to_string(j)});
         auto solver = p.make_solver();
         ResilienceConfig cfg = base_cfg(CkptScheme::kLossy,
                                         CkptMode::kTiered);
@@ -137,16 +133,15 @@ int main(int argc, char** argv) {
 
     std::printf("Multi-tenant: %d lossy tiered jobs through one "
                 "CheckpointService (delta chain %d)\n\n", jobs, delta_chain);
-    std::printf("%-8s %-10s %-9s %-11s %-13s %-9s\n", "job", "converged",
-                "L3 wr", "dedup hits", "bytes saved", "adm waits");
+    std::printf("%-8s %-10s %-9s %-11s %-13s\n", "job", "converged",
+                "L3 wr", "dedup hits", "bytes saved");
     bool all_ok = true;
     for (int j = 0; j < jobs; ++j) {
       const auto& s = stats[static_cast<std::size_t>(j)];
       all_ok = all_ok && ok[static_cast<std::size_t>(j)] != 0;
-      std::printf("%-8s %-10s %-9zu %-11zu %-13zu %-9zu\n", s.name.c_str(),
+      std::printf("%-8s %-10s %-9zu %-11zu %-13zu\n", s.name.c_str(),
                   ok[static_cast<std::size_t>(j)] != 0 ? "yes" : "NO",
-                  s.l3_writes, s.dedup_hits, s.dedup_bytes_saved,
-                  s.admission_waits);
+                  s.l3_writes, s.dedup_hits, s.dedup_bytes_saved);
     }
     const std::size_t logical = service.l3().logical_bytes();
     const std::size_t physical = service.l3().physical_bytes();

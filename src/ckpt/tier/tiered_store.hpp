@@ -49,7 +49,9 @@ struct TierSpec {
   /// versions arrive). Must be >= 1.
   int retention = 2;
   /// Auto-promotion filter: every `promote_every`-th version enters this
-  /// tier (1 = all). Ignored for level 0, which receives every write.
+  /// tier (1 = all). Read only by a self-promoting store; a caller-driven
+  /// store's owner picks the versions it promotes. Ignored for level 0,
+  /// which receives every write.
   int promote_every = 1;
 };
 

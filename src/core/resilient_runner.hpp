@@ -92,10 +92,15 @@ struct FailureConfig {
 /// Multi-level hierarchy knobs (CkptMode::kTiered only).
 struct TieredConfig {
   /// Every k-th committed checkpoint is promoted to the L2 partner tier.
+  /// Both cadences reach the runner through its policy (the adaptive one
+  /// re-derives them) and apply to every stack, a store_factory one
+  /// included.
   int l2_promote_every = 1;
   /// Every k-th committed checkpoint is promoted to the L3 PFS tier.
   int l3_promote_every = 4;
-  /// Committed versions each tier retains (older ones pruned per tier).
+  /// Committed versions each tier of the built-in stack retains (older ones
+  /// pruned per tier). Not read with a store_factory: its stack brings its
+  /// own retention (a service job's JobConfig::retention).
   int retention = 2;
 };
 

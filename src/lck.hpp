@@ -24,7 +24,7 @@
 ///                     MetricsRegistry / MetricsSnapshot (JSON + Prometheus
 ///                     text), TraceRecorder + write_chrome_trace (Perfetto)
 ///  - multi-tenancy:   svc::CheckpointService + JobHandle (shared dedup L3,
-///                     per-job namespaces, admission control, per-job
+///                     per-job namespaces, per-job dedup accounting and
 ///                     metrics)
 ///
 /// Headers outside this set (individual solver classes, compressor

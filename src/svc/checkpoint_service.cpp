@@ -12,22 +12,6 @@
 
 namespace lck::svc {
 
-// ----- configs --------------------------------------------------------------
-
-void ServiceConfig::validate() const {
-  std::string violations;
-  const auto violation = [&](const char* msg) {
-    if (!violations.empty()) violations += "; ";
-    violations += msg;
-  };
-  if (max_jobs < 1) violation("svc.max_jobs must be >= 1");
-  if (namespace_stride < 1) violation("svc.namespace_stride must be >= 1");
-  if (admission_bytes < 1) violation("svc.admission_bytes must be >= 1");
-  if (admission_inflight < 1) violation("svc.admission_inflight must be >= 1");
-  if (!violations.empty())
-    throw config_error("checkpoint service config: " + violations);
-}
-
 // ----- per-job state --------------------------------------------------------
 
 /// Registration record plus the job's cumulative shared-tier counters.
@@ -50,25 +34,23 @@ struct CheckpointService::JobState {
 // ----- namespace view over the shared L3 ------------------------------------
 
 /// Job j's L3 level: translates its versions v into shared-store keys
-/// j·stride + v, admission-gates every write against the service budget,
-/// and attributes dedup outcomes to the job. Plugs into a per-job
-/// TieredCheckpointStore as an ordinary CheckpointStore, so the tier logic
-/// (retention, promotion, severity) is reused unchanged — and can only ever
-/// name keys inside [lo, hi), which is the namespace-isolation guarantee.
+/// j·stride + v and attributes dedup outcomes to the job. Plugs into a
+/// per-job TieredCheckpointStore as an ordinary CheckpointStore, so the
+/// tier logic (retention, promotion, severity) is reused unchanged — and
+/// can only ever name keys inside [lo, hi), which is the
+/// namespace-isolation guarantee.
 class CheckpointService::NamespaceStore final : public CheckpointStore {
  public:
   NamespaceStore(CheckpointService* svc, std::shared_ptr<JobState> state)
       : svc_(svc),
         state_(std::move(state)),
-        lo_(state_->id * svc_->cfg_.namespace_stride),
-        hi_(lo_ + svc_->cfg_.namespace_stride) {}
+        lo_(state_->id * kNamespaceStride),
+        hi_(lo_ + kNamespaceStride) {}
 
   void write(int version, std::span<const byte_t> data) override {
-    auto grant = svc_->admission_.acquire(data.size());
     const WallTimer timer;
     const DedupWriteStats w = svc_->l3_->write_counted(key(version), data);
     const double write_seconds = timer.seconds();
-    grant.release();
 
     {
       const std::lock_guard<std::mutex> lock(state_->mu);
@@ -76,14 +58,6 @@ class CheckpointService::NamespaceStore final : public CheckpointStore {
       ++s.l3_writes;
       s.dedup_hits += w.hits;
       s.dedup_bytes_saved += w.bytes_saved;
-      s.chunks_written += w.chunks;
-      s.logical_bytes += data.size();
-      s.write_seconds += write_seconds;
-      if (grant.waited()) {
-        // grant released above, but its wait fields survive release()
-        ++s.admission_waits;
-        s.admission_wait_seconds += grant.wait_seconds();
-      }
     }
     obs::MetricsRegistry& m = svc_->metrics_;
     const obs::LabelSet job{{"job", state_->name}};
@@ -92,10 +66,6 @@ class CheckpointService::NamespaceStore final : public CheckpointStore {
     m.observe("svc.l3_write_bytes", static_cast<double>(data.size()), job);
     m.add("svc.dedup_hits", static_cast<double>(w.hits), job);
     m.add("svc.dedup_bytes_saved", static_cast<double>(w.bytes_saved), job);
-    if (grant.waited()) {
-      m.add("svc.admission_waits", 1.0);
-      m.observe("svc.admission_wait_seconds", grant.wait_seconds(), job);
-    }
     svc_->refresh_gauges();
   }
 
@@ -136,10 +106,8 @@ class CheckpointService::NamespaceStore final : public CheckpointStore {
 
 // ----- service --------------------------------------------------------------
 
-CheckpointService::CheckpointService(ServiceConfig cfg)
-    : cfg_((cfg.validate(), std::move(cfg))),
-      l3_(std::make_unique<DedupChunkStore>(cfg_.l3_dir)),
-      admission_(cfg_.admission_bytes, cfg_.admission_inflight) {
+CheckpointService::CheckpointService(std::string l3_dir)
+    : l3_(std::make_unique<DedupChunkStore>(std::move(l3_dir))) {
   l3_->set_observability(obs::Sink{&metrics_, nullptr});
   refresh_gauges();
 }
@@ -154,16 +122,11 @@ CheckpointService::~CheckpointService() {
 
 JobHandle CheckpointService::open_job(JobConfig cfg) {
   require(cfg.retention >= 1, "svc job: retention must be >= 1");
-  require(cfg.l2_promote_every >= 1 && cfg.l3_promote_every >= 1,
-          "svc job: promote_every must be >= 1");
 
   std::unique_lock<std::mutex> lock(mu_);
-  jobs_cv_.wait(lock, [&] {
-    return static_cast<int>(jobs_.size()) < cfg_.max_jobs;
-  });
   const int id = next_job_id_++;
   // The namespace [id·stride, (id+1)·stride) must fit in int keys.
-  require(id < std::numeric_limits<int>::max() / cfg_.namespace_stride,
+  require(id < std::numeric_limits<int>::max() / kNamespaceStride,
           "svc: job namespace exceeds the shared store's key space");
 
   auto state = std::make_shared<JobState>();
@@ -184,7 +147,6 @@ void CheckpointService::close_job(int job_id) {
     const std::lock_guard<std::mutex> lock(mu_);
     jobs_.erase(job_id);
   }
-  jobs_cv_.notify_all();
   refresh_gauges();
 }
 
@@ -203,16 +165,18 @@ std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
   const std::shared_ptr<JobState> state = state_of(job_id);
   const JobConfig& jc = state->cfg;
 
+  // TierSpec::promote_every stays 1: only a self-promoting store reads it,
+  // and the job's owner decides which versions it promotes.
   std::vector<TieredCheckpointStore::Level> levels;
   levels.push_back(
       {TierSpec{"L1-local", FailureSeverity::kProcess, jc.retention, 1},
        std::make_unique<MemoryStore>()});
-  levels.push_back({TierSpec{"L2-partner", FailureSeverity::kNode,
-                             jc.retention, jc.l2_promote_every},
-                    std::make_unique<PartnerStore>()});
-  levels.push_back({TierSpec{"L3-pfs", FailureSeverity::kSystem, jc.retention,
-                             jc.l3_promote_every},
-                    std::make_unique<NamespaceStore>(this, state)});
+  levels.push_back(
+      {TierSpec{"L2-partner", FailureSeverity::kNode, jc.retention, 1},
+       std::make_unique<PartnerStore>()});
+  levels.push_back(
+      {TierSpec{"L3-pfs", FailureSeverity::kSystem, jc.retention, 1},
+       std::make_unique<NamespaceStore>(this, state)});
   return std::make_unique<TieredCheckpointStore>(std::move(levels),
                                                  /*auto_promote=*/false);
 }

@@ -4,31 +4,32 @@
 ///        (DedupChunkStore) serving N concurrent solver jobs, each isolated
 ///        in its own namespace.
 ///
-///   job 0 ── L1 Memory ─ L2 Partner ─┐                 ┌ admission tokens
-///   job 1 ── L1 Memory ─ L2 Partner ─┼── NamespaceStore┼── shared L3
-///   ...                              │   (key = id·S+v)│   DedupChunkStore
-///   job N ── L1 Memory ─ L2 Partner ─┘                 └ per-job metrics
+///   job 0 ── L1 Memory ─ L2 Partner ─┐
+///   job 1 ── L1 Memory ─ L2 Partner ─┼── NamespaceStore ── shared L3
+///   ...                              │   (key = id·S+v)    DedupChunkStore
+///   job N ── L1 Memory ─ L2 Partner ─┘                     + per-job metrics
 ///
 /// Every job gets its own TieredCheckpointStore (private L1/L2, per-job
-/// retention and promotion cadence) whose L3 level is a namespace view over
-/// the one shared DedupChunkStore: job j's version v is stored under key
-/// j·stride + v, so prune/invalidate in one namespace can never touch
-/// another job's versions, while identical chunk payloads across jobs —
-/// the common static problem state — are stored once (cross-job dedup).
+/// retention) whose L3 level is a namespace view over the one shared
+/// DedupChunkStore: job j's version v is stored under key
+/// j·kNamespaceStride + v, so prune/invalidate in one namespace can never
+/// touch another job's versions, while identical chunk payloads across
+/// jobs — the common static problem state — are stored once (cross-job
+/// dedup).
 ///
-/// Admission control (svc::AdmissionController) arbitrates the shared
-/// tier: every namespace write first reserves its byte size against a
-/// global budget, so the fleet's aggregate in-flight L3 bytes are bounded
-/// (back-pressure, not failure). The service starts no thread of its own:
-/// every job stack is caller-driven — the job's runner executes its
-/// promotions on its virtual clock.
+/// The service starts no thread and adds no throttle: open_job() never
+/// blocks, and the shared L3 serializes its chunk and skeleton writes
+/// under its own mutex. Every job stack is caller-driven, so its owner
+/// decides which versions reach L3 — a ResilientRunner promotes at its
+/// tiered.* cadence (through its policy) and executes the copies on its
+/// virtual clock.
 ///
 /// The service owns an always-on MetricsRegistry: global gauges
-/// (svc.jobs_active, svc.l3_logical_bytes, svc.l3_physical_bytes), global
-/// counters (svc.admission_waits), and per-job labeled series
-/// (svc.l3_writes{job=...}, svc.l3_write_seconds{job=...},
-/// svc.dedup_hits{job=...}) — a scheduler can scrape
-/// metrics().to_prometheus() directly.
+/// (svc.jobs_active, svc.l3_logical_bytes, svc.l3_physical_bytes) and
+/// per-job labeled series (svc.l3_writes{job=...},
+/// svc.l3_write_seconds{job=...}, svc.l3_write_bytes{job=...},
+/// svc.dedup_hits{job=...}, svc.dedup_bytes_saved{job=...}) — a scheduler
+/// can scrape metrics().to_prometheus() directly.
 ///
 /// Lifetime discipline: stores made by a JobHandle borrow the service's
 /// shared L3, so they must be destroyed before the handle closes,
@@ -36,8 +37,7 @@
 /// checks). The handles plug into ResilientRunner unchanged via
 /// ResilienceConfig::store_factory.
 
-#include <condition_variable>
-#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -46,29 +46,8 @@
 
 #include "ckpt/chunk/dedup_store.hpp"
 #include "obs/metrics.hpp"
-#include "svc/admission.hpp"
 
 namespace lck::svc {
-
-/// Service-wide knobs, validated at construction.
-struct ServiceConfig {
-  /// Shared L3 directory ("" = in-memory; a directory persists chunks and
-  /// lets a restarted service dedup against the previous run).
-  std::string l3_dir = "";
-  /// Concurrently open jobs; open_job() past this blocks until one closes.
-  int max_jobs = 64;
-  /// Namespace width: job j owns shared-store keys [j·stride, (j+1)·stride).
-  /// Also the per-job version ceiling. Must leave (max stride·jobs) ≤
-  /// INT_MAX — checked as jobs open.
-  int namespace_stride = 1 << 16;
-  /// Admission budget: max aggregate bytes of in-flight shared-L3 writes.
-  std::size_t admission_bytes = std::size_t{256} << 20;
-  /// Admission bound on the count of in-flight shared-L3 writes.
-  std::size_t admission_inflight = 64;
-
-  /// Throws config_error naming every violated constraint.
-  void validate() const;
-};
 
 /// Per-job knobs for the store stack a JobHandle builds.
 struct JobConfig {
@@ -77,8 +56,6 @@ struct JobConfig {
   /// Versions retained per tier (the manager-level retention should be
   /// parked when running under a tiered stack).
   int retention = 2;
-  int l2_promote_every = 1;
-  int l3_promote_every = 1;
 };
 
 /// What one job has done to the shared tier (monotonic, per job).
@@ -87,18 +64,13 @@ struct JobStats {
   std::uint64_t l3_writes = 0;
   std::uint64_t dedup_hits = 0;         ///< Chunk hits this job's writes made.
   std::uint64_t dedup_bytes_saved = 0;  ///< Bytes those hits avoided.
-  std::uint64_t chunks_written = 0;     ///< Chunk parts across its writes.
-  std::uint64_t logical_bytes = 0;      ///< Sum of its written blob sizes.
-  std::uint64_t admission_waits = 0;    ///< Writes that had to queue.
-  double admission_wait_seconds = 0.0;  ///< Total time queued.
-  double write_seconds = 0.0;           ///< Total shared-L3 write time.
 };
 
 class CheckpointService;
 
 /// One tenant's registration. Move-only RAII: closing (or destroying) the
-/// handle releases the job slot and its namespace bookkeeping — after all
-/// stores made from it are gone.
+/// handle releases the job's namespace bookkeeping — after all stores made
+/// from it are gone.
 class JobHandle {
  public:
   JobHandle() = default;
@@ -131,8 +103,8 @@ class JobHandle {
 
   [[nodiscard]] JobStats stats() const;
 
-  /// Release the job slot (idempotent). All stores made from this handle
-  /// must already be destroyed.
+  /// Release the job (idempotent). All stores made from this handle must
+  /// already be destroyed.
   void close();
 
  private:
@@ -149,14 +121,23 @@ class JobHandle {
 
 class CheckpointService {
  public:
-  explicit CheckpointService(ServiceConfig cfg = {});
+  /// Namespace width: job j owns shared-store keys
+  /// [j·kNamespaceStride, (j+1)·kNamespaceStride), which is also the
+  /// per-job version ceiling. open_job() rejects an id whose range would
+  /// leave the int key space.
+  static constexpr int kNamespaceStride = 1 << 16;
+
+  /// `l3_dir`: the shared L3 directory ("" = in-memory; a directory
+  /// persists chunks and lets a restarted service dedup against the
+  /// previous run).
+  explicit CheckpointService(std::string l3_dir = "");
   ~CheckpointService();
 
   CheckpointService(const CheckpointService&) = delete;
   CheckpointService& operator=(const CheckpointService&) = delete;
 
-  /// Register a job. Blocks while max_jobs are already open; job ids are
-  /// monotonic, so a reopened service run never reuses a namespace.
+  /// Register a job; never blocks. Job ids are monotonic, so a reopened
+  /// service run never reuses a namespace.
   [[nodiscard]] JobHandle open_job(JobConfig cfg = {});
 
   // ----- fleet introspection ------------------------------------------------
@@ -167,17 +148,12 @@ class CheckpointService {
   /// The shared content-addressed tier (aggregate dedup accounting:
   /// physical_bytes(), logical_bytes(), dedup_hits(), ...).
   [[nodiscard]] const DedupChunkStore& l3() const { return *l3_; }
-  [[nodiscard]] const AdmissionController& admission() const {
-    return admission_;
-  }
 
   /// Service-owned registry (always on): svc.* series plus everything the
   /// shared L3 records. Scrape with metrics().to_prometheus().
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
-
-  [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
 
  private:
   friend class JobHandle;
@@ -189,13 +165,10 @@ class CheckpointService {
   [[nodiscard]] std::shared_ptr<JobState> state_of(int job_id) const;
   void refresh_gauges();
 
-  ServiceConfig cfg_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<DedupChunkStore> l3_;
-  AdmissionController admission_;
 
   mutable std::mutex mu_;
-  std::condition_variable jobs_cv_;
   std::map<int, std::shared_ptr<JobState>> jobs_;
   int next_job_id_ = 0;
 };

@@ -1,15 +1,16 @@
-/// Multi-tenant checkpoint service tests: namespace isolation, cross-job
-/// dedup accounting, admission back-pressure, bit-stable reruns through the
-/// service, a concurrent-writer stress over the shared DedupChunkStore (the
+/// Multi-tenant checkpoint service tests: namespace isolation, jobs past
+/// the former open-job cap on one thread, cross-job dedup accounting,
+/// bit-stable reruns through the service at the runner's promotion
+/// cadence, a concurrent-writer stress over the shared DedupChunkStore (the
 /// TSan target), and the thread topology: which owners start a background
 /// thread, and when.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,86 +27,11 @@
 namespace lck {
 namespace {
 
-using svc::AdmissionController;
 using svc::CheckpointService;
 using svc::JobConfig;
-using svc::ServiceConfig;
 
 std::vector<byte_t> blob(std::size_t n, byte_t fill) {
   return std::vector<byte_t>(n, fill);
-}
-
-// ----- admission controller -------------------------------------------------
-
-TEST(Admission, GrantsWithinBudgetDoNotWait) {
-  AdmissionController adm(1000, 4);
-  auto a = adm.acquire(400);
-  auto b = adm.acquire(400);
-  EXPECT_FALSE(a.waited());
-  EXPECT_FALSE(b.waited());
-  EXPECT_EQ(adm.bytes_in_use(), 800u);
-  EXPECT_EQ(adm.inflight(), 2u);
-  a.release();
-  b.release();
-  EXPECT_EQ(adm.bytes_in_use(), 0u);
-  EXPECT_EQ(adm.waits(), 0u);
-}
-
-TEST(Admission, OversizedRequestClampsToBudgetAndAdmitsAlone) {
-  AdmissionController adm(100, 8);
-  auto g = adm.acquire(10000);  // clamped, not rejected
-  EXPECT_EQ(g.bytes(), 100u);
-  EXPECT_EQ(adm.bytes_in_use(), 100u);
-}
-
-TEST(Admission, BlocksWhenBudgetExhaustedAndCountsWaits) {
-  AdmissionController adm(100, 8);
-  auto gate = adm.acquire(100);  // the "slow L3" holding the whole budget
-  std::atomic<bool> admitted{false};
-  std::thread t([&] {
-    auto g = adm.acquire(50);
-    admitted.store(true);
-    EXPECT_TRUE(g.waited());
-    EXPECT_GE(g.wait_seconds(), 0.0);
-  });
-  while (adm.waits() == 0) std::this_thread::yield();
-  EXPECT_FALSE(admitted.load());
-  gate.release();
-  t.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(adm.waits(), 1u);
-  EXPECT_EQ(adm.grants(), 2u);
-}
-
-TEST(Admission, FifoKeepsSmallRequestsFromStarvingLargeOnes) {
-  AdmissionController adm(100, 8);
-  auto gate = adm.acquire(60);
-  std::mutex order_mu;
-  std::vector<std::string> order;
-  const auto record = [&](const char* who) {
-    const std::lock_guard<std::mutex> lock(order_mu);
-    order.emplace_back(who);
-  };
-  // The large request queues first (ticket order is acquire-call order)...
-  std::thread big([&] {
-    auto g = adm.acquire(80);
-    record("big");
-  });
-  while (adm.waits() < 1) std::this_thread::yield();
-  // ...then a small one that *would* fit beside the gate right now, but
-  // must not bypass. (It must not fit beside the big grant, or it could be
-  // admitted concurrently with big and race it to the order log.)
-  std::thread small([&] {
-    auto g = adm.acquire(30);
-    record("small");
-  });
-  while (adm.waits() < 2) std::this_thread::yield();
-  gate.release();
-  big.join();
-  small.join();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "big");
-  EXPECT_EQ(order[1], "small");
 }
 
 // ----- service: namespaces --------------------------------------------------
@@ -131,7 +57,7 @@ TEST(Service, NamespaceIsolationAcrossPruneAndInvalidate) {
     store_a->write(v, blob(4096, static_cast<byte_t>(v)));
     tier_a->promote_now(v, 2);
   }
-  const int stride = service.config().namespace_stride;
+  const int stride = CheckpointService::kNamespaceStride;
   EXPECT_EQ(service.l3().versions_in(0, stride).size(), 2u);  // A's retention
   EXPECT_EQ(service.l3().versions_in(stride, 2 * stride).size(), 1u);
 
@@ -170,23 +96,40 @@ TEST(Service, ReopenedNamespaceSeesSurvivingVersions) {
   EXPECT_EQ(store->read(3), data);
 }
 
-TEST(Service, MaxJobsBlocksOpenUntilAClose) {
-  ServiceConfig cfg;
-  cfg.max_jobs = 1;
-  CheckpointService service(cfg);
-  auto first = service.open_job();
-  std::atomic<bool> opened{false};
-  std::thread t([&] {
-    auto second = service.open_job();
-    opened.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(opened.load());
-  first.close();
-  t.join();
-  EXPECT_TRUE(opened.load());
-  EXPECT_EQ(service.jobs_opened(), 2);
+TEST(Service, OneThreadOpensMoreJobsThanTheOldCap) {
+  // open_job() never waits for a close: one thread holds 100 jobs open at
+  // once (a 64-job cap once blocked the 65th open forever).
+  constexpr int kJobs = 100;
+  CheckpointService service;
+  // Handles first, so the stacks (declared after) die before them on any
+  // early return.
+  std::vector<svc::JobHandle> jobs;
+  std::vector<std::unique_ptr<CheckpointStore>> stores;
+  for (int j = 0; j < kJobs; ++j) {
+    jobs.push_back(service.open_job());
+    stores.push_back(jobs.back().store_factory()());
+    auto* tier = dynamic_cast<TieredCheckpointStore*>(stores.back().get());
+    ASSERT_NE(tier, nullptr);
+    tier->write(0, blob(512, static_cast<byte_t>(j)));
+    ASSERT_TRUE(tier->promote_now(0, 2));
+  }
+  EXPECT_EQ(service.jobs_active(), kJobs);
+
+  // Every job wrote version 0; with L1/L2 gone, each stack reads its own
+  // blob from its own namespace of the shared L3.
+  for (int j = 0; j < kJobs; ++j) {
+    auto* tier = dynamic_cast<TieredCheckpointStore*>(
+        stores[static_cast<std::size_t>(j)].get());
+    tier->invalidate(FailureSeverity::kPartition);
+    ASSERT_EQ(tier->level_of(0), 2) << "job " << j;
+    EXPECT_EQ(tier->read(0), blob(512, static_cast<byte_t>(j))) << "job " << j;
+  }
+  EXPECT_EQ(service.jobs_active(), kJobs);
+
+  stores.clear();
+  jobs.clear();
   EXPECT_EQ(service.jobs_active(), 0);
+  EXPECT_EQ(service.jobs_opened(), kJobs);
 }
 
 // ----- service: cross-job dedup ---------------------------------------------
@@ -201,8 +144,8 @@ TEST(Service, CrossJobDedupHitsAreAttributedToTheWritingJob) {
   NoneCompressor none;
 
   CheckpointService service;
-  auto job_a = service.open_job({.name = "first", .l3_promote_every = 1});
-  auto job_b = service.open_job({.name = "second", .l3_promote_every = 1});
+  auto job_a = service.open_job({.name = "first"});
+  auto job_b = service.open_job({.name = "second"});
 
   const auto run_job = [&](svc::JobHandle& job) {
     auto store = job.store_factory()();
@@ -237,61 +180,6 @@ TEST(Service, CrossJobDedupHitsAreAttributedToTheWritingJob) {
   EXPECT_NE(snap.to_prometheus().find("svc_l3_writes"), std::string::npos);
 }
 
-// ----- service: admission back-pressure -------------------------------------
-
-TEST(Service, ConcurrentJobsHitAdmissionBackpressure) {
-  // Budget far below one blob: every write clamps to the whole budget, so
-  // shared-tier writes are fully serialized and any overlap must queue. One
-  // job's writes are big enough (tens of ms inside the grant) that even a
-  // single-core scheduler preempts mid-grant and the other job's write
-  // lands in the queue; retry rounds make the overlap certain without ever
-  // spinning unbounded.
-  ServiceConfig cfg;
-  cfg.admission_bytes = 1024;
-  cfg.admission_inflight = 1;
-  CheckpointService service(cfg);
-
-  auto big_job = service.open_job({.name = "big"});
-  auto small_job = service.open_job({.name = "small"});
-  auto big_store = big_job.store_factory()();  // caller-driven: promote_now
-  auto small_store = small_job.store_factory()();
-  auto* big_tier = dynamic_cast<TieredCheckpointStore*>(big_store.get());
-  auto* small_tier = dynamic_cast<TieredCheckpointStore*>(small_store.get());
-  const auto big_blob = blob(32 * 1024 * 1024, 0xB1);
-
-  // Fresh versions each round (promote_now of an already-promoted version
-  // is a no-op); removals keep resident bytes bounded across rounds.
-  int small_v = 0;
-  for (int round = 0; round < 10 && service.admission().waits() == 0;
-       ++round) {
-    std::atomic<bool> big_done{false};
-    std::thread big([&] {
-      big_store->write(round, big_blob);
-      big_tier->promote_now(round, 2);
-      if (round > 0) big_store->remove(round - 1);
-      big_done.store(true);
-    });
-    // The small job keeps issuing shared-tier writes for as long as the big
-    // one runs, so some acquire() necessarily lands inside the big grant.
-    std::thread small([&] {
-      while (!big_done.load()) {
-        const int v = small_v++;
-        small_store->write(v, blob(16 * 1024, static_cast<byte_t>(v)));
-        small_tier->promote_now(v, 2);
-        if (v >= 8) small_store->remove(v - 8);
-      }
-    });
-    big.join();
-    small.join();
-  }
-
-  EXPECT_GT(service.admission().waits(), 0u);
-  EXPECT_EQ(service.admission().bytes_in_use(), 0u);
-  EXPECT_EQ(service.admission().inflight(), 0u);
-  const auto snap = service.metrics().snapshot();
-  EXPECT_GT(snap.counter("svc.admission_waits"), 0.0);
-}
-
 // ----- service: bit-stable runs through the runner --------------------------
 
 ResilienceConfig tiered_config() {
@@ -313,48 +201,63 @@ ResilienceConfig tiered_config() {
 
 TEST(Service, RunnerRerunsAreBitStableAndMatchBuiltinTiered) {
   const LocalProblem p = make_local_problem("cg", 8, 1e-8);
-
-  // Baseline: the runner's own built-in tiered stack.
-  auto s0 = p.make_solver();
-  const auto builtin = ResilientRunner(*s0, tiered_config()).run();
-  ASSERT_TRUE(builtin.converged);
-  ASSERT_GT(builtin.failures, 0);
-
   CheckpointService service;
-  const auto run_via_service = [&](svc::JobHandle& job) {
-    auto solver = p.make_solver();
-    ResilienceConfig cfg = tiered_config();
-    cfg.store_factory = job.store_factory();
-    return ResilientRunner(*solver, cfg).run();
-  };
-  // One fresh job per run (fleet semantics): re-attaching to a *used*
-  // namespace would legitimately let the runner recover from the previous
-  // run's surviving L3 versions — persistence, not a determinism bug.
-  auto job1 = service.open_job({.retention = 2, .l2_promote_every = 1,
-                                .l3_promote_every = 2});
-  const auto r1 = run_via_service(job1);
-  auto job2 = service.open_job({.retention = 2, .l2_promote_every = 1,
-                                .l3_promote_every = 2});
-  const auto r2 = run_via_service(job2);
+  // A job stack promotes what its runner schedules: the runner's
+  // tiered.l3_promote_every (through its policy) sets which versions reach
+  // the shared tier, so two cadences give different L3 write counts.
+  std::vector<std::uint64_t> l3_writes;
+  for (const int l3_every : {2, 1}) {
+    SCOPED_TRACE("tiered.l3_promote_every = " + std::to_string(l3_every));
+    ResilienceConfig base = tiered_config();
+    base.tiered.l3_promote_every = l3_every;
 
-  // Service-backed runs are bit-stable across namespaces and against the
-  // built-in stack: the namespace view changes where bytes live, never
-  // what the simulation observes.
-  for (const auto* r : {&r1, &r2}) {
-    EXPECT_EQ(r->converged, builtin.converged);
-    EXPECT_EQ(r->executed_steps, builtin.executed_steps);
-    EXPECT_EQ(r->failures, builtin.failures);
-    EXPECT_EQ(r->checkpoints, builtin.checkpoints);
-    EXPECT_EQ(r->recoveries, builtin.recoveries);
-    EXPECT_DOUBLE_EQ(r->virtual_seconds, builtin.virtual_seconds);
-    EXPECT_DOUBLE_EQ(r->final_residual_norm, builtin.final_residual_norm);
+    // Baseline: the runner's own built-in tiered stack.
+    auto s0 = p.make_solver();
+    const auto builtin = ResilientRunner(*s0, base).run();
+    ASSERT_TRUE(builtin.converged);
+    ASSERT_GT(builtin.failures, 0);
+
+    const auto run_via_service = [&](svc::JobHandle& job) {
+      auto solver = p.make_solver();
+      ResilienceConfig cfg = base;
+      cfg.store_factory = job.store_factory();
+      return ResilientRunner(*solver, cfg).run();
+    };
+    // One fresh job per run (fleet semantics): re-attaching to a *used*
+    // namespace would legitimately let the runner recover from the previous
+    // run's surviving L3 versions — persistence, not a determinism bug.
+    auto job1 = service.open_job({.retention = 2});
+    const auto r1 = run_via_service(job1);
+    auto job2 = service.open_job({.retention = 2});
+    const auto r2 = run_via_service(job2);
+
+    // Service-backed runs are bit-stable across namespaces and against the
+    // built-in stack: the namespace view changes where bytes live, never
+    // what the simulation observes — promotions and the tier each recovery
+    // read from included.
+    for (const auto* r : {&r1, &r2}) {
+      EXPECT_EQ(r->converged, builtin.converged);
+      EXPECT_EQ(r->executed_steps, builtin.executed_steps);
+      EXPECT_EQ(r->failures, builtin.failures);
+      EXPECT_EQ(r->checkpoints, builtin.checkpoints);
+      EXPECT_EQ(r->recoveries, builtin.recoveries);
+      EXPECT_DOUBLE_EQ(r->virtual_seconds, builtin.virtual_seconds);
+      EXPECT_DOUBLE_EQ(r->final_residual_norm, builtin.final_residual_norm);
+      EXPECT_EQ(r->promotions_completed, builtin.promotions_completed);
+      EXPECT_DOUBLE_EQ(r->promotion_seconds_total,
+                       builtin.promotion_seconds_total);
+      EXPECT_EQ(r->recoveries_by_tier, builtin.recoveries_by_tier);
+    }
+    EXPECT_EQ(job1.stats().l3_writes, job2.stats().l3_writes);
+    l3_writes.push_back(job1.stats().l3_writes);
   }
+  EXPECT_NE(l3_writes[0], l3_writes[1]);
 }
 
 TEST(Service, WeibullFailureModelRunsThroughServiceStore) {
   const LocalProblem p = make_local_problem("cg", 8, 1e-8);
   CheckpointService service;
-  auto job = service.open_job({.l3_promote_every = 2});
+  auto job = service.open_job();
   auto solver = p.make_solver();
   ResilienceConfig cfg = tiered_config();
   cfg.failure.distribution = "weibull";
