@@ -122,15 +122,14 @@ CheckpointManager::CheckpointManager(std::unique_ptr<CheckpointStore> store,
 }
 
 CheckpointManager::~CheckpointManager() {
-  // Versions still undecided at destruction roll back: their pending store
-  // blobs (e.g. DiskStore's .lck.pending files) must not outlive the
-  // manager, and the last *committed* version stays the recovery point.
-  for (const auto& [v, f] : in_flight_) {
-    f.drain.wait();
-    try {
-      store_->abort(v);
-    } catch (...) {  // NOLINT: best-effort cleanup in a destructor
-    }
+  // A version still undecided at destruction rolls back: its pending store
+  // blob (e.g. DiskStore's .lck.pending file) must not outlive the manager,
+  // and the last *committed* version stays the recovery point.
+  if (!in_flight_) return;
+  in_flight_->drain.wait();
+  try {
+    store_->abort(in_flight_->version);
+  } catch (...) {  // NOLINT: best-effort cleanup in a destructor
   }
 }
 
@@ -310,14 +309,13 @@ void CheckpointManager::prune_retention(int latest_committed) {
   // Nothing below the window to remove (e.g. tiered mode parks the
   // manager-level retention and lets the hierarchy prune). The manager only
   // consults base links for its own pruning decisions, so here they can be
-  // bounded to the chains still reachable from the tip and from in-flight
-  // staged bases — without this, a long parked-retention run would leak one
-  // entry per checkpoint.
+  // bounded to the chain still reachable from the tip — without this, a
+  // long parked-retention run would leak one entry per checkpoint. Pruning
+  // runs only while nothing is staged, so no drain holds a base either.
   if (keep_from <= prune_floor_) {
     if (!base_of_.empty()) {
       std::set<int> live;
       mark_chain(latest_committed, live);
-      for (const auto& [v, f] : in_flight_) mark_chain(f.base, live);
       std::erase_if(base_of_,
                     [&live](const auto& e) { return !live.contains(e.first); });
     }
@@ -325,13 +323,12 @@ void CheckpointManager::prune_retention(int latest_committed) {
   }
 
   // Ref-counted bases: a version below the retention window survives as
-  // long as a retained (or in-flight staged) version's delta chain still
-  // references it — dropping it would break that chain's recovery.
+  // long as a retained version's delta chain still references it —
+  // dropping it would break that chain's recovery.
   std::set<int> live;
-  if (!base_of_.empty() || !in_flight_.empty()) {
+  if (!base_of_.empty()) {
     for (int v = std::max(0, keep_from); v <= latest_committed; ++v)
       mark_chain(v, live);
-    for (const auto& [v, f] : in_flight_) mark_chain(f.base, live);
   }
 
   for (int v = prune_floor_; v < keep_from; ++v) {
@@ -339,13 +336,10 @@ void CheckpointManager::prune_retention(int latest_committed) {
     store_->remove(v);
     base_of_.erase(v);
   }
-  // Never advance the floor past a version that is still undecided (it may
-  // commit out of order later) or past a live chain base (it must be
-  // re-examined once the chain referencing it retires).
+  // Never advance the floor past a live chain base: it must be re-examined
+  // once the chain referencing it retires.
   int advance_to = keep_from;
   if (!live.empty()) advance_to = std::min(advance_to, *live.begin());
-  if (!in_flight_.empty())
-    advance_to = std::min(advance_to, in_flight_.begin()->first);
   prune_floor_ = std::max(prune_floor_, advance_to);
 }
 
@@ -375,6 +369,9 @@ CheckpointManager::new_delta_state(int version,
 
 CheckpointRecord CheckpointManager::checkpoint() {
   require(!entries_.empty(), "checkpoint: nothing protected");
+  require(!in_flight_,
+          "checkpoint: a staged version awaits commit_version() or "
+          "abort_version()");
   std::vector<VarView> views;
   views.reserve(entries_.size());
   for (const auto& [id, e] : entries_) {
@@ -407,64 +404,35 @@ CheckpointRecord CheckpointManager::checkpoint() {
 
 // ----- staged (asynchronous) pipeline ---------------------------------------
 
-int CheckpointManager::acquire_slot() {
-  std::unique_lock<std::mutex> lock(slot_mu_);
-  for (;;) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].busy) {
-        slots_[i].busy = true;
-        return static_cast<int>(i);
-      }
-    }
-    slot_cv_.wait(lock);
-  }
-}
-
-void CheckpointManager::release_slot(int slot) {
-  {
-    const std::lock_guard<std::mutex> lock(slot_mu_);
-    slots_[static_cast<std::size_t>(slot)].busy = false;
-  }
-  slot_cv_.notify_all();
-}
-
 StageTicket CheckpointManager::stage() {
   require(!entries_.empty(), "stage: nothing protected");
+  require(!in_flight_,
+          "stage: a staged version awaits commit_version() or "
+          "abort_version()");
   if (worker_ == nullptr) worker_ = std::make_unique<SerialWorker>();
-
-  const int slot_idx = acquire_slot();
-  StagingSlot& slot = slots_[static_cast<std::size_t>(slot_idx)];
 
   WallTimer timer;
   StageTicket ticket;
-  ticket.version = next_version_++;
-
-  try {
-    // Copy-assign into the slot's existing StagedVars so the double buffer
-    // reuses its allocations from the previous round.
-    slot.vars.resize(entries_.size());
-    std::size_t k = 0;
-    for (const auto& [id, e] : entries_) {
-      StagedVar& sv = slot.vars[k++];
-      sv.id = id;
-      sv.name = e.name;
-      sv.compressor = compressor_for(e);
-      if (e.src != nullptr) {
-        sv.is_vector = true;
-        sv.vec = *e.src;
-        sv.blob.clear();
-        ticket.raw_bytes += e.src->size() * sizeof(double);
-      } else {
-        sv.is_vector = false;
-        sv.blob = *e.blob;
-        sv.vec.clear();
-        ticket.raw_bytes += e.blob->size();
-      }
+  // Copy-assign into the existing StagedVars so each round reuses the
+  // previous round's allocations.
+  staged_.resize(entries_.size());
+  std::size_t k = 0;
+  for (const auto& [id, e] : entries_) {
+    StagedVar& sv = staged_[k++];
+    sv.id = id;
+    sv.name = e.name;
+    sv.compressor = compressor_for(e);
+    if (e.src != nullptr) {
+      sv.is_vector = true;
+      sv.vec = *e.src;
+      sv.blob.clear();
+      ticket.raw_bytes += e.src->size() * sizeof(double);
+    } else {
+      sv.is_vector = false;
+      sv.blob = *e.blob;
+      sv.vec.clear();
+      ticket.raw_bytes += e.blob->size();
     }
-  } catch (...) {
-    // A failed copy (e.g. bad_alloc) must not strand the slot as busy.
-    release_slot(slot_idx);
-    throw;
   }
   ticket.stage_seconds = timer.seconds();
   if (sink_.metrics != nullptr) {
@@ -473,73 +441,53 @@ StageTicket CheckpointManager::stage() {
                            static_cast<double>(ticket.raw_bytes));
   }
 
-  const int version = ticket.version;
+  const int version = next_version_;
   // The delta base is decided here, on the owner thread, so the background
   // drain never touches the (owner-mutated) bookkeeping: it encodes against
   // an immutable snapshot of the base's hashes, into a state only it writes
   // until wait_drain() joins it.
   const auto base = pick_delta_base();
   const auto state = new_delta_state(version, base.get());
-  auto drain = [this, version, slot_idx, base, state] {
+  auto drain = [this, version, base, state] {
     const WallTimer job_timer;  // Runs on the worker thread; registry shards.
-    std::unique_ptr<ByteSink> sink;
-    CheckpointRecord rec;
-    try {
-      const StagingSlot& slot_ref =
-          slots_[static_cast<std::size_t>(slot_idx)];
-      std::vector<VarView> views;
-      views.reserve(slot_ref.vars.size());
-      for (const auto& sv : slot_ref.vars) {
-        VarView v;
-        v.id = sv.id;
-        v.name = &sv.name;
-        if (sv.is_vector)
-          v.vec = &sv.vec;
-        else
-          v.blob = &sv.blob;
-        v.compressor = sv.compressor;
-        views.push_back(v);
-      }
-      // Frames flow into the store sink while the slot is still held — that
-      // is the point: the stream is never materialized, so the slot's
-      // staged copy is the only full-size buffer alive.
-      sink = store_->open_write_pending(version);
-      rec = write_stream(views, version, base.get(), state.get(), *sink);
-    } catch (...) {
-      // A throwing compressor must not strand the slot as busy forever.
-      // (A part-written sink cleans up in its destructor.)
-      release_slot(slot_idx);
-      throw;
+    std::vector<VarView> views;
+    views.reserve(staged_.size());
+    for (const auto& sv : staged_) {
+      VarView v;
+      v.id = sv.id;
+      v.name = &sv.name;
+      if (sv.is_vector)
+        v.vec = &sv.vec;
+      else
+        v.blob = &sv.blob;
+      v.compressor = sv.compressor;
+      views.push_back(v);
     }
-    // The sink holds every byte now; free the slot before sealing it so the
-    // solver can stage the next checkpoint meanwhile.
-    release_slot(slot_idx);
+    // Frames flow straight into the store sink: the stream is never
+    // materialized, so the staged copy is the only full-size buffer alive.
+    // A throwing compressor leaves the part-written sink to clean up in its
+    // destructor, and the error to the future.
+    const auto sink = store_->open_write_pending(version);
+    CheckpointRecord rec =
+        write_stream(views, version, base.get(), state.get(), *sink);
     sink->finish();
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
   };
-  // Track the version before enqueueing so a failed submit can unwind
-  // completely: nothing else releases the slot once it is marked busy.
-  try {
-    InFlight& f = in_flight_[version];
-    f.base = base != nullptr ? base->version : -1;
-    f.state = state;
-    f.drain = worker_->submit(std::move(drain)).share();
-  } catch (...) {
-    in_flight_.erase(version);
-    release_slot(slot_idx);
-    throw;
-  }
+  // A submit that throws queued nothing, so the version stays unclaimed.
+  in_flight_ = InFlight{version, worker_->submit(std::move(drain)).share(),
+                        state};
+  ++next_version_;
+  ticket.version = version;
   return ticket;
 }
 
 CheckpointRecord CheckpointManager::wait_drain(int version) {
   // A committed/aborted (or never staged) version has no drain to join.
-  const auto it = in_flight_.find(version);
-  require(it != in_flight_.end(),
+  require(in_flight_ && in_flight_->version == version,
           "wait_drain: version is not an in-flight drain");
-  return it->second.drain.get();
+  return in_flight_->drain.get();
 }
 
 void CheckpointManager::commit_version(int version) {
@@ -547,25 +495,24 @@ void CheckpointManager::commit_version(int version) {
   store_->commit(version);
   // The drain joined above, so the hashes it wrote into the state
   // happened-before this read.
-  auto done = in_flight_.extract(version);
-  if (done.mapped().state != nullptr) {
+  if (in_flight_->state != nullptr) {
     base_of_[version] = rec.base_version;
-    committed_state_ = std::move(done.mapped().state);
+    committed_state_ = std::move(in_flight_->state);
   }
-  // Prune against the highest committed version, so an out-of-order commit
-  // of an already-superseded version retires it immediately.
-  prune_retention(store_->latest_version());
+  in_flight_.reset();
+  // Nothing else commits while a version is staged, so `version` is the
+  // newest committed one.
+  prune_retention(version);
 }
 
 void CheckpointManager::abort_version(int version) {
-  const auto it = in_flight_.find(version);
-  require(it != in_flight_.end(),
+  require(in_flight_ && in_flight_->version == version,
           "abort_version: version is not an in-flight drain");
   // A drain that failed left nothing pending to drop, but the version must
   // still be retired.
-  it->second.drain.wait();
+  in_flight_->drain.wait();
   store_->abort(version);
-  in_flight_.erase(it);
+  in_flight_.reset();
 }
 
 void CheckpointManager::discard_version(int version) {

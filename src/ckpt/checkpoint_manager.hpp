@@ -10,20 +10,18 @@
 ///    write + commit inline, blocking the caller for the full duration.
 ///  - stage() / wait_drain() / commit_version() / abort_version() — the
 ///    staged pipeline (CkptMode::kAsync): stage() memcpys the protected
-///    variables into one of two staging slots and returns immediately; the
-///    manager's SerialWorker thread drains the slot (compression + store
-///    write) into a *pending* store version; the caller later promotes it
-///    with commit_version() or rolls it back with abort_version(). A third
-///    stage() while both slots are busy blocks until a drain finishes
-///    (double-buffer back-pressure, matching FTI semantics).
+///    variables into the staged copy and returns immediately; the manager's
+///    SerialWorker thread drains that copy (compression + store write) into
+///    a *pending* store version; the caller later promotes it with
+///    commit_version() or rolls it back with abort_version(). One staged
+///    version at a time, as in FTI: until it is committed or aborted,
+///    stage() and checkpoint() refuse (config_error), so the caller's
+///    wait_drain() is the one-deep back-pressure.
 
-#include <array>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -51,7 +49,7 @@ enum class CkptMode { kSync, kAsync, kTiered };
 /// staging copy cost for real.
 struct StageTicket {
   int version = -1;
-  std::size_t raw_bytes = 0;   ///< Uncompressed bytes captured in the slot.
+  std::size_t raw_bytes = 0;   ///< Uncompressed bytes in the staged copy.
   double stage_seconds = 0.0;  ///< Real seconds spent on the staging memcpy.
 };
 
@@ -92,14 +90,17 @@ class CheckpointManager {
   void unprotect(int id);
 
   /// Save all protected variables as a new checkpoint version
-  /// (synchronous: compress + write + commit before returning).
+  /// (synchronous: compress + write + commit before returning). Refused
+  /// (config_error) while a staged version awaits commit or abort.
   CheckpointRecord checkpoint();
 
   // ----- staged (asynchronous) pipeline ------------------------------------
 
-  /// Copy all protected variables into a free staging slot and enqueue the
-  /// background drain. Returns as soon as the copy is done; blocks only if
-  /// both staging slots hold unfinished drains (back-pressure).
+  /// Copy all protected variables into the staged copy and enqueue the
+  /// background drain. Returns as soon as the copy is done. One staged
+  /// version at a time: while the previous one awaits commit_version() or
+  /// abort_version(), stage() throws config_error and takes no version
+  /// number.
   StageTicket stage();
 
   /// Block until `version`'s drain (compression + pending store write) has
@@ -115,9 +116,9 @@ class CheckpointManager {
   /// committed version.
   void abort_version(int version);
 
-  /// Drains submitted but not yet committed/aborted.
+  /// Staged versions not yet committed/aborted: 0 or 1.
   [[nodiscard]] int versions_in_flight() const noexcept {
-    return static_cast<int>(in_flight_.size());
+    return in_flight_.has_value() ? 1 : 0;
   }
 
   // --------------------------------------------------------------------------
@@ -170,12 +171,6 @@ class CheckpointManager {
     max_delta_chain_ = max_delta_chain;
     delta_chunk_elems_ = chunk_elems;
   }
-  [[nodiscard]] int max_delta_chain() const noexcept {
-    return max_delta_chain_;
-  }
-  [[nodiscard]] std::size_t delta_chunk_elems() const noexcept {
-    return delta_chunk_elems_;
-  }
 
   /// Configure the stream writer (see frame_stream.hpp): the write-buffer
   /// size and the style of verbatim chunks. Must not change while a drain
@@ -183,9 +178,6 @@ class CheckpointManager {
   void set_streaming(const StreamingConfig& cfg) {
     cfg.validate();
     streaming_ = cfg;
-  }
-  [[nodiscard]] const StreamingConfig& streaming() const noexcept {
-    return streaming_;
   }
 
   [[nodiscard]] const CheckpointStore& store() const { return *store_; }
@@ -205,8 +197,8 @@ class CheckpointManager {
     const Compressor* compressor = nullptr;  // null => manager default
   };
 
-  /// One variable captured in a staging slot (owning copies, so the live
-  /// solver state can keep mutating while the drain compresses).
+  /// One variable in the staged copy (owning copies, so the live solver
+  /// state can keep mutating while the drain compresses).
   struct StagedVar {
     int id = 0;
     std::string name;
@@ -216,14 +208,8 @@ class CheckpointManager {
     const Compressor* compressor = nullptr;  // effective (resolved) compressor
   };
 
-  /// Double-buffered staging area: one slot drains while the other stages.
-  struct StagingSlot {
-    std::vector<StagedVar> vars;
-    bool busy = false;
-  };
-
   /// Borrowed view of one variable for the shared serializer. Sync points
-  /// it at the live protected data, async at a staging slot.
+  /// it at the live protected data, async at the staged copy.
   struct VarView {
     int id = 0;
     const std::string* name = nullptr;
@@ -270,7 +256,7 @@ class CheckpointManager {
   /// references. Shared by the sync path and the background drain, so the
   /// two produce byte-identical streams for identical variable values.
   /// Calls FrameWriter's finish() but NOT sink.finish() — sealing the sink
-  /// is the caller's job (the async drain seals after releasing its slot).
+  /// is the caller's job.
   CheckpointRecord write_stream(const std::vector<VarView>& vars, int version,
                                 const ChunkBaseState* base,
                                 ChunkBaseState* state, ByteSink& sink) const;
@@ -290,8 +276,6 @@ class CheckpointManager {
   /// defense (base links always point strictly downward, so a well-formed
   /// map cannot cycle).
   void mark_chain(int v, std::set<int>& live) const;
-  int acquire_slot();              ///< Blocks until a staging slot is free.
-  void release_slot(int slot);
 
   std::unique_ptr<CheckpointStore> store_;
   const Compressor* default_compressor_;
@@ -316,27 +300,25 @@ class CheckpointManager {
   /// retention that keeps live chain bases alive.
   std::map<int, int> base_of_;
 
-  /// A stage()d version until commit_version() or abort_version() retires
+  /// The stage()d version until commit_version() or abort_version() retires
   /// it.
   struct InFlight {
+    int version = -1;
     /// The drain's record, or its exception — for every wait.
     std::shared_future<CheckpointRecord> drain;
-    /// Delta base captured at stage time (-1: a full checkpoint, or delta
-    /// mode off), so pruning cannot retire a base the drain still needs.
-    int base = -1;
     /// Chunk hashes the drain fills, installed as the delta base on commit;
     /// null when delta mode is off.
     std::shared_ptr<ChunkBaseState> state;
   };
 
   // Async pipeline state. The worker is created on the first stage(), so
-  // purely synchronous users never spawn a thread.
-  std::array<StagingSlot, 2> slots_;
-  std::mutex slot_mu_;
-  std::condition_variable slot_cv_;
-  std::map<int, InFlight> in_flight_;
-  // Declared last: drains touch the slots, the slot mutex and the store, so
-  // the worker must join before any of them is torn down.
+  // purely synchronous users never spawn a thread. The drain reads staged_
+  // until its future is ready; the owner rewrites staged_ only in stage(),
+  // when nothing is in flight, so the future orders the two without a lock.
+  std::vector<StagedVar> staged_;
+  std::optional<InFlight> in_flight_;
+  // Declared last: drains touch the staged copy and the store, so the worker
+  // must join before either is torn down.
   std::unique_ptr<SerialWorker> worker_;
 };
 

@@ -163,11 +163,6 @@ bool TieredCheckpointStore::has_pending(int version) const {
 
 // ----- hierarchy introspection ----------------------------------------------
 
-const TierSpec& TieredCheckpointStore::spec(int level) const {
-  require(level >= 0 && level < level_count(), "tiered store: bad level");
-  return levels_[static_cast<std::size_t>(level)].spec;
-}
-
 bool TieredCheckpointStore::committed_at_locked(int level, int version) const {
   const auto lv = static_cast<std::size_t>(level);
   // The set is the source of truth for versions written through this store;
@@ -391,13 +386,13 @@ bool TieredCheckpointStore::promote(const PromotionHop& hop) {
 }
 
 bool TieredCheckpointStore::promote_now(int version, int level) {
-  const std::lock_guard<std::mutex> order(promo_order_mu_);
+  require(!auto_promote_,
+          "tiered store: promote_now() is for caller-driven stores");
   for (const PromotionHop& hop : plan_promotion(version, level)) promote(hop);
   return exists_at(level, version);
 }
 
 void TieredCheckpointStore::run_promotion_pass(int version) {
-  const std::lock_guard<std::mutex> order(promo_order_mu_);
   for (int lv = 1; lv < level_count(); ++lv) {
     if (version % levels_[static_cast<std::size_t>(lv)].spec.promote_every !=
         0)

@@ -16,6 +16,8 @@
 ///    runs a plan synchronously, and the virtual-time ResilientRunner
 ///    prices each hop on its simulated clock and calls promote(hop) when
 ///    the hop's window closes.
+/// Either way one thread runs the plans — the worker, or the owner — so no
+/// version lands in a tier ahead of the chain bases planned for it.
 ///
 /// Failures carry a `FailureSeverity`; `invalidate(severity)` destroys the
 /// contents of every tier that does not survive it (per its `TierSpec`),
@@ -98,7 +100,6 @@ class TieredCheckpointStore final : public CheckpointStore {
   [[nodiscard]] int level_count() const noexcept {
     return static_cast<int>(levels_.size());
   }
-  [[nodiscard]] const TierSpec& spec(int level) const;
   /// Cheapest level holding a committed copy of `version`, or -1.
   [[nodiscard]] int level_of(int version) const;
   [[nodiscard]] bool exists_at(int level, int version) const;
@@ -131,7 +132,9 @@ class TieredCheckpointStore final : public CheckpointStore {
   /// or the destination write threw (counted in failed_promotions()).
   bool promote(const PromotionHop& hop);
   /// plan_promotion() + promote() of every hop, synchronously. True when
-  /// `version` is at `level` on return.
+  /// `version` is at `level` on return. For caller-driven stores only: on
+  /// a self-promoting store the worker runs every plan, and promote_now()
+  /// throws config_error.
   bool promote_now(int version, int level);
 
   /// Whether committed versions are promoted by background jobs.
@@ -177,14 +180,10 @@ class TieredCheckpointStore final : public CheckpointStore {
   const bool auto_promote_;
   obs::Sink obs_{};  ///< Observability handles (both null => off).
 
-  /// Lock order: promo_order_mu_, then mu_, then any level mutex — never
-  /// the reverse. promo_order_mu_ serializes the plan-and-copy sequences of
-  /// background jobs and promote_now(), so a version never lands in a tier
-  /// ahead of the chain bases another sequence planned for it. mu_ guards
+  /// Lock order: mu_, then any level mutex — never the reverse. mu_ guards
   /// the committed-version sets, the records, the planned marks, the epoch
   /// and the promotion bookkeeping; level_mu_[i] guards levels_[i].store
   /// operations, so a slow copy into L2/L3 never blocks L1 traffic.
-  std::mutex promo_order_mu_;
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<std::mutex>> level_mu_;
   std::condition_variable promo_cv_;

@@ -236,8 +236,8 @@ PolicyContext ResilientRunner::make_policy_context() const {
 void ResilientRunner::register_variables() {
   if (cfg_.scheme == CkptScheme::kLossy) {
     // Paper Algorithm 2 line 5: checkpoint i and the compressed x only.
-    // Checkpoints read the solver's live solution directly (one blocking
-    // copy into the staging slot, not two); x_buf_ is only recover()'s
+    // Checkpoints read the solver's live solution directly (stage() makes
+    // one blocking copy of it, not two); x_buf_ is only recover()'s
     // restore target, handed to solver_.restart() afterwards.
     const Vector& live_x = solver_.solution();
     x_buf_.assign(live_x.size(), 0.0);

@@ -1,10 +1,11 @@
 /// Asynchronous (staged) checkpoint pipeline tests: the SerialWorker that
 /// runs every drain (FIFO order, futures, draining destructor),
-/// stage/drain/commit and abort semantics at the manager level,
-/// double-buffer back-pressure on the real drain thread, pending-vs-committed
-/// store states, retention interplay, and the ResilientRunner async mode
-/// (failure during drain recovers from the previous committed version,
-/// bit-stable reruns, and the blocking-time win over sync).
+/// stage/drain/commit and abort semantics at the manager level, one staged
+/// version at a time (a second stage() or checkpoint() is refused until it
+/// is committed or aborted), pending-vs-committed store states, retention
+/// interplay, and the ResilientRunner async mode (failure during drain
+/// recovers from the previous committed version, bit-stable reruns, and the
+/// blocking-time win over sync).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -185,7 +186,7 @@ TEST(AsyncManager, AbortDuringDrainRecoversPreviousCommittedVersion) {
 
 TEST(AsyncManager, DestructionJoinsInFlightDrainsAndAbortsUndecided) {
   // Destroying the manager with a drain still in flight must join the
-  // worker before the staging slots and store are torn down (no use-after-
+  // worker before the staged copy and store are torn down (no use-after-
   // free; exercised under TSan in CI), and undecided versions roll back so
   // no .lck.pending file outlives the manager.
   const auto dir = std::filesystem::temp_directory_path() /
@@ -221,9 +222,8 @@ TEST(AsyncManager, RetentionPrunesOnlyCommittedVersions) {
   EXPECT_TRUE(mgr.store().exists(1));
   EXPECT_TRUE(mgr.store().exists(2));
 
-  // A pending drain is not pruned by a later... (cannot happen with the
-  // double buffer's in-order commits, but the store must not count pending
-  // versions as committed either way).
+  // A staged version stays pending, not counted as committed, until its
+  // commit_version(); that commit's prune then retires v1.
   const StageTicket t3 = mgr.stage();
   mgr.wait_drain(t3.version);
   EXPECT_TRUE(mgr.store().has_pending(3));
@@ -258,28 +258,8 @@ TEST(AsyncManager, RetentionPrunesAcrossAbortGaps) {
   EXPECT_TRUE(mgr.store().exists(t2.version));
 }
 
-TEST(AsyncManager, OutOfOrderCommitStillHonoursRetention) {
-  // The double buffer allows two drains in flight; committing the newer
-  // one first must not exempt the older from retention pruning.
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_retention(1);
-  Vector x(32, 4.0);
-  mgr.protect(0, "x", &x);
-
-  const StageTicket t0 = mgr.stage();
-  const StageTicket t1 = mgr.stage();
-  mgr.wait_drain(t0.version);
-  mgr.wait_drain(t1.version);
-  mgr.commit_version(t1.version);  // newer first
-  mgr.commit_version(t0.version);  // superseded: pruned immediately
-  EXPECT_EQ(mgr.latest_version(), t1.version);
-  EXPECT_FALSE(mgr.store().exists(t0.version));
-  EXPECT_TRUE(mgr.store().exists(t1.version));
-}
-
 /// Compressor whose compress() always throws — drives the drain-failure
-/// path through the writer and the staging slots.
+/// path through the writer and the staged copy.
 class ThrowingCompressor final : public Compressor {
  public:
   [[nodiscard]] std::string name() const override { return "throwing"; }
@@ -294,8 +274,8 @@ class ThrowingCompressor final : public Compressor {
 };
 
 TEST(AsyncManager, DrainExceptionFreesStagingSlotAndPropagates) {
-  // Three failing drains in a row: without slot release on the exception
-  // path the third stage() would deadlock on the exhausted double buffer.
+  // Three failing drains in a row: each aborted version must be retired,
+  // or the next stage() is refused.
   ThrowingCompressor bad;
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &bad);
   Vector x(64, 1.0);
@@ -367,10 +347,10 @@ TEST(AsyncManager, LossyStagedCheckpointHonoursErrorBound) {
               1e-4 * std::fabs(original[i]) + 1e-300);
 }
 
-// ----- double-buffer back-pressure ------------------------------------------
+// ----- one staged version at a time -----------------------------------------
 
 /// Compressor whose compress() blocks until released — lets the test hold a
-/// drain open deterministically to exercise slot back-pressure for real.
+/// drain open deterministically to exercise the refusals for real.
 /// Every wait is bounded by a generous deadline: on a loaded single-core
 /// container the worker thread can be scheduled very late, but a wait that
 /// exceeds the deadline is a genuine hang and must fail the test rather
@@ -416,32 +396,32 @@ class GateCompressor final : public Compressor {
   bool open_ = false;
 };
 
-TEST(AsyncManager, ThirdStageBlocksUntilASlotDrains) {
+TEST(AsyncManager, NothingStartsWhileAStagedVersionIsUndecided) {
+  // One staged version at a time, as in FTI: stage() returns while its
+  // drain still runs, and until the version is committed or aborted
+  // neither stage() nor checkpoint() starts another. They refuse at once,
+  // with the drain held open, rather than wait for it; a finished drain is
+  // not enough either; and a refused stage() takes no version number.
   GateCompressor gate;
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &gate);
   Vector x(64, 1.0);
   mgr.protect(0, "x", &x);
 
-  const StageTicket t0 = mgr.stage();  // worker enters the gate
+  const StageTicket t0 = mgr.stage();  // returns with its drain still open
   ASSERT_TRUE(gate.wait_entered(1)) << "drain never reached the compressor";
-  const StageTicket t1 = mgr.stage();  // second slot: stages fine
+  EXPECT_THROW((void)mgr.stage(), config_error);
+  EXPECT_THROW((void)mgr.checkpoint(), config_error);
+  gate.open();  // only now may the drain finish; a refusal that had waited
+                // for it would have run the gate into its deadline
+  EXPECT_EQ(mgr.wait_drain(t0.version).version, t0.version);
+  EXPECT_THROW((void)mgr.stage(), config_error) << "drained, not decided";
+  EXPECT_EQ(mgr.versions_in_flight(), 1);
 
-  std::atomic<bool> third_staged{false};
-  std::thread t([&] {
-    (void)mgr.stage();  // both slots busy: must block until the gate opens
-    third_staged = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_staged.load()) << "third stage() must back-pressure";
-
-  gate.open();
-  t.join();
-  EXPECT_TRUE(third_staged.load());
-  for (const int v : {t0.version, t1.version, t1.version + 1}) {
-    mgr.wait_drain(v);
-    mgr.commit_version(v);
-  }
-  EXPECT_EQ(mgr.latest_version(), t1.version + 1);
+  mgr.commit_version(t0.version);
+  const StageTicket t1 = mgr.stage();
+  EXPECT_EQ(t1.version, t0.version + 1);
+  mgr.abort_version(t1.version);
+  EXPECT_EQ(mgr.checkpoint().version, t0.version + 2);
 }
 
 // ----- stores: pending state across both backends ---------------------------

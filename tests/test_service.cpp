@@ -357,9 +357,9 @@ TEST(ThreadTopology, OnlyBackgroundWorkStartsAThreadAndOnlyOnePerOwner) {
     EXPECT_EQ(thread_count() - before, 0) << "synchronous checkpoints only";
     const StageTicket first = mgr.stage();
     EXPECT_EQ(thread_count() - before, 1) << "after the first stage()";
+    mgr.commit_version(first.version);
     const StageTicket second = mgr.stage();
     EXPECT_EQ(thread_count() - before, 1) << "after a second stage()";
-    mgr.commit_version(first.version);
     mgr.commit_version(second.version);
   }
   {

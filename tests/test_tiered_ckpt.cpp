@@ -159,6 +159,16 @@ TEST(TieredStore, ManualPromoteNowDeclinesWhenSourceGone) {
   EXPECT_EQ(store->latest_version(), -1);
 }
 
+TEST(TieredStore, PromoteNowBelongsToCallerDrivenStores) {
+  // A self-promoting store's worker runs every promotion plan, so the owner
+  // cannot start a second, unordered one.
+  auto store = make_tiered_store(2, 1, 1);
+  store->write(0, pattern_blob(64, 1));
+  EXPECT_THROW((void)store->promote_now(0, 1), config_error);
+  store->drain_promotions();
+  EXPECT_TRUE(store->exists_at(2, 0));
+}
+
 TEST(TieredStore, PendingProtocolCommitsThroughL1AndPromotes) {
   auto store = make_tiered_store(2, 1, 1);
   const auto blob = pattern_blob(256, 21);
