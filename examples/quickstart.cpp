@@ -50,7 +50,6 @@ int main() {
   while (!solver.converged()) {
     solver.step();
     now += iteration_seconds;
-    policy->on_iteration(now);
     if (policy->should_checkpoint(now, last_ckpt)) {
       x_protected = solver.solution();
       const auto rec = ckpt.snapshot();
@@ -68,12 +67,10 @@ int main() {
     if (solver.iteration() == crash_at) {
       std::printf("  !! simulated failure at iteration %lld\n",
                   static_cast<long long>(crash_at));
-      policy->on_failure(FailureSeverity::kProcess);
       ckpt.request_recovery();
       ckpt.snapshot();  // FTI semantics: pending recovery -> restore
       // (5) The decompressed x is the new initial guess (Algorithm 2).
       solver.restart(x_protected);
-      policy->on_recovery(now);
       last_ckpt = now;  // checkpoint timer restarts after recovery
       std::printf("  recovered from lossy checkpoint; residual now %.3e\n",
                   solver.residual_norm());

@@ -172,9 +172,8 @@ class CheckpointManager {
     delta_chunk_elems_ = chunk_elems;
   }
 
-  /// Configure the stream writer (see frame_stream.hpp): the write-buffer
-  /// size and the style of verbatim chunks. Must not change while a drain
-  /// is in flight.
+  /// Configure the stream writer (see frame_stream.hpp): the style of
+  /// verbatim chunks. Must not change while a drain is in flight.
   void set_streaming(const StreamingConfig& cfg) {
     cfg.validate();
     streaming_ = cfg;
@@ -284,7 +283,7 @@ class CheckpointManager {
   int next_version_ = 0;
   int retention_ = 1;
   int prune_floor_ = 0;  ///< Versions below this are already pruned.
-  StreamingConfig streaming_{};  ///< Stream writer knobs.
+  StreamingConfig streaming_{};  ///< Stream writer knob.
   obs::Sink sink_{};  ///< Observability handles (both null => off).
   bool recovery_pending_ = false;
 

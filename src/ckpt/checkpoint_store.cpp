@@ -153,14 +153,11 @@ int DiskStore::latest_version() const {
 }
 
 void DiskStore::write_pending(int version, std::span<const byte_t> data) {
-  const std::string pending_path = pending_path_for(version);
-  std::ofstream f(pending_path, std::ios::binary | std::ios::trunc);
-  if (!f)
-    throw corrupt_stream_error("disk store: cannot open " + pending_path);
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  if (!f)
-    throw corrupt_stream_error("disk store: short write " + pending_path);
+  // The sink's tmp + rename keeps a failed write from leaving a torn
+  // .pending file that commit() would publish.
+  const auto sink = open_write_pending(version);
+  sink->append(data);
+  sink->finish();
 }
 
 void DiskStore::commit(int version) {

@@ -11,8 +11,6 @@
 namespace lck {
 namespace {
 
-constexpr std::size_t kMinWbufBytes = 4096;
-constexpr std::size_t kMaxWbufBytes = std::size_t{1} << 30;
 constexpr std::size_t kMaxChunkBytes = kMaxChunkElems * sizeof(double);
 /// Frame header bytes covered by the frame CRC (all but the CRC itself).
 constexpr std::size_t kFrameCrcSpan = kFrameHeaderBytes - 4;
@@ -78,20 +76,7 @@ const char* frame_style_name(FrameStyle style) noexcept {
 }
 
 void StreamingConfig::validate() const {
-  std::string errors;
-  const auto violation = [&errors](const std::string& msg) {
-    errors += errors.empty() ? "" : "; ";
-    errors += msg;
-  };
-  if (wbuf_bytes < kMinWbufBytes || wbuf_bytes > kMaxWbufBytes)
-    violation("streaming.wbuf_bytes must be in [" +
-              std::to_string(kMinWbufBytes) + ", " +
-              std::to_string(kMaxWbufBytes) + "], got " +
-              std::to_string(wbuf_bytes));
-  if (style != "raw" && style != "lz4" && style != "deflate")
-    violation("streaming.style must be raw, lz4, or deflate, got '" + style +
-              "'");
-  if (!errors.empty()) throw config_error("bad streaming config: " + errors);
+  (void)frame_style_from_name(style);
 }
 
 // ----- FrameWriter ----------------------------------------------------------
@@ -101,9 +86,7 @@ FrameWriter::FrameWriter(ByteSink& sink, const StreamingConfig& cfg,
                          obs::Sink obs)
     : sink_(sink),
       style_(frame_style_from_name(cfg.style)),
-      wbuf_limit_(cfg.wbuf_bytes),
       obs_(obs) {
-  cfg.validate();
   require((base_version < 0) == (chain_len == 0),
           "frame stream: a delta needs a base, a full checkpoint none");
   byte_t header[kStreamHeaderBytes];
@@ -210,8 +193,8 @@ void FrameWriter::emit_frame(FrameStyle style, std::size_t raw_len,
 
 void FrameWriter::emit(std::span<const byte_t> bytes) {
   total_ += bytes.size();
-  if (wbuf_.size() + bytes.size() > wbuf_limit_) flush_wbuf();
-  if (bytes.size() >= wbuf_limit_) {
+  if (wbuf_.size() + bytes.size() > kWriteBufferBytes) flush_wbuf();
+  if (bytes.size() >= kWriteBufferBytes) {
     sink_.append(bytes);  // oversized: hand straight to the sink
     return;
   }

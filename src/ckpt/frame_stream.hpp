@@ -87,6 +87,9 @@ inline constexpr std::size_t kMetaFrameBytes = std::size_t{64} << 10;
 /// Strings inside checkpoint streams are variable and codec names; cap them
 /// so a corrupt length prefix cannot demand a large allocation.
 inline constexpr std::size_t kMaxStreamStringBytes = std::size_t{1} << 20;
+/// Size of the writer's coalescing buffer in front of the store sink; an
+/// emit of at least this many bytes bypasses it.
+inline constexpr std::size_t kWriteBufferBytes = std::size_t{256} << 10;
 
 /// Plausibility cap for a codec chunk payload: no in-tree codec expands
 /// beyond ~2x (all have stored fallbacks), so 4x the raw chunk plus slack
@@ -128,15 +131,13 @@ struct ChunkGeometry {
   }
 };
 
-/// Knobs of the checkpoint writer.
+/// Knob of the checkpoint writer.
 struct StreamingConfig {
-  /// Coalescing write-buffer size handed to the store sink, in bytes.
-  std::size_t wbuf_bytes = std::size_t{256} * 1024;
   /// Style of verbatim (uncompressed-codec) vector chunks: "raw", "lz4",
   /// or "deflate".
   std::string style = "lz4";
 
-  /// Throws config_error naming every violated constraint.
+  /// Throws config_error unless `style` names one of those three.
   void validate() const;
 };
 
@@ -198,7 +199,6 @@ class FrameWriter {
 
   ByteSink& sink_;
   FrameStyle style_;
-  std::size_t wbuf_limit_;
   obs::Sink obs_{};
   std::vector<byte_t> meta_;  // metadata frame under construction
   std::vector<byte_t> comp_;  // per-chunk compression scratch

@@ -48,7 +48,8 @@ struct TierSpec {
   /// severity strictly greater destroys the tier.
   FailureSeverity survives = FailureSeverity::kProcess;
   /// Committed versions kept in this tier (older ones are pruned as new
-  /// versions arrive). Must be >= 1.
+  /// versions arrive). Must be >= 1. The runner's built-in stack and every
+  /// service job's stack keep this default.
   int retention = 2;
   /// Auto-promotion filter: every `promote_every`-th version enters this
   /// tier (1 = all). Read only by a self-promoting store; a caller-driven

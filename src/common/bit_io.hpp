@@ -83,7 +83,6 @@ class BitReader {
     return v;
   }
 
-  [[nodiscard]] std::size_t bit_position() const noexcept { return pos_; }
   [[nodiscard]] std::size_t bits_remaining() const noexcept {
     return data_.size() * 8 - pos_;
   }

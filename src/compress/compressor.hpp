@@ -69,11 +69,7 @@ class LossyCompressor : public Compressor {
 /// Identity "compressor" — the traditional checkpointing scheme.
 class NoneCompressor final : public Compressor {
  public:
-  /// Stream layout constants, public so the checkpoint serializer can emit
-  /// the verbatim format directly without an intermediate payload buffer.
   static constexpr std::uint32_t kMagic = 0x454e4f4eu;  // "NONE"
-  static constexpr std::size_t kHeaderBytes =
-      sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
   [[nodiscard]] std::string name() const override { return "none"; }
   [[nodiscard]] bool lossy() const noexcept override { return false; }

@@ -43,10 +43,6 @@ class HuffmanEncoder {
     bw.write_bits(codes_[symbol], lengths_[symbol]);
   }
 
-  [[nodiscard]] unsigned length_of(std::uint32_t symbol) const {
-    return lengths_[symbol];
-  }
-
  private:
   std::vector<std::uint32_t> codes_;
   std::vector<std::uint8_t> lengths_;

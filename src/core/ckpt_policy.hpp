@@ -4,10 +4,10 @@
 ///        the next checkpoint?
 ///
 /// The paper picks a single Young-optimal interval offline and paces every
-/// run with it. PR 2/PR 3 added overlap-aware and per-tier cost models whose
-/// optimal intervals differ per mode — this layer closes the loop by making
-/// the timing decision a first-class interface instead of a hardwired
-/// `now - last >= interval` comparison:
+/// run with it. The staged and tiered modes have overlap-aware and per-tier
+/// cost models whose optimal intervals differ per mode — this layer lets a
+/// policy choose the interval that the runner's
+/// `now - last >= interval` comparison paces with:
 ///
 ///  - FixedIntervalPolicy — the paper's setting, bit-identical to the old
 ///    hardwired pacing (and the default, so existing runs are unchanged).
@@ -29,7 +29,6 @@
 #include <string>
 
 #include "ckpt/checkpoint_manager.hpp"  // CkptMode
-#include "common/severity.hpp"
 
 namespace lck {
 
@@ -65,7 +64,9 @@ struct PolicyContext {
 };
 
 /// Abstract checkpoint-timing decision, consulted by ResilientRunner once
-/// per iteration and fed every lifecycle event that could inform pacing.
+/// per iteration and told the observed cost of every committed checkpoint.
+/// A policy sets the pacing through current_interval() and the tiered
+/// promotion cadence; the decision rule itself is fixed.
 class CheckpointPolicy {
  public:
   explicit CheckpointPolicy(PolicyContext ctx) : ctx_(std::move(ctx)) {}
@@ -75,39 +76,26 @@ class CheckpointPolicy {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// Target seconds between checkpoints right now (observability and the
-  /// default decision rule below).
+  /// decision rule below).
   [[nodiscard]] virtual double current_interval() const noexcept = 0;
 
-  /// Decide whether to checkpoint at virtual time `now`, where
-  /// `last_ckpt_t` is when the checkpoint timer was last reset (previous
-  /// checkpoint end or recovery end). The default rule reproduces the
-  /// pre-policy pacing comparison exactly.
-  [[nodiscard]] virtual bool should_checkpoint(double now,
-                                               double last_ckpt_t) const {
+  /// Decide whether to checkpoint at virtual time `now`: true once
+  /// current_interval() seconds have passed since `last_ckpt_t`, when the
+  /// checkpoint timer was last reset (previous checkpoint end or recovery
+  /// end).
+  [[nodiscard]] bool should_checkpoint(double now, double last_ckpt_t) const {
     return now - last_ckpt_t >= current_interval();
   }
 
-  // ----- lifecycle hooks (defaults: no-op) ----------------------------------
-
-  /// One solver iteration finished at virtual time `now`.
-  virtual void on_iteration(double now) { (void)now; }
-
-  /// A checkpoint version committed. `blocking_seconds` is what the solver
-  /// paid for it (full cost in sync mode; staging copy plus any
-  /// back-pressure in staged modes); `stored_bytes` its cluster-scale
-  /// stored size.
+  /// A checkpoint version committed (default: ignored). `blocking_seconds`
+  /// is what the solver paid for it (full cost in sync mode; staging copy
+  /// plus any back-pressure in staged modes); `stored_bytes` its
+  /// cluster-scale stored size.
   virtual void on_checkpoint_committed(double blocking_seconds,
                                        double stored_bytes) {
     (void)blocking_seconds;
     (void)stored_bytes;
   }
-
-  /// A failure of the given severity struck.
-  virtual void on_failure(FailureSeverity severity) { (void)severity; }
-
-  /// Recovery completed at virtual time `now`; the checkpoint timer
-  /// restarts here.
-  virtual void on_recovery(double now) { (void)now; }
 
   // ----- tiered promotion cadence -------------------------------------------
 

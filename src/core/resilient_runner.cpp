@@ -1,7 +1,6 @@
 #include "core/resilient_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.hpp"
 #include "obs/pass_counter.hpp"
@@ -46,37 +45,14 @@ void ResilienceConfig::validate() const {
     violation("failure.severity_weights must be non-negative");
   else if (!(weight_sum > 0.999 && weight_sum < 1.001))
     violation("failure.severity_weights must sum to 1");
-  if (failure.distribution != "exponential" &&
-      failure.distribution != "weibull")
-    violation("failure.distribution must be \"exponential\" or \"weibull\"");
-  if (failure.distribution == "weibull") {
-    if (!(failure.weibull_shape > 0.0))
-      violation("failure.weibull_shape must be positive");
-    if (!(failure.weibull_scale >= 0.0))
-      violation("failure.weibull_scale must be non-negative");
-  }
   if (tiered.l2_promote_every < 1)
     violation("tiered.l2_promote_every must be >= 1");
   if (tiered.l3_promote_every < 1)
     violation("tiered.l3_promote_every must be >= 1");
-  if (tiered.retention < 1) violation("tiered.retention must be >= 1");
   if (delta.max_delta_chain < 0)
     violation("delta.max_delta_chain must be >= 0");
   if (delta.chunk_elems < 1 || delta.chunk_elems > kMaxChunkElems)
     violation("delta.chunk_elems must be in [1, 2^20]");
-  if (max_steps < 1) violation("max_steps must be >= 1");
-  // StreamingConfig knows its own constraints; fold its message into the
-  // collected list so one throw still names every violation.
-  try {
-    streaming.validate();
-  } catch (const config_error& e) {
-    violation(e.what());
-  }
-  try {
-    obs.validate();
-  } catch (const config_error& e) {
-    violation(e.what());
-  }
   if (!errors.empty()) throw config_error(errors);
 }
 
@@ -111,17 +87,6 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
               "runner: lossy scheme requires a lossy compressor");
       break;
   }
-  // The Weibull switch re-arms from t = 0, so exponential runs keep their
-  // exact historical draw sequence (the injector only consumes extra draws
-  // when the model is enabled).
-  if (cfg_.failure.distribution == "weibull" && cfg_.failure.inject) {
-    const double scale =
-        cfg_.failure.weibull_scale > 0.0
-            ? cfg_.failure.weibull_scale
-            : cfg_.failure.mtti_seconds /
-                  std::tgamma(1.0 + 1.0 / cfg_.failure.weibull_shape);
-    injector_.set_weibull(cfg_.failure.weibull_shape, scale);
-  }
   std::unique_ptr<CheckpointStore> store;
   if (cfg_.store_factory) {
     // Externally-owned store stack (e.g. a CheckpointService job handle):
@@ -146,9 +111,9 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
     // Canonical 3-level hierarchy with virtual-time promotion: the runner
     // itself executes each planned hop when the simulated background
     // channel finishes it, so runs are bit-stable regardless of host speed.
-    auto tiered = make_tiered_store(cfg_.tiered.retention,
-                                    cfg_.tiered.l2_promote_every,
-                                    cfg_.tiered.l3_promote_every, "",
+    // The policy picks the promoted versions, so the stack's own cadences
+    // (read only by a self-promoting store) stay 1.
+    auto tiered = make_tiered_store(TierSpec{}.retention, 1, 1, "",
                                     /*auto_promote=*/false);
     tiered_ = tiered.get();
     store = std::move(tiered);
@@ -163,14 +128,13 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
   // retention is per tier (inside the store); the manager-level prune is
   // parked far away so it never fights the hierarchy.
   manager_->set_retention(cfg_.ckpt_mode == CkptMode::kTiered ? (1 << 28) : 2);
-  manager_->set_streaming(cfg_.streaming);
   if (cfg_.delta.max_delta_chain > 0)
     manager_->set_delta(cfg_.delta.max_delta_chain, cfg_.delta.chunk_elems);
   register_variables();
   policy_ = make_policy(cfg_.policy.name, make_policy_context());
   if (cfg_.obs.metrics) metrics_ = std::make_unique<obs::MetricsRegistry>();
   if (cfg_.obs.trace)
-    trace_ = std::make_unique<obs::TraceRecorder>(cfg_.obs.trace_max_events);
+    trace_ = std::make_unique<obs::TraceRecorder>();
   sink_ = {metrics_.get(), trace_.get()};
   if (sink_.enabled()) manager_->set_observability(sink_);
 }
@@ -668,7 +632,6 @@ void ResilientRunner::note_failure(FailureSeverity sev) {
     metrics_->add("failures", 1.0, {{"severity", to_string(sev)}});
   if (trace_ != nullptr)
     trace_->instant("failures", to_string(sev), t_);
-  policy_->on_failure(sev);
   if (tiered_ != nullptr) {
     // Copies whose virtual window closed before the failure are durable;
     // everything still on the channel is lost with the staging buffers.
@@ -759,7 +722,6 @@ void ResilientRunner::handle_failure() {
   }
   if (tiered_ != nullptr) promo_tail_t_ = std::max(promo_tail_t_, t_);
   last_ckpt_t_ = t_;  // checkpoint timer restarts after recovery
-  policy_->on_recovery(t_);
 }
 
 ResilienceResult ResilientRunner::run() {
@@ -768,7 +730,8 @@ ResilienceResult ResilientRunner::run() {
   // is process-global, so per-step deltas (not absolute values) are what
   // belongs to this run.
   std::uint64_t passes_seen = obs::vector_passes();
-  while (!solver_.converged() && result_.executed_steps < cfg_.max_steps) {
+  constexpr index_t kMaxSteps = 2000000;  // safety cap
+  while (!solver_.converged() && result_.executed_steps < kMaxSteps) {
     // Failure strictly inside the next iteration's window?
     if (injector_.interrupts(t_, cfg_.iteration_seconds)) {
       t_ = injector_.next_failure_time();
@@ -788,7 +751,6 @@ ResilienceResult ResilientRunner::run() {
       trace_->complete("solver", "iter", t_ - cfg_.iteration_seconds, t_);
       trace_->counter("residual", "residual", t_, solver_.residual_norm());
     }
-    policy_->on_iteration(t_);
 
     if (!solver_.converged() && policy_->should_checkpoint(t_, last_ckpt_t_)) {
       if (staged)

@@ -67,8 +67,9 @@ struct CompressionConfig {
   double adaptive_theta = 1.0;
 };
 
-/// Fail-stop failure injection (λ = 1/MTTI) and the severity mix of the
-/// multi-level hierarchy.
+/// Fail-stop failure injection with exponential inter-arrival times
+/// (λ = 1/MTTI, the paper's model) and the severity mix of the multi-level
+/// hierarchy.
 struct FailureConfig {
   double mtti_seconds = 3600.0;
   /// Disable for failure-free baselines.
@@ -78,18 +79,11 @@ struct FailureConfig {
   /// system); must sum to 1. Only sampled in tiered mode.
   std::array<double, kSeverityCount> severity_weights =
       kDefaultSeverityWeights;
-  /// Inter-arrival distribution: "exponential" (the paper's model, default)
-  /// or "weibull" (bursty fleet failures; see sim/failure.hpp).
-  std::string distribution = "exponential";
-  /// Weibull shape k; < 1 front-loads the hazard (bursts). Only read when
-  /// distribution == "weibull".
-  double weibull_shape = 0.7;
-  /// Weibull scale λ; 0 derives it from mtti_seconds so the mean
-  /// inter-arrival stays the configured MTTI (λ = MTTI / Γ(1 + 1/k)).
-  double weibull_scale = 0.0;
 };
 
-/// Multi-level hierarchy knobs (CkptMode::kTiered only).
+/// Multi-level hierarchy knobs (CkptMode::kTiered only). Each tier keeps
+/// TierSpec's default retention, in the built-in stack and in a service
+/// job's stack alike.
 struct TieredConfig {
   /// Every k-th committed checkpoint is promoted to the L2 partner tier.
   /// Both cadences reach the runner through its policy (the adaptive one
@@ -98,10 +92,6 @@ struct TieredConfig {
   int l2_promote_every = 1;
   /// Every k-th committed checkpoint is promoted to the L3 PFS tier.
   int l3_promote_every = 4;
-  /// Committed versions each tier of the built-in stack retains (older ones
-  /// pruned per tier). Not read with a store_factory: its stack brings its
-  /// own retention (a service job's JobConfig::retention).
-  int retention = 2;
 };
 
 /// Chunked content-addressed delta checkpointing (ckpt/chunk/). Disabled by
@@ -140,9 +130,6 @@ struct ResilienceConfig {
   TieredConfig tiered{};
   PolicyConfig policy{};
   DeltaConfig delta{};
-  /// Stream writer knobs (ckpt/frame_stream.hpp): write-buffer size and
-  /// the style of verbatim vector chunks.
-  StreamingConfig streaming{};
   /// Observability gates (obs/observability.hpp). Both off by default: no
   /// registry or recorder is allocated and every instrumentation site in
   /// the checkpoint stack reduces to one null-pointer test. Enabling them
@@ -156,7 +143,8 @@ struct ResilienceConfig {
   /// runner executes its promotions); any CheckpointStore works otherwise.
   /// A TieredCheckpointStore that promotes on its own (auto_promote) is
   /// rejected in every mode: its real-time copies would race the runner's
-  /// virtual clock.
+  /// virtual clock. The stack's TierSpecs set its retention; a service
+  /// job's keep the default, as the built-in stack does.
   /// The returned store is owned by the runner's manager; resources it
   /// borrows (the service's shared L3) must outlive the runner.
   std::function<std::unique_ptr<CheckpointStore>()> store_factory;
@@ -175,9 +163,6 @@ struct ResilienceConfig {
 
   /// Cluster-scale bytes of static state (A, M, b) re-read on recovery.
   double static_bytes = 0.0;
-
-  /// Safety cap on executed solver steps.
-  index_t max_steps = 2000000;
 
   /// Check every knob and throw one config_error naming *all* violations
   /// (one clear message per violation). Called by the runner constructor.
@@ -269,7 +254,8 @@ class ResilientRunner {
   ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg);
   ~ResilientRunner();
 
-  /// Execute to convergence (or the step cap). May be called once.
+  /// Execute to convergence (or a safety cap of 2,000,000 executed steps).
+  /// May be called once.
   [[nodiscard]] ResilienceResult run();
 
   /// The pacing policy driving this run (for observability; owned).

@@ -176,14 +176,6 @@ double MetricsSnapshot::hist_sum_total(std::string_view base) const noexcept {
   return total;
 }
 
-std::uint64_t MetricsSnapshot::hist_count_total(
-    std::string_view base) const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& [name, h] : histograms)
-    if (base_name(name) == base) total += h.count;
-  return total;
-}
-
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;

@@ -97,10 +97,8 @@ struct MetricsSnapshot {
   /// Sum of every counter series whose base name (the part before any '{')
   /// equals `base` — i.e. summed across label sets.
   [[nodiscard]] double counter_total(std::string_view base) const noexcept;
-  /// Sum / observation count across every histogram series of `base`.
+  /// Sum across every histogram series of `base`.
   [[nodiscard]] double hist_sum_total(std::string_view base) const noexcept;
-  [[nodiscard]] std::uint64_t hist_count_total(
-      std::string_view base) const noexcept;
 
   /// Pretty-printed JSON object (stable key order, %.17g doubles — enough
   /// to round-trip, so identical state serializes identically).

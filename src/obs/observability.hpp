@@ -1,6 +1,6 @@
 #pragma once
 /// \file observability.hpp
-/// \brief ObservabilityConfig (the validated runtime gate) and obs::Sink
+/// \brief ObservabilityConfig (the runtime gate) and obs::Sink
 ///        (the nullable handle instrumented code records through).
 ///
 /// This header is deliberately lightweight — it forward-declares the
@@ -17,28 +17,20 @@
 /// reruns (tests/test_obs.cpp proves streams and results stay
 /// byte-identical either way).
 
-#include <cstddef>
-
 namespace lck::obs {
 
 class MetricsRegistry;
 class TraceRecorder;
 
-/// Runtime gate for the observability subsystem, validated with the rest
-/// of ResilienceConfig.
+/// Runtime gate for the observability subsystem.
 struct ObservabilityConfig {
   /// Allocate a MetricsRegistry and record counters/histograms/gauges.
   bool metrics = false;
-  /// Allocate a TraceRecorder and record checkpoint-lifecycle spans.
+  /// Allocate a TraceRecorder (default event cap) and record
+  /// checkpoint-lifecycle spans.
   bool trace = false;
-  /// Trace buffer cap: events past this are counted as dropped, not kept
-  /// (a multi-hour run cannot eat the heap). Must be >= 1.
-  std::size_t trace_max_events = std::size_t{1} << 20;
 
   [[nodiscard]] bool any() const noexcept { return metrics || trace; }
-
-  /// Throws config_error naming every violated constraint.
-  void validate() const;
 };
 
 /// Nullable recording handle passed down the checkpoint stack. Copyable,

@@ -24,7 +24,6 @@ class Partitioner {
     require(ranks >= 1, "partitioner: need at least one rank");
   }
 
-  [[nodiscard]] index_t global_size() const noexcept { return n_; }
   [[nodiscard]] int ranks() const noexcept { return ranks_; }
 
   /// Number of elements owned by `rank`.

@@ -113,9 +113,6 @@ class FailureInjector {
     next_severity_ = sev;
   }
 
-  [[nodiscard]] bool severities_enabled() const noexcept {
-    return severities_enabled_;
-  }
   [[nodiscard]] double mtti() const noexcept { return mtti_; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 

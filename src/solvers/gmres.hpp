@@ -25,8 +25,6 @@ class GmresSolver final : public IterativeSolver {
 
   [[nodiscard]] std::string name() const override { return "gmres"; }
 
-  [[nodiscard]] index_t restart_length() const noexcept { return m_restart_; }
-
   void do_resume_after_restore() override;
 
  protected:

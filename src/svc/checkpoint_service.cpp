@@ -19,7 +19,6 @@ namespace lck::svc {
 /// if (misused) past close, and map erasure cannot dangle a reader.
 struct CheckpointService::JobState {
   int id = -1;
-  JobConfig cfg;
   std::string name;
 
   mutable std::mutex mu;  ///< Guards the counters below.
@@ -121,8 +120,6 @@ CheckpointService::~CheckpointService() {
 }
 
 JobHandle CheckpointService::open_job(JobConfig cfg) {
-  require(cfg.retention >= 1, "svc job: retention must be >= 1");
-
   std::unique_lock<std::mutex> lock(mu_);
   const int id = next_job_id_++;
   // The namespace [id·stride, (id+1)·stride) must fit in int keys.
@@ -131,9 +128,8 @@ JobHandle CheckpointService::open_job(JobConfig cfg) {
 
   auto state = std::make_shared<JobState>();
   state->id = id;
-  state->cfg = std::move(cfg);
-  state->name = state->cfg.name.empty() ? "job" + std::to_string(id)
-                                        : state->cfg.name;
+  state->name =
+      cfg.name.empty() ? "job" + std::to_string(id) : std::move(cfg.name);
   state->stats.name = state->name;
   jobs_.emplace(id, std::move(state));
   lock.unlock();
@@ -163,20 +159,17 @@ std::shared_ptr<CheckpointService::JobState> CheckpointService::state_of(
 std::unique_ptr<CheckpointStore> CheckpointService::make_store_for(
     int job_id) {
   const std::shared_ptr<JobState> state = state_of(job_id);
-  const JobConfig& jc = state->cfg;
 
-  // TierSpec::promote_every stays 1: only a self-promoting store reads it,
-  // and the job's owner decides which versions it promotes.
+  // Each tier keeps TierSpec's default retention and promote_every: only a
+  // self-promoting store reads the latter, and the job's owner decides
+  // which versions it promotes.
   std::vector<TieredCheckpointStore::Level> levels;
-  levels.push_back(
-      {TierSpec{"L1-local", FailureSeverity::kProcess, jc.retention, 1},
-       std::make_unique<MemoryStore>()});
-  levels.push_back(
-      {TierSpec{"L2-partner", FailureSeverity::kNode, jc.retention, 1},
-       std::make_unique<PartnerStore>()});
-  levels.push_back(
-      {TierSpec{"L3-pfs", FailureSeverity::kSystem, jc.retention, 1},
-       std::make_unique<NamespaceStore>(this, state)});
+  levels.push_back({TierSpec{"L1-local", FailureSeverity::kProcess},
+                    std::make_unique<MemoryStore>()});
+  levels.push_back({TierSpec{"L2-partner", FailureSeverity::kNode},
+                    std::make_unique<PartnerStore>()});
+  levels.push_back({TierSpec{"L3-pfs", FailureSeverity::kSystem},
+                    std::make_unique<NamespaceStore>(this, state)});
   return std::make_unique<TieredCheckpointStore>(std::move(levels),
                                                  /*auto_promote=*/false);
 }

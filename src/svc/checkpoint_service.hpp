@@ -9,8 +9,9 @@
 ///   ...                              │   (key = id·S+v)    DedupChunkStore
 ///   job N ── L1 Memory ─ L2 Partner ─┘                     + per-job metrics
 ///
-/// Every job gets its own TieredCheckpointStore (private L1/L2, per-job
-/// retention) whose L3 level is a namespace view over the one shared
+/// Every job gets its own TieredCheckpointStore (private L1/L2, each tier
+/// keeping TierSpec's default retention, as the runner's built-in stack
+/// does) whose L3 level is a namespace view over the one shared
 /// DedupChunkStore: job j's version v is stored under key
 /// j·kNamespaceStride + v, so prune/invalidate in one namespace can never
 /// touch another job's versions, while identical chunk payloads across
@@ -53,9 +54,6 @@ namespace lck::svc {
 struct JobConfig {
   /// Metrics label; "" derives "job<id>".
   std::string name = "";
-  /// Versions retained per tier (the manager-level retention should be
-  /// parked when running under a tiered stack).
-  int retention = 2;
 };
 
 /// What one job has done to the shared tier (monotonic, per job).

@@ -3,8 +3,10 @@
 /// compressed checkpoint payloads.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 
 #include "ckpt/checkpoint_manager.hpp"
@@ -175,6 +177,42 @@ TEST(DiskStore, StalePendingSweepThenRetentionPruneAfterReopen) {
        std::filesystem::directory_iterator(dir))
     ++files;
   EXPECT_EQ(files, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DiskStore, FailedPendingWriteLeavesNothingToCommit) {
+  // A write_pending that fails partway (here at a 4 KiB file-size limit)
+  // must leave no torn .pending file for commit() to publish.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lckpt_torn_pending_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  DiskStore store(dir.string());
+  const std::vector<byte_t> data(64 * 1024, 7);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = 4096;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  if (::setrlimit(RLIMIT_FSIZE, &low) != 0) {
+    std::signal(SIGXFSZ, saved_handler);
+    std::filesystem::remove_all(dir);
+    GTEST_SKIP() << "cannot lower RLIMIT_FSIZE";
+  }
+  bool threw = false;
+  try {
+    store.write_pending(0, data);
+  } catch (const std::exception&) {
+    threw = true;
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(store.has_pending(0));
+  EXPECT_THROW(store.commit(0), config_error);
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    ADD_FAILURE() << "left behind: " << e.path().filename();
   std::filesystem::remove_all(dir);
 }
 

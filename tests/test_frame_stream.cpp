@@ -43,13 +43,6 @@ std::span<const byte_t> bytes_of(const Vector& v) {
   return {reinterpret_cast<const byte_t*>(v.data()), v.size() * sizeof(double)};
 }
 
-StreamingConfig small_wbuf(const std::string& style = "lz4") {
-  StreamingConfig cfg;
-  cfg.wbuf_bytes = 4096;
-  cfg.style = style;
-  return cfg;
-}
-
 template <typename T>
 T load(const std::vector<byte_t>& s, std::size_t at) {
   T v;
@@ -89,7 +82,7 @@ TEST(FrameTransport, MetadataAndChunksRoundTripInEveryStyle) {
     SCOPED_TRACE(style);
     std::vector<byte_t> stream;
     VectorSink sink(stream);
-    FrameWriter w(sink, small_wbuf(style), /*base_version=*/3,
+    FrameWriter w(sink, StreamingConfig{.style = style}, /*base_version=*/3,
                   /*chain_len=*/2);
     w.put<std::uint32_t>(0xabcd1234u);
     w.put_string("var/name");
@@ -136,7 +129,7 @@ TEST(FrameTransport, MetadataAndChunksRoundTripInEveryStyle) {
 TEST(FrameTransport, EmptyStreamIsHeaderAndTerminator) {
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, small_wbuf());
+  FrameWriter w(sink, StreamingConfig{});
   w.finish();
   EXPECT_EQ(stream.size(), kStreamHeaderBytes + kFrameHeaderBytes);
   SpanSource src(stream);
@@ -149,7 +142,7 @@ TEST(FrameTransport, TruncationIsDetected) {
   const auto payload = pattern_bytes(10000, 3);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, small_wbuf());
+  FrameWriter w(sink, StreamingConfig{});
   w.put_bytes(payload);
   w.finish();
 
@@ -188,7 +181,7 @@ TEST(FrameTransport, CorruptionIsDetected) {
   const auto payload = pattern_bytes(9000, 4);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, small_wbuf());
+  FrameWriter w(sink, StreamingConfig{});
   w.put_bytes(payload);
   w.finish();
 
@@ -242,18 +235,17 @@ TEST(FrameTransport, WriterMemoryIsBounded) {
   // 4 MiB of chunks: the writer's high-water mark must stay at one chunk's
   // compressed image + pending metadata + write buffer + header,
   // independent of stream length.
-  const StreamingConfig cfg = small_wbuf("lz4");
   const auto chunk = pattern_bytes(kChunkElems * sizeof(double), 5);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, cfg);
+  FrameWriter w(sink, StreamingConfig{.style = "lz4"});
   for (int i = 0; i < 8; ++i) {
     w.put<std::uint32_t>(static_cast<std::uint32_t>(i));
     w.put_verbatim_chunk(chunk, 0);
   }
   w.finish();
   EXPECT_LE(w.peak_buffered_bytes(),
-            cfg.wbuf_bytes + kMetaFrameBytes +
+            kWriteBufferBytes + kMetaFrameBytes +
                 lz4_compress_bound(chunk.size()) + kFrameHeaderBytes);
   EXPECT_GT(stream.size(), 8 * chunk.size());  // random data: raw fallback
 }
@@ -271,43 +263,29 @@ TEST(FrameTransport, SinkReceivesIncrementalAppends) {
     std::size_t appends = 0, max_append = 0, total = 0;
   };
 
-  const StreamingConfig cfg = small_wbuf("raw");
-  const auto meta = pattern_bytes(std::size_t{1} << 20, 6);
+  const auto meta = pattern_bytes(16 * kWriteBufferBytes, 6);
   CountingSink sink;
-  FrameWriter w(sink, cfg);
+  FrameWriter w(sink, StreamingConfig{.style = "raw"});
   w.put_bytes(meta);
   w.finish();
   EXPECT_EQ(sink.total, w.stream_bytes());
   EXPECT_GE(sink.appends, 16u);
   // Largest single append: a flushed wbuf or one frame payload handed
   // straight through.
-  EXPECT_LE(sink.max_append, std::max(cfg.wbuf_bytes, kMetaFrameBytes));
+  EXPECT_LE(sink.max_append, std::max(kWriteBufferBytes, kMetaFrameBytes));
 }
 
 TEST(FrameTransport, ValidateRejectsBadConfigs) {
   StreamingConfig cfg;
-  cfg.wbuf_bytes = 16;  // < 4096 minimum
-  EXPECT_THROW(cfg.validate(), config_error);
-  cfg = StreamingConfig{};
   cfg.style = "zstd";
   EXPECT_THROW(cfg.validate(), config_error);
-  // All violations are collected into one message.
-  cfg.wbuf_bytes = 0;
-  try {
-    cfg.validate();
-    FAIL() << "invalid config accepted";
-  } catch (const config_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("wbuf_bytes"), std::string::npos);
-    EXPECT_NE(msg.find("style"), std::string::npos);
-  }
   EXPECT_NO_THROW(StreamingConfig{}.validate());
 }
 
 TEST(FrameTransport, HeaderPeekAndChunkSplitViewTheStream) {
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, small_wbuf("raw"), 41, 1);
+  FrameWriter w(sink, StreamingConfig{.style = "raw"}, 41, 1);
   const std::vector<byte_t> a{1, 2, 3}, b{4, 5, 6, 7};
   w.put<std::uint32_t>(7);
   w.put_codec_chunk(a, 8, 0);
@@ -581,7 +559,6 @@ TEST(ManagerStream, CorruptCheckpointsAreRejected) {
     auto store = std::make_unique<MemoryStore>();
     auto* store_raw = store.get();
     CheckpointManager mgr(std::move(store), &none);
-    mgr.set_streaming(small_wbuf());
     Vector x = smooth_vector(3000, 51);
     mgr.protect(0, "x", &x);
     mgr.checkpoint();
@@ -639,7 +616,7 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
                                 std::uint32_t count) {
     std::vector<byte_t> s;
     VectorSink sink(s);
-    FrameWriter w(sink, small_wbuf("raw"));
+    FrameWriter w(sink, StreamingConfig{.style = "raw"});
     w.put<std::uint32_t>(1);
     w.put<std::int32_t>(0);
     w.put_string("x");
@@ -666,7 +643,7 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
 
   std::vector<byte_t> s;
   VectorSink sink(s);
-  FrameWriter w(sink, small_wbuf("raw"));
+  FrameWriter w(sink, StreamingConfig{.style = "raw"});
   w.put<std::uint32_t>(1);
   w.put<std::int32_t>(1);
   w.put_string("b");
@@ -749,8 +726,7 @@ TEST(ManagerStream, EveryCheckpointStreamsThroughTheStoreSink) {
       auto store = std::make_unique<CountingStore>();
       auto* store_raw = store.get();
       CheckpointManager mgr(std::move(store), &none);
-      const StreamingConfig cfg = small_wbuf("raw");
-      mgr.set_streaming(cfg);
+      mgr.set_streaming({.style = "raw"});
       if (delta) mgr.set_delta(2);
       Vector x = smooth_vector(std::size_t{1} << 17, 61);  // 1 MiB of state
       mgr.protect(0, "x", &x);
@@ -767,7 +743,7 @@ TEST(ManagerStream, EveryCheckpointStreamsThroughTheStoreSink) {
       EXPECT_EQ(store_raw->whole_writes, 0u);
       EXPECT_GE(store_raw->appends, 4u);  // >= one per chunk
       EXPECT_LE(store_raw->max_append,
-                std::max(cfg.wbuf_bytes,
+                std::max(kWriteBufferBytes,
                          kChunkElems * sizeof(double) + kFrameHeaderBytes));
       x.assign(x.size(), 0.0);
       mgr.recover();

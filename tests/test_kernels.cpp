@@ -41,9 +41,10 @@ Vector random_vector(std::size_t n, std::uint64_t seed) {
 void expect_bitwise_eq(std::span<const double> a, std::span<const double> b,
                        const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << what;
+  }
 }
 
 /// Sizes straddling the kReductionBlockElems = 16384 serial/blocked boundary.

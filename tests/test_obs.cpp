@@ -209,11 +209,8 @@ TEST(Trace, DropsEventsPastTheCap) {
 TEST(Obs, ConfigValidation) {
   obs::ObservabilityConfig cfg;
   EXPECT_FALSE(cfg.any());
-  EXPECT_NO_THROW(cfg.validate());
   cfg.trace = true;
   EXPECT_TRUE(cfg.any());
-  cfg.trace_max_events = 0;
-  EXPECT_THROW(cfg.validate(), config_error);
 }
 
 // ----- runner integration ---------------------------------------------------
@@ -234,14 +231,6 @@ ResilienceConfig runner_config(CkptMode mode, bool obs_on, int delta = 0) {
   cfg.obs.metrics = obs_on;
   cfg.obs.trace = obs_on;
   return cfg;
-}
-
-TEST(Obs, RunnerRejectsInvalidObservabilityConfig) {
-  const LocalProblem p = make_local_problem("cg", 6, 1e-8);
-  auto solver = p.make_solver();
-  ResilienceConfig cfg = runner_config(CkptMode::kSync, true);
-  cfg.obs.trace_max_events = 0;
-  EXPECT_THROW(ResilientRunner(*solver, cfg), config_error);
 }
 
 double hist_sum(const obs::MetricsSnapshot& snap, const std::string& name) {

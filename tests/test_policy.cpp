@@ -253,21 +253,13 @@ TEST(ConfigValidate, RejectsEachBadKnobWithItsOwnMessage) {
   cfg = {};
   cfg.tiered.l3_promote_every = -2;
   expect_rejected(cfg, "tiered.l3_promote_every");
-
-  cfg = {};
-  cfg.tiered.retention = 0;
-  expect_rejected(cfg, "tiered.retention");
-
-  cfg = {};
-  cfg.max_steps = 0;
-  expect_rejected(cfg, "max_steps");
 }
 
 TEST(ConfigValidate, CollectsEveryViolationInOneError) {
   ResilienceConfig cfg;
   cfg.policy.interval_seconds = -1.0;
   cfg.iteration_seconds = 0.0;
-  cfg.tiered.retention = 0;
+  cfg.tiered.l3_promote_every = 0;
   try {
     cfg.validate();
     FAIL() << "expected config_error";
@@ -275,7 +267,7 @@ TEST(ConfigValidate, CollectsEveryViolationInOneError) {
     const std::string what = e.what();
     EXPECT_NE(what.find("policy.interval_seconds"), std::string::npos);
     EXPECT_NE(what.find("iteration_seconds"), std::string::npos);
-    EXPECT_NE(what.find("tiered.retention"), std::string::npos);
+    EXPECT_NE(what.find("tiered.l3_promote_every"), std::string::npos);
   }
 }
 

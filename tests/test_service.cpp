@@ -38,8 +38,8 @@ std::vector<byte_t> blob(std::size_t n, byte_t fill) {
 
 TEST(Service, NamespaceIsolationAcrossPruneAndInvalidate) {
   CheckpointService service;
-  auto job_a = service.open_job({.name = "a", .retention = 2});
-  auto job_b = service.open_job({.name = "b", .retention = 2});
+  auto job_a = service.open_job({.name = "a"});
+  auto job_b = service.open_job({.name = "b"});
   auto store_a = job_a.store_factory()();  // caller-driven: promote_now
   auto store_b = job_b.store_factory()();
   auto* tier_a = dynamic_cast<TieredCheckpointStore*>(store_a.get());
@@ -226,9 +226,9 @@ TEST(Service, RunnerRerunsAreBitStableAndMatchBuiltinTiered) {
     // One fresh job per run (fleet semantics): re-attaching to a *used*
     // namespace would legitimately let the runner recover from the previous
     // run's surviving L3 versions — persistence, not a determinism bug.
-    auto job1 = service.open_job({.retention = 2});
+    auto job1 = service.open_job();
     const auto r1 = run_via_service(job1);
-    auto job2 = service.open_job({.retention = 2});
+    auto job2 = service.open_job();
     const auto r2 = run_via_service(job2);
 
     // Service-backed runs are bit-stable across namespaces and against the
@@ -252,20 +252,6 @@ TEST(Service, RunnerRerunsAreBitStableAndMatchBuiltinTiered) {
     l3_writes.push_back(job1.stats().l3_writes);
   }
   EXPECT_NE(l3_writes[0], l3_writes[1]);
-}
-
-TEST(Service, WeibullFailureModelRunsThroughServiceStore) {
-  const LocalProblem p = make_local_problem("cg", 8, 1e-8);
-  CheckpointService service;
-  auto job = service.open_job();
-  auto solver = p.make_solver();
-  ResilienceConfig cfg = tiered_config();
-  cfg.failure.distribution = "weibull";
-  cfg.failure.weibull_shape = 0.7;  // bursty arrivals
-  cfg.store_factory = job.store_factory();
-  const auto res = ResilientRunner(*solver, cfg).run();
-  EXPECT_TRUE(res.converged);
-  EXPECT_GT(res.failures, 0);
 }
 
 // ----- shared dedup store under concurrent writers (TSan target) ------------
