@@ -50,7 +50,7 @@ void bm_decompress(benchmark::State& state, const char* name) {
                           static_cast<std::int64_t>(data.size() * 8));
 }
 
-/// The 4-way interleaved symbol histogram vs the naive single-array loop.
+/// The 8-way interleaved symbol histogram vs the naive single-array loop.
 /// Skewed input (most symbols equal) is the SZ common case and the worst
 /// case for a single histogram array's store-to-load dependency chain.
 void bm_histogram(benchmark::State& state, bool interleaved) {
@@ -90,15 +90,23 @@ void bm_shuffle(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 
-void bm_huffman_encode(benchmark::State& state) {
+/// 2^16 quantization-code-like symbols over SZ's 65,536-symbol alphabet.
+std::vector<std::uint32_t> huffman_symbols() {
   lck::Rng rng(9);
-  std::vector<std::uint64_t> freqs(65536, 0);
   std::vector<std::uint32_t> symbols(1 << 16);
-  for (auto& s : symbols) {
+  for (auto& s : symbols)
     s = 32768 + static_cast<std::uint32_t>(rng.normal(0.0, 40.0));
-    ++freqs[s];
-  }
-  const auto lengths = lck::huffman_code_lengths(freqs);
+  return symbols;
+}
+
+std::vector<std::uint8_t> huffman_lengths(
+    const std::vector<std::uint32_t>& symbols) {
+  return lck::huffman_code_lengths(lck::count_frequencies(symbols, 65536));
+}
+
+void bm_huffman_encode(benchmark::State& state) {
+  const auto symbols = huffman_symbols();
+  const auto lengths = huffman_lengths(symbols);
   const lck::HuffmanEncoder enc(lengths);
   for (auto _ : state) {
     lck::BitWriter bw;
@@ -110,16 +118,43 @@ void bm_huffman_encode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
+/// Decoder construction from the 65,536-entry length table plus one decode
+/// per symbol: the per-chunk work of an SZ decompression's entropy stage.
+void bm_huffman_decode(benchmark::State& state) {
+  const auto symbols = huffman_symbols();
+  const auto lengths = huffman_lengths(symbols);
+  const lck::HuffmanEncoder enc(lengths);
+  lck::BitWriter bw;
+  for (const auto s : symbols) enc.encode(bw, s);
+  const auto payload = bw.finish();
+  for (auto _ : state) {
+    const lck::HuffmanDecoder dec(lengths);
+    lck::BitReader br(payload);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < symbols.size(); ++i) sum += dec.decode(br);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(symbols.size()));
+}
+
 }  // namespace
 
-BENCHMARK_CAPTURE(bm_compress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
+// 4,096 elements is the delta chunk, 13,824 one 24^3 solver vector: the
+// sizes the checkpoint pipeline hands each codec call.
+BENCHMARK_CAPTURE(bm_compress, sz, "sz")
+    ->Arg(4096)->Arg(13824)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_compress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")->Arg(1 << 16);
+BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")
+    ->Arg(4096)->Arg(13824)->Arg(1 << 16);
 BENCHMARK_CAPTURE(bm_compress, shuffle_rle, "shuffle-rle")->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK_CAPTURE(bm_decompress, sz, "sz")
+    ->Arg(4096)->Arg(13824)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_decompress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")->Arg(1 << 16);
+BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")
+    ->Arg(4096)->Arg(13824)->Arg(1 << 16);
 BENCHMARK(bm_huffman_encode);
+BENCHMARK(bm_huffman_decode);
 BENCHMARK(bm_histogram_4way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);

@@ -35,18 +35,32 @@ namespace lck {
 
 /// Write `data` to `path` atomically: the bytes land in `path` + ".tmp"
 /// first and are rename()d into place, so readers never observe a torn
-/// file and a crash leaves only a sweepable .tmp leftover.
+/// file and a crash leaves only a sweepable .tmp leftover. The stream is
+/// closed and checked before the rename: a small write sits in the stream
+/// buffer until that close, so a failed close would otherwise publish a
+/// truncated file. Any failure removes the .tmp before the error escapes.
 inline void atomic_write_file(const std::string& path,
                               std::span<const byte_t> data) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) throw corrupt_stream_error("file io: cannot open " + tmp);
-    f.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-    if (!f) throw corrupt_stream_error("file io: short write " + tmp);
+  const auto discard_tmp = [&] {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+  };
+  std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+  if (!f) throw corrupt_stream_error("file io: cannot open " + tmp);
+  f.write(reinterpret_cast<const char*>(data.data()),
+          static_cast<std::streamsize>(data.size()));
+  f.close();
+  if (!f) {
+    discard_tmp();
+    throw corrupt_stream_error("file io: short write " + tmp);
   }
-  std::filesystem::rename(tmp, path);
+  try {
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    discard_tmp();
+    throw;
+  }
 }
 
 /// Version of a file named exactly `<prefix><digits><suffix>` with the

@@ -1,6 +1,7 @@
 #include "compress/huffman.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <queue>
 
@@ -120,32 +121,74 @@ HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
     if (lengths_[s] != 0) codes_[s] = next[lengths_[s]]++;
 }
 
+namespace {
+
+/// Call f(symbol, length) for every symbol with a nonzero code length, in
+/// symbol order. Zero lengths are skipped eight at a time: an SZ table
+/// holds a few hundred codes among 65,536 symbols.
+template <typename F>
+void for_each_code(std::span<const std::uint8_t> lengths, F&& f) {
+  const std::size_t n = lengths.size();
+  std::size_t s = 0;
+  for (; s + 8 <= n; s += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, lengths.data() + s, sizeof(word));
+    if (word == 0) continue;
+    for (std::size_t k = s; k < s + 8; ++k)
+      if (lengths[k] != 0) f(k, lengths[k]);
+  }
+  for (; s < n; ++s)
+    if (lengths[s] != 0) f(s, lengths[s]);
+}
+
+}  // namespace
+
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  for (const auto l : lengths)
-    max_len_ = std::max<unsigned>(max_len_, l);
+  if (lengths.size() >= (std::size_t{1} << 27))
+    throw corrupt_stream_error("huffman: alphabet too large");
+  // Counting pass: codes per length.
+  std::array<std::uint32_t, 256> count{};
+  for_each_code(lengths, [&](std::size_t, unsigned len) { ++count[len]; });
+  for (unsigned len = 1; len < count.size(); ++len)
+    if (count[len] != 0) max_len_ = len;
   if (max_len_ > kHuffmanMaxBits)
     throw corrupt_stream_error("huffman: code length exceeds limit");
-  groups_.resize(max_len_ + 1);
 
-  // Sort symbols by (length, symbol) — canonical order.
-  for (unsigned len = 1; len <= max_len_; ++len) {
-    groups_[len].first_index = static_cast<std::uint32_t>(symbols_.size());
-    for (std::size_t s = 0; s < lengths.size(); ++s)
-      if (lengths[s] == len) {
-        symbols_.push_back(static_cast<std::uint32_t>(s));
-        ++groups_[len].count;
-      }
-  }
   std::uint32_t code = 0;
-  std::uint32_t prev_count = 0;
+  std::uint32_t index = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code + prev_count) << 1;
-    groups_[len].first_code = code;
-    prev_count = groups_[len].count;
+    code = (code + groups_[len - 1].count) << 1;
+    groups_[len] = {code, index, count[len]};
+    index += count[len];
+  }
+
+  // Placing pass: symbols sorted by (length, symbol), the canonical order.
+  symbols_.resize(index);
+  std::array<std::uint32_t, kHuffmanMaxBits + 1> next{};
+  for (unsigned len = 1; len <= max_len_; ++len)
+    next[len] = groups_[len].first_index;
+  for_each_code(lengths, [&](std::size_t s, unsigned len) {
+    symbols_[next[len]++] = static_cast<std::uint32_t>(s);
+  });
+
+  // Each entry holds the walk's answer for its prefix. Longest length
+  // first, so a shorter code owns any prefix two lengths could share, as in
+  // the walk. Codes of an over-subscribed group that reach 2^len fit no
+  // len-bit prefix, and a group whose first_code + count wraps around 32
+  // bits matches nothing, as in the walk.
+  for (unsigned len = std::min(max_len_, kLookupBits); len >= 1; --len) {
+    const LengthGroup& g = groups_[len];
+    const std::uint32_t end =
+        std::min<std::uint32_t>(g.first_code + g.count, 1u << len);
+    const unsigned fill = kLookupBits - len;
+    for (std::uint32_t c = g.first_code; c < end; ++c)
+      std::fill_n(table_.begin() + (std::size_t{c} << fill),
+                  std::size_t{1} << fill,
+                  (symbols_[g.first_index + (c - g.first_code)] << 5) | len);
   }
 }
 
-std::uint32_t HuffmanDecoder::decode(BitReader& br) const {
+std::uint32_t HuffmanDecoder::walk(BitReader& br) const {
   std::uint32_t code = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
     code = (code << 1) | br.read_bit();

@@ -6,6 +6,7 @@
 /// deflate-like lossless compressor (literal/length and distance alphabets).
 /// Codes are canonical so only the code-length array is serialized.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,7 +27,7 @@ inline constexpr unsigned kHuffmanMaxBits = 24;
     std::span<const std::uint64_t> freqs);
 
 /// Symbol-frequency histogram over `symbols` (each must be < `alphabet`).
-/// Internally accumulates four interleaved partial histograms so the counter
+/// Internally accumulates eight interleaved partial histograms so the counter
 /// increments form independent dependency chains (the single loop-carried
 /// `++freq[c]` serializes on store-to-load forwarding for skewed symbol
 /// streams), then merges them. Integer addition is associative, so the
@@ -49,22 +50,41 @@ class HuffmanEncoder {
 };
 
 /// Canonical Huffman decoder built from the same code lengths.
+///
+/// Code lengths arrive from untrusted bytes, so the decoder reproduces the
+/// bit-by-bit canonical walk for every length set, including over-
+/// subscribed and incomplete ones: a code of ≤ kLookupBits bits decodes with
+/// one lookup in a table that holds the walk's answer for each
+/// kLookupBits-bit prefix; longer codes and prefixes that match no code
+/// take the walk itself.
 class HuffmanDecoder {
  public:
+  static constexpr unsigned kLookupBits = 11;
+
   explicit HuffmanDecoder(std::span<const std::uint8_t> lengths);
 
-  [[nodiscard]] std::uint32_t decode(BitReader& br) const;
+  [[nodiscard]] std::uint32_t decode(BitReader& br) const {
+    const std::uint32_t entry = table_[br.peek(kLookupBits)];
+    if (entry == 0) return walk(br);
+    br.skip(entry & 31u);
+    return entry >> 5;
+  }
 
  private:
+  /// Read one bit per code length until a length group holds the code.
+  [[nodiscard]] std::uint32_t walk(BitReader& br) const;
+
   // Per length L: first canonical code value and index into sorted symbols.
   struct LengthGroup {
     std::uint32_t first_code = 0;
     std::uint32_t first_index = 0;
     std::uint32_t count = 0;
   };
-  std::vector<LengthGroup> groups_;   // index = code length
+  std::array<LengthGroup, kHuffmanMaxBits + 1> groups_{};  // index = length
   std::vector<std::uint32_t> symbols_;  // sorted by (length, symbol)
   unsigned max_len_ = 0;
+  // symbol << 5 | code length, or 0 where the prefix needs the walk.
+  std::array<std::uint32_t, std::size_t{1} << kLookupBits> table_{};
 };
 
 /// Serialize a code-length array compactly (RLE of zeros + 5-bit lengths).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "common/bit_io.hpp"
@@ -46,25 +47,28 @@ constexpr std::array<CodeRange, 30> kDistCodes{{
     {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
 }};
 
-unsigned length_code(std::size_t len) {
-  for (unsigned c = static_cast<unsigned>(kLengthCodes.size()); c-- > 0;)
-    if (len >= kLengthCodes[c].base) return c;
-  throw corrupt_stream_error("deflate: bad match length");
-}
+// Length code of every match length (entries below kMinMatch are unused):
+// the last code whose base does not exceed the length.
+constexpr auto kLengthCodeOf = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> t{};
+  for (std::size_t c = 0; c < kLengthCodes.size(); ++c)
+    for (std::size_t len = kLengthCodes[c].base; len <= kMaxMatch; ++len)
+      t[len] = static_cast<std::uint8_t>(c);
+  return t;
+}();
 
-unsigned dist_code(std::size_t dist) {
-  for (unsigned c = static_cast<unsigned>(kDistCodes.size()); c-- > 0;)
-    if (dist >= kDistCodes[c].base) return c;
-  throw corrupt_stream_error("deflate: bad match distance");
+// Distance code of a distance in [1, kWindowSize]: 1..4 map to codes 0..3,
+// then each power-of-two range of distances splits into two codes.
+unsigned dist_code(std::uint32_t dist) {
+  if (dist <= 4) return dist - 1;
+  const auto b = static_cast<unsigned>(std::bit_width(dist - 1)) - 1;
+  return 2 * b + (((dist - 1) >> (b - 1)) & 1u);
 }
 
 // ----- LZ77 tokenization -----------------------------------------------------
-struct Token {
-  bool is_match;
-  byte_t literal;          // when !is_match
-  std::uint32_t length;    // when is_match
-  std::uint32_t distance;  // when is_match
-};
+// One 4-byte word per token: a literal byte, or kMatch | length << 16 |
+// distance (length ≤ 258, distance ≤ 32,768).
+constexpr std::uint32_t kMatch = 1u << 31;
 
 std::uint32_t hash3(const byte_t* p) noexcept {
   const std::uint32_t h = static_cast<std::uint32_t>(p[0]) |
@@ -73,52 +77,83 @@ std::uint32_t hash3(const byte_t* p) noexcept {
   return (h * 2654435761u) >> 17;  // 15-bit hash
 }
 
-std::vector<Token> tokenize(std::span<const byte_t> in) {
+/// Length of the common prefix of `a` and `b`, at most `limit`, compared
+/// eight bytes at a time.
+std::size_t match_length(const byte_t* a, const byte_t* b, std::size_t limit) {
+  std::size_t len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (x != y) {
+      const std::uint64_t d = x ^ y;
+      return len + static_cast<std::size_t>(
+                       (std::endian::native == std::endian::little
+                            ? std::countr_zero(d)
+                            : std::countl_zero(d)) /
+                       8);
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
   constexpr std::size_t kHashSize = 1u << 15;
   constexpr int kMaxChainProbes = 64;
-  std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> prev(in.size(), -1);
-  std::vector<Token> tokens;
-  tokens.reserve(in.size() / 4 + 16);
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  if (in.size() >= kNone)
+    throw config_error("deflate: input must be smaller than 4 GiB");
+  std::vector<std::uint32_t> head(kHashSize, kNone);
+  std::vector<std::uint32_t> prev(in.size(), kNone);
+  std::vector<std::uint32_t> tokens;
+  tokens.reserve(in.size());  // at most one token per input byte
 
-  // Link position j into the chain for its 3-byte hash.
-  const auto insert = [&](std::size_t j) {
-    const std::uint32_t h = hash3(in.data() + j);
+  // Link position j, whose 3-byte hash is h, into its chain.
+  const auto insert = [&](std::size_t j, std::uint32_t h) {
     prev[j] = head[h];
-    head[h] = static_cast<std::int64_t>(j);
+    head[h] = static_cast<std::uint32_t>(j);
   };
 
   std::size_t i = 0;
   while (i < in.size()) {
     std::size_t best_len = 0, best_dist = 0;
     const bool can_hash = i + kMinMatch <= in.size();
+    const std::uint32_t h = can_hash ? hash3(in.data() + i) : 0;
     if (can_hash) {
-      std::int64_t cand = head[hash3(in.data() + i)];
+      const std::size_t limit = std::min(kMaxMatch, in.size() - i);
+      std::uint32_t cand = head[h];
       int probes = 0;
-      while (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindowSize &&
+      // The first candidate with the longest match wins. A candidate that
+      // differs at byte best_len cannot beat it, and once the best match
+      // reaches the limit none can.
+      while (cand != kNone && i - cand <= kWindowSize &&
              probes++ < kMaxChainProbes) {
-        const std::size_t c = static_cast<std::size_t>(cand);
-        const std::size_t limit = std::min(kMaxMatch, in.size() - i);
-        std::size_t len = 0;
-        while (len < limit && in[c + len] == in[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = i - c;
-          if (len == kMaxMatch) break;
+        const std::size_t c = cand;
+        if (in[c + best_len] == in[i + best_len]) {
+          const std::size_t len =
+              match_length(in.data() + c, in.data() + i, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = i - c;
+            if (len == limit) break;
+          }
         }
         cand = prev[c];
       }
     }
     if (best_len >= kMinMatch) {
-      tokens.push_back({true, 0, static_cast<std::uint32_t>(best_len),
-                        static_cast<std::uint32_t>(best_dist)});
+      tokens.push_back(kMatch | static_cast<std::uint32_t>(best_len << 16) |
+                       static_cast<std::uint32_t>(best_dist));
       // Register all covered positions so later matches can reference them.
-      for (std::size_t j = i; j < i + best_len && j + kMinMatch <= in.size(); ++j)
-        insert(j);
+      insert(i, h);
+      for (std::size_t j = i + 1; j < i + best_len && j + kMinMatch <= in.size();
+           ++j)
+        insert(j, hash3(in.data() + j));
       i += best_len;
     } else {
-      if (can_hash) insert(i);
-      tokens.push_back({false, in[i], 0, 0});
+      if (can_hash) insert(i, h);
+      tokens.push_back(in[i]);
       ++i;
     }
   }
@@ -131,17 +166,17 @@ constexpr byte_t kFormatStored = 0;
 }  // namespace
 
 std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
-  const std::vector<Token> tokens = tokenize(in);
+  const std::vector<std::uint32_t> tokens = tokenize(in);
 
   // Histogram both alphabets.
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      ++lit_freq[257 + length_code(t.length)];
-      ++dist_freq[dist_code(t.distance)];
+  for (const std::uint32_t t : tokens) {
+    if (t & kMatch) {
+      ++lit_freq[257 + kLengthCodeOf[(t >> 16) & 0x1ff]];
+      ++dist_freq[dist_code(t & 0xffff)];
     } else {
-      ++lit_freq[t.literal];
+      ++lit_freq[t];
     }
   }
   ++lit_freq[kEob];
@@ -158,16 +193,18 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   write_code_lengths(out, dist_lengths);
 
   BitWriter bw;
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      const unsigned lc = length_code(t.length);
+  for (const std::uint32_t t : tokens) {
+    if (t & kMatch) {
+      const std::uint32_t length = (t >> 16) & 0x1ff;
+      const unsigned lc = kLengthCodeOf[length];
       lit_enc.encode(bw, 257 + lc);
-      bw.write_bits(t.length - kLengthCodes[lc].base, kLengthCodes[lc].extra_bits);
-      const unsigned dc = dist_code(t.distance);
+      bw.write_bits(length - kLengthCodes[lc].base, kLengthCodes[lc].extra_bits);
+      const std::uint32_t distance = t & 0xffff;
+      const unsigned dc = dist_code(distance);
       dist_enc.encode(bw, dc);
-      bw.write_bits(t.distance - kDistCodes[dc].base, kDistCodes[dc].extra_bits);
+      bw.write_bits(distance - kDistCodes[dc].base, kDistCodes[dc].extra_bits);
     } else {
-      lit_enc.encode(bw, t.literal);
+      lit_enc.encode(bw, t);
     }
   }
   lit_enc.encode(bw, kEob);
@@ -194,13 +231,9 @@ std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,
   if (orig_size != expected_size)
     throw corrupt_stream_error("deflate: size mismatch");
 
-  std::vector<byte_t> out;
-  out.reserve(expected_size);
-
   if (format == kFormatStored) {
     const auto bytes = r.get_bytes(expected_size);
-    out.assign(bytes.begin(), bytes.end());
-    return out;
+    return {bytes.begin(), bytes.end()};
   }
   if (format != kFormatHuffman)
     throw corrupt_stream_error("deflate: unknown format byte");
@@ -212,11 +245,15 @@ std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,
   const auto payload_size = r.get<std::uint64_t>();
   BitReader br(r.get_bytes(payload_size));
 
+  std::vector<byte_t> out(expected_size);
+  std::size_t o = 0;
   for (;;) {
     const std::uint32_t sym = lit_dec.decode(br);
     if (sym == kEob) break;
     if (sym < 256) {
-      out.push_back(static_cast<byte_t>(sym));
+      if (o == expected_size)
+        throw corrupt_stream_error("deflate: output exceeds expected size");
+      out[o++] = static_cast<byte_t>(sym);
     } else {
       const unsigned lc = sym - 257;
       if (lc >= kLengthCodes.size())
@@ -229,15 +266,15 @@ std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,
         throw corrupt_stream_error("deflate: bad distance symbol");
       const std::size_t dist =
           kDistCodes[dc].base + br.read_bits(kDistCodes[dc].extra_bits);
-      if (dist == 0 || dist > out.size())
+      if (dist == 0 || dist > o)
         throw corrupt_stream_error("deflate: distance out of window");
-      for (std::size_t k = 0; k < len; ++k)
-        out.push_back(out[out.size() - dist]);
+      if (len > expected_size - o)
+        throw corrupt_stream_error("deflate: output exceeds expected size");
+      // Byte by byte: a distance shorter than the length repeats the run.
+      for (const std::size_t end = o + len; o < end; ++o) out[o] = out[o - dist];
     }
-    if (out.size() > expected_size)
-      throw corrupt_stream_error("deflate: output exceeds expected size");
   }
-  if (out.size() != expected_size)
+  if (o != expected_size)
     throw corrupt_stream_error("deflate: output size mismatch");
   return out;
 }

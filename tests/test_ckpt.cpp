@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "ckpt/checkpoint_manager.hpp"
+#include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "compress/sz/sz_like.hpp"
 
@@ -211,6 +212,47 @@ TEST(DiskStore, FailedPendingWriteLeavesNothingToCommit) {
   EXPECT_TRUE(threw);
   EXPECT_FALSE(store.has_pending(0));
   EXPECT_THROW(store.commit(0), config_error);
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    ADD_FAILURE() << "left behind: " << e.path().filename();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicWriteFile, FailedWriteLeavesNeitherTargetNorTemporary) {
+  // Under a 512-byte file-size limit an 800-byte write fails only when the
+  // stream buffer is flushed at close, and a 4,096-byte one fails in the
+  // write itself. Both must throw and leave nothing behind: no truncated
+  // target published by the rename, and no .tmp.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lckpt_atomic_write_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = 512;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  if (::setrlimit(RLIMIT_FSIZE, &low) != 0) {
+    std::signal(SIGXFSZ, saved_handler);
+    std::filesystem::remove_all(dir);
+    GTEST_SKIP() << "cannot lower RLIMIT_FSIZE";
+  }
+  bool threw_small = false, threw_large = false;
+  try {
+    atomic_write_file((dir / "small").string(), std::vector<byte_t>(800, 7));
+  } catch (const std::exception&) {
+    threw_small = true;
+  }
+  try {
+    atomic_write_file((dir / "large").string(), std::vector<byte_t>(4096, 7));
+  } catch (const std::exception&) {
+    threw_large = true;
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_TRUE(threw_small);
+  EXPECT_TRUE(threw_large);
   for (const auto& e : std::filesystem::directory_iterator(dir))
     ADD_FAILURE() << "left behind: " << e.path().filename();
   std::filesystem::remove_all(dir);

@@ -182,6 +182,114 @@ TEST(BitIo, ReadPastEndThrows) {
   EXPECT_THROW(r.read_bit(), corrupt_stream_error);
 }
 
+// Bit-at-a-time reference for the word-wise BitWriter/BitReader.
+struct RefBitWriter {
+  std::vector<byte_t> buf;
+  std::size_t nbits = 0;
+  /// Writes `width` bits of `value`, most significant first; bits above
+  /// bit 63 are zero.
+  void write(std::uint64_t value, unsigned width) {
+    for (unsigned i = width; i-- > 0; ++nbits) {
+      if (nbits % 8 == 0) buf.push_back(0);
+      if (i < 64 && ((value >> i) & 1u))
+        buf.back() |= static_cast<byte_t>(0x80u >> (nbits % 8));
+    }
+  }
+};
+
+struct RefBitReader {
+  std::span<const byte_t> data;
+  std::size_t pos = 0;
+  [[nodiscard]] unsigned bit_at(std::size_t p) const {
+    return (data[p / 8] >> (7 - p % 8)) & 1u;
+  }
+  std::uint64_t read(unsigned width) {
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < width; ++i) {
+      if (pos >= data.size() * 8) throw corrupt_stream_error("ref: past end");
+      v = (v << 1) | bit_at(pos++);
+    }
+    return v;
+  }
+  /// The next `width` bits, zero past the end.
+  [[nodiscard]] std::uint64_t peek(unsigned width) const {
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < width; ++i)
+      v = (v << 1) | (pos + i < data.size() * 8 ? bit_at(pos + i) : 0u);
+    return v;
+  }
+};
+
+TEST(BitIo, RandomWidthsMatchBitAtATimeReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    BitWriter w;
+    RefBitWriter ref;
+    const auto ops = 1 + rng.uniform_index(300);
+    for (std::uint64_t k = 0; k < ops; ++k) {
+      // Values carry random bits above the width, which must be ignored.
+      const std::uint64_t value = rng();
+      switch (rng.uniform_index(3)) {
+        case 0: {
+          const auto width = static_cast<unsigned>(rng.uniform_index(65));
+          w.write_bits(value, width);
+          ref.write(value, width);
+          break;
+        }
+        case 1:
+          w.write_bit(static_cast<unsigned>(value));
+          ref.write(value, 1);
+          break;
+        default: {
+          const auto zeros = static_cast<unsigned>(rng.uniform_index(70));
+          w.write_unary(zeros);
+          ref.write(1, zeros + 1);
+        }
+      }
+      ASSERT_EQ(w.bit_count(), ref.nbits) << "seed " << seed;
+    }
+    const auto buf = w.finish();
+    ASSERT_EQ(buf, ref.buf) << "seed " << seed;
+
+    // Read back with widths of their own, past the end: both readers must
+    // agree on every value and throw at the same call.
+    BitReader r(buf);
+    RefBitReader rr{buf};
+    for (int call = 0;; ++call) {
+      ASSERT_EQ(r.bits_remaining(), buf.size() * 8 - rr.pos);
+      const auto width = static_cast<unsigned>(rng.uniform_index(65));
+      if (rng.uniform_index(4) == 0 && width >= 1 && width <= 32) {
+        ASSERT_EQ(r.peek(width), rr.peek(width)) << "seed " << seed;
+        continue;
+      }
+      const bool use_skip = width <= 32 && rng.uniform_index(2) == 0;
+      bool ref_threw = false, threw = false;
+      std::uint64_t expect = 0, got = 0;
+      try {
+        expect = rr.read(width);
+      } catch (const corrupt_stream_error&) {
+        ref_threw = true;
+      }
+      try {
+        if (use_skip)
+          r.skip(width);
+        else
+          got = r.read_bits(width);
+      } catch (const corrupt_stream_error&) {
+        threw = true;
+      }
+      ASSERT_EQ(threw, ref_threw) << "seed " << seed << " call " << call;
+      if (threw) {
+        EXPECT_EQ(r.bits_remaining(), 0u);
+        break;
+      }
+      if (!use_skip) {
+        ASSERT_EQ(got, expect) << "seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE reference value).
   const char* s = "123456789";

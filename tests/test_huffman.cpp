@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <map>
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
 
 namespace lck {
@@ -174,6 +177,140 @@ TEST(Huffman, DecoderRejectsGarbage) {
         for (int i = 0; i < 100; ++i) (void)dec.decode(br);
       },
       corrupt_stream_error);
+}
+
+/// The canonical walk, one bit per code length, kept here as the reference
+/// for the table-driven decoder: the shortest length whose canonical code
+/// range holds the prefix wins, with the same 32-bit code arithmetic.
+class ReferenceWalk {
+ public:
+  explicit ReferenceWalk(std::span<const std::uint8_t> lengths) {
+    for (const auto l : lengths) max_len_ = std::max<unsigned>(max_len_, l);
+    for (unsigned len = 1; len <= max_len_; ++len)
+      for (std::size_t s = 0; s < lengths.size(); ++s)
+        if (lengths[s] == len) by_len_[len].push_back(static_cast<std::uint32_t>(s));
+    std::uint32_t code = 0;
+    for (unsigned len = 1; len <= max_len_; ++len) {
+      code = (code + static_cast<std::uint32_t>(by_len_[len - 1].size())) << 1;
+      first_[len] = code;
+    }
+  }
+
+  std::uint32_t decode(BitReader& br) const {
+    std::uint32_t code = 0;
+    for (unsigned len = 1; len <= max_len_; ++len) {
+      code = (code << 1) | br.read_bit();
+      const auto count = static_cast<std::uint32_t>(by_len_[len].size());
+      if (count != 0 && code >= first_[len] && code < first_[len] + count)
+        return by_len_[len][code - first_[len]];
+    }
+    throw corrupt_stream_error("reference: invalid code");
+  }
+
+ private:
+  unsigned max_len_ = 0;
+  std::array<std::vector<std::uint32_t>, kHuffmanMaxBits + 1> by_len_;
+  std::array<std::uint32_t, kHuffmanMaxBits + 1> first_{};
+};
+
+TEST(Huffman, TableDecoderMatchesCanonicalWalk) {
+  // Complete sets from the builder, the same sets with codes removed
+  // (incomplete), and uniformly random lengths (mostly over-subscribed),
+  // with longest codes of 1 to 24 bits, fed random bits and valid streams
+  // cut short. Every symbol, every consumed bit and every throw must agree.
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Rng rng(seed);
+    const unsigned longest = 1 + static_cast<unsigned>((seed - 1) % kHuffmanMaxBits);
+    const std::size_t alphabet =
+        seed % 40 == 0 ? 65536 : 2 + rng.uniform_index(700);
+    std::vector<std::uint8_t> lengths(alphabet, 0);
+    const auto kind = (seed / kHuffmanMaxBits) % 3;
+    if (kind == 2) {
+      for (auto& l : lengths)
+        if (rng.uniform_index(4) != 0)
+          l = static_cast<std::uint8_t>(1 + rng.uniform_index(longest));
+    } else {
+      // Geometric frequencies whose tail reaches about `longest` bits.
+      std::vector<std::uint64_t> freqs(alphabet, 0);
+      for (std::size_t s = 0; s < alphabet; ++s)
+        if (s < 4 || rng.uniform_index(3) == 0)
+          freqs[s] = 1 + (std::uint64_t{1} << (rng.uniform_index(longest) + 1)) +
+                     rng.uniform_index(8);
+      lengths = huffman_code_lengths(freqs);
+      if (kind == 1)
+        for (auto& l : lengths)
+          if (rng.uniform_index(5) == 0) l = 0;
+    }
+    const HuffmanDecoder dec(lengths);
+    const ReferenceWalk ref(lengths);
+
+    std::vector<std::vector<byte_t>> streams;
+    for (int k = 0; k < 4; ++k) {
+      std::vector<byte_t> bytes(rng.uniform_index(48));
+      for (auto& b : bytes) b = static_cast<byte_t>(rng());
+      streams.push_back(std::move(bytes));
+    }
+    if (kind != 2) {
+      const HuffmanEncoder enc(lengths);
+      std::vector<std::uint32_t> coded;
+      for (std::size_t s = 0; s < alphabet; ++s)
+        if (lengths[s] != 0) coded.push_back(static_cast<std::uint32_t>(s));
+      BitWriter bw;
+      for (int k = 0; k < 200 && !coded.empty(); ++k)
+        enc.encode(bw, coded[rng.uniform_index(coded.size())]);
+      auto valid = bw.finish();
+      streams.push_back(valid);
+      valid.resize(valid.size() / 2);
+      streams.push_back(valid);
+    }
+    for (const auto& bytes : streams) {
+      BitReader a(bytes), b(bytes);
+      for (int call = 0;; ++call) {
+        std::uint32_t got = 0, expect = 0;
+        bool threw = false, ref_threw = false;
+        try {
+          got = dec.decode(a);
+        } catch (const corrupt_stream_error&) {
+          threw = true;
+        }
+        try {
+          expect = ref.decode(b);
+        } catch (const corrupt_stream_error&) {
+          ref_threw = true;
+        }
+        ASSERT_EQ(threw, ref_threw) << "seed " << seed << " call " << call;
+        if (threw) break;
+        ASSERT_EQ(got, expect) << "seed " << seed << " call " << call;
+        ASSERT_EQ(a.bits_remaining(), b.bits_remaining()) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Huffman, DecoderRejectsOverlongLength) {
+  const std::vector<std::uint8_t> lengths{1, kHuffmanMaxBits + 1};
+  EXPECT_THROW(HuffmanDecoder{lengths}, corrupt_stream_error);
+}
+
+TEST(EntropyStreams, EveryTruncationThrows) {
+  // Cutting a valid stream short anywhere, in the tables or the bit
+  // payload, must surface as corrupt_stream_error, never as a bad read.
+  // Every fourth value is nonzero, so deflate codes the stream with
+  // Huffman tables rather than storing it.
+  Rng rng(3);
+  std::vector<double> v(600, 0.0);
+  for (std::size_t i = 0; i < v.size(); i += 4)
+    v[i] = std::sin(0.01 * static_cast<double>(i)) + 1e-3 * rng.normal();
+  for (const char* name : {"sz", "deflate"}) {
+    const auto comp = make_compressor(name, ErrorBound::pointwise_rel(1e-4));
+    const auto stream = comp->compress(v);
+    std::vector<double> out(v.size());
+    comp->decompress(stream, out);
+    for (std::size_t len = 0; len < stream.size(); ++len)
+      EXPECT_THROW(comp->decompress({stream.data(), len}, out),
+                   corrupt_stream_error)
+          << name << " cut at " << len << " of " << stream.size();
+  }
 }
 
 TEST(Huffman, CompressionBeatsFixedWidthOnSkewedData) {

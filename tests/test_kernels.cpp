@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -615,6 +616,15 @@ Vector golden_spiky(std::size_t n) {
   return v;
 }
 
+/// Standard normals: close to incompressible for the lossless codecs, like
+/// CG solver state.
+Vector golden_normal(std::size_t n) {
+  Rng rng(42);
+  Vector v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
 TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
   struct Golden {
     const char* comp;
@@ -640,6 +650,14 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       {"shuffle-rle", 0, 0.0e+00, "spiky", 20000u, 40277u, 0x8748c687u},
       {"lz4", 0, 0.0e+00, "field", 20000u, 160468u, 0x03e2e9b5u},
       {"shuffle-lz4", 0, 0.0e+00, "spiky", 20000u, 48366u, 0xfbfa0b35u},
+      // Checkpoint chunk sizes: the delta chunk (4,096) and one 24^3 vector.
+      {"sz", 2, 1.0e-04, "field", 4096u, 889u, 0xb7b2e8a8u},
+      {"sz", 2, 1.0e-04, "field", 13824u, 3489u, 0x437d8970u},
+      {"deflate", 0, 0.0e+00, "spiky", 20000u, 14249u, 0x2d747ae9u},
+      {"deflate", 0, 0.0e+00, "normal", 13824u, 106832u, 0x09ae0d71u},
+      {"zfp", 0, 1.0e-06, "field", 20000u, 67928u, 0x52d75c1bu},
+      {"zfp", 1, 1.0e-05, "spiky", 20000u, 16711u, 0x6c35c324u},
+      {"zfp", 2, 1.0e-04, "field", 20000u, 48763u, 0x53aa2ab7u},
   };
   for (const Golden& g : goldens) {
     ErrorBound eb;
@@ -649,7 +667,9 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       default: eb = ErrorBound::pointwise_rel(g.eb); break;
     }
     const auto comp = make_compressor(g.comp, eb);
-    const Vector v = g.data[0] == 'f' ? golden_field(g.n) : golden_spiky(g.n);
+    const Vector v = g.data[0] == 'f'   ? golden_field(g.n)
+                     : g.data[0] == 's' ? golden_spiky(g.n)
+                                        : golden_normal(g.n);
     const auto stream = comp->compress(v);
     EXPECT_EQ(stream.size(), g.stream_size)
         << g.comp << " mode=" << g.mode << " n=" << g.n;
@@ -673,7 +693,7 @@ TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
     s = 256 + static_cast<std::uint32_t>(rng.normal(0.0, 30.0));
     ++freqs_naive[s];
   }
-  // 4-way partial histogram == naive loop-carried histogram.
+  // 8-way partial histogram == naive loop-carried histogram.
   const auto freqs = count_frequencies(symbols, 512);
   ASSERT_EQ(freqs.size(), freqs_naive.size());
   EXPECT_EQ(freqs, freqs_naive);
@@ -686,6 +706,29 @@ TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
   const auto payload = bw.finish();
   EXPECT_EQ(payload.size(), 87057u);
   EXPECT_EQ(crc32(payload), 0xe44275bcu);
+  const HuffmanDecoder dec(lengths);
+  BitReader br(payload);
+  for (const auto s : symbols) ASSERT_EQ(dec.decode(br), s);
+
+  // A geometric tail: codes up to 16 bits, so 229 of the symbols decode
+  // through the canonical walk past the 11-bit lookup table.
+  Rng tail_rng(17);
+  std::vector<std::uint32_t> tail(60000);
+  for (auto& s : tail)
+    s = static_cast<std::uint32_t>(std::min(tail_rng.exponential(12.0), 1023.0));
+  const auto tail_lengths =
+      huffman_code_lengths(count_frequencies(tail, 1024));
+  EXPECT_EQ(*std::max_element(tail_lengths.begin(), tail_lengths.end()), 16u);
+  EXPECT_EQ(crc32({tail_lengths.data(), tail_lengths.size()}), 0x49d46fa0u);
+  const HuffmanEncoder tail_enc(tail_lengths);
+  BitWriter tail_bw;
+  for (const auto s : tail) tail_enc.encode(tail_bw, s);
+  const auto tail_payload = tail_bw.finish();
+  EXPECT_EQ(tail_payload.size(), 37934u);
+  EXPECT_EQ(crc32(tail_payload), 0x11c140c3u);
+  const HuffmanDecoder tail_dec(tail_lengths);
+  BitReader tail_br(tail_payload);
+  for (const auto s : tail) ASSERT_EQ(tail_dec.decode(tail_br), s);
 }
 
 TEST(CompressionGoldens, CountFrequenciesEdgeCases) {
