@@ -126,9 +126,8 @@ CheckpointManager::~CheckpointManager() {
   // blob (e.g. DiskStore's .lck.pending file) must not outlive the manager,
   // and the last *committed* version stays the recovery point.
   if (!in_flight_) return;
-  in_flight_->drain.wait();
   try {
-    store_->abort(in_flight_->version);
+    abort_in_flight();
   } catch (...) {  // NOLINT: best-effort cleanup in a destructor
   }
 }
@@ -175,6 +174,7 @@ CheckpointRecord CheckpointManager::write_stream(
   // emitted in order: each payload depends only on its chunk's doubles, so
   // the stream is deterministic and at most one batch of payloads is alive.
   const std::size_t batch = 2 * static_cast<std::size_t>(num_threads());
+  const StopRequest* const stop = current_stop_request();
 
   FrameWriter out(sink, streaming_, rec.base_version, rec.chain_len, sink_);
   out.put(static_cast<std::uint32_t>(vars.size()));
@@ -237,6 +237,7 @@ CheckpointRecord CheckpointManager::write_stream(
     std::size_t refs = 0;
     double comp_seconds = 0.0;
     for (std::size_t first = 0; first < count; first += batch) {
+      throw_if_stop_requested();
       const std::size_t last = std::min(count, first + batch);
       if (!verbatim) {
         payloads.resize(last - first);
@@ -247,6 +248,8 @@ CheckpointRecord CheckpointManager::write_stream(
         std::mutex error_mu;
         parallel_for(static_cast<index_t>(first), static_cast<index_t>(last),
                      [&](index_t ci) {
+                       // Team threads do not inherit the drain's request.
+                       const StopScope scope(stop);
                        const auto c = static_cast<std::size_t>(ci);
                        if (is_ref[c] != 0) return;
                        try {
@@ -448,7 +451,9 @@ StageTicket CheckpointManager::stage() {
   // until wait_drain() joins it.
   const auto base = pick_delta_base();
   const auto state = new_delta_state(version, base.get());
+  stop_drain_ = false;
   auto drain = [this, version, base, state] {
+    const StopScope scope(&stop_drain_);
     const WallTimer job_timer;  // Runs on the worker thread; registry shards.
     std::vector<VarView> views;
     views.reserve(staged_.size());
@@ -465,11 +470,12 @@ StageTicket CheckpointManager::stage() {
     }
     // Frames flow straight into the store sink: the stream is never
     // materialized, so the staged copy is the only full-size buffer alive.
-    // A throwing compressor leaves the part-written sink to clean up in its
-    // destructor, and the error to the future.
+    // A throwing compressor or a stop leaves the part-written sink to clean
+    // up in its destructor, and the error to the future.
     const auto sink = store_->open_write_pending(version);
     CheckpointRecord rec =
         write_stream(views, version, base.get(), state.get(), *sink);
+    throw_if_stop_requested();
     sink->finish();
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
@@ -508,10 +514,25 @@ void CheckpointManager::commit_version(int version) {
 void CheckpointManager::abort_version(int version) {
   require(in_flight_ && in_flight_->version == version,
           "abort_version: version is not an in-flight drain");
-  // A drain that failed left nothing pending to drop, but the version must
-  // still be retired.
+  abort_in_flight();
+}
+
+void CheckpointManager::abort_in_flight() {
+  // The drain stops at its next check, and is joined before the store drops
+  // the version, so abort() never races write_pending().
+  stop_drain_ = true;
   in_flight_->drain.wait();
-  store_->abort(version);
+  if (sink_.metrics != nullptr) {
+    try {
+      (void)in_flight_->drain.get();
+    } catch (const stop_requested_error&) {
+      sink_.metrics->add("ckpt.drains_stopped", 1.0);
+    } catch (...) {  // NOLINT: any other drain error is dropped with it
+    }
+  }
+  // A drain that failed or stopped left nothing pending to drop, but the
+  // version must still be retired.
+  store_->abort(in_flight_->version);
   in_flight_.reset();
 }
 

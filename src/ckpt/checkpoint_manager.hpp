@@ -16,7 +16,11 @@
 ///    commit_version() or rolls it back with abort_version(). One staged
 ///    version at a time, as in FTI: until it is committed or aborted,
 ///    stage() and checkpoint() refuse (config_error), so the caller's
-///    wait_drain() is the one-deep back-pressure.
+///    wait_drain() is the one-deep back-pressure. abort_version() does not
+///    wait out a drain it throws away: it requests the staged version's
+///    stop (common/stop_request.hpp), and the drain abandons its work at
+///    its next check — between chunk batches, and every 4 KiB inside
+///    deflate's match finder.
 
 #include <functional>
 #include <future>
@@ -31,6 +35,7 @@
 #include "ckpt/checkpoint_store.hpp"
 #include "ckpt/frame_stream.hpp"
 #include "common/serial_worker.hpp"
+#include "common/stop_request.hpp"
 #include "compress/compressor.hpp"
 #include "obs/observability.hpp"
 #include "sparse/vector_ops.hpp"
@@ -66,6 +71,8 @@ class CheckpointManager {
   /// error bounds) — but never while a drain is in flight.
   CheckpointManager(std::unique_ptr<CheckpointStore> store,
                     const Compressor* default_compressor);
+  /// Rolls back a version still in flight as abort_version() does: stops
+  /// its drain at the next check, joins it and drops its pending blob.
   ~CheckpointManager();
 
   /// FTI Protect(): register a double-vector variable under a unique id.
@@ -113,7 +120,11 @@ class CheckpointManager {
 
   /// Roll back a staged/drained version (failure during the drain window):
   /// the pending store blob is dropped and recover() keeps using the last
-  /// committed version.
+  /// committed version. A drain still running is asked to stop and stops
+  /// at its next check (see compressor.hpp for what a codec checks); it is
+  /// joined before the store drops the version. Its stop_requested_error
+  /// stays inside the manager; a stopped drain adds 1 to the
+  /// `ckpt.drains_stopped` counter.
   void abort_version(int version);
 
   /// Staged versions not yet committed/aborted: 0 or 1.
@@ -270,6 +281,10 @@ class CheckpointManager {
   [[nodiscard]] std::shared_ptr<ChunkBaseState> new_delta_state(
       int version, const ChunkBaseState* base) const;
 
+  /// Stop the in-flight drain, join it, drop its pending blob and retire
+  /// the version.
+  void abort_in_flight();
+
   void prune_retention(int latest_committed);
   /// Insert `v` and its base_of_ chain into `live`. Hop-bounded as pure
   /// defense (base links always point strictly downward, so a well-formed
@@ -316,6 +331,9 @@ class CheckpointManager {
   // when nothing is in flight, so the future orders the two without a lock.
   std::vector<StagedVar> staged_;
   std::optional<InFlight> in_flight_;
+  /// The in-flight version's stop request: stage() clears it, abort and
+  /// the destructor set it, and its drain polls it.
+  StopRequest stop_drain_{false};
   // Declared last: drains touch the staged copy and the store, so the worker
   // must join before either is torn down.
   std::unique_ptr<SerialWorker> worker_;

@@ -43,6 +43,13 @@ class Compressor {
   [[nodiscard]] virtual bool lossy() const noexcept = 0;
 
   /// Compress `data` into a self-describing byte stream.
+  ///
+  /// A background drain may be asked to stop (CheckpointManager::
+  /// abort_version). An implementation may poll throw_if_stop_requested()
+  /// (common/stop_request.hpp) to give up early, as deflate does every
+  /// 4 KiB; the stop_requested_error it throws discards the output. One
+  /// that does not poll finishes its call, and the drain stops at the next
+  /// chunk boundary (a full checkpoint's chunk is 64Ki doubles).
   [[nodiscard]] virtual std::vector<byte_t> compress(
       std::span<const double> data) const = 0;
 

@@ -7,6 +7,7 @@
 
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
+#include "common/stop_request.hpp"
 #include "compress/huffman.hpp"
 
 namespace lck {
@@ -115,46 +116,53 @@ std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
     head[h] = static_cast<std::uint32_t>(j);
   };
 
+  // A stop request is polled once per 4 KiB of input; where a block ends
+  // does not affect the tokens.
+  constexpr std::size_t kStopCheckBytes = 4096;
   std::size_t i = 0;
   while (i < in.size()) {
-    std::size_t best_len = 0, best_dist = 0;
-    const bool can_hash = i + kMinMatch <= in.size();
-    const std::uint32_t h = can_hash ? hash3(in.data() + i) : 0;
-    if (can_hash) {
-      const std::size_t limit = std::min(kMaxMatch, in.size() - i);
-      std::uint32_t cand = head[h];
-      int probes = 0;
-      // The first candidate with the longest match wins. A candidate that
-      // differs at byte best_len cannot beat it, and once the best match
-      // reaches the limit none can.
-      while (cand != kNone && i - cand <= kWindowSize &&
-             probes++ < kMaxChainProbes) {
-        const std::size_t c = cand;
-        if (in[c + best_len] == in[i + best_len]) {
-          const std::size_t len =
-              match_length(in.data() + c, in.data() + i, limit);
-          if (len > best_len) {
-            best_len = len;
-            best_dist = i - c;
-            if (len == limit) break;
+    throw_if_stop_requested();
+    const std::size_t block_end = std::min(in.size(), i + kStopCheckBytes);
+    while (i < block_end) {
+      std::size_t best_len = 0, best_dist = 0;
+      const bool can_hash = i + kMinMatch <= in.size();
+      const std::uint32_t h = can_hash ? hash3(in.data() + i) : 0;
+      if (can_hash) {
+        const std::size_t limit = std::min(kMaxMatch, in.size() - i);
+        std::uint32_t cand = head[h];
+        int probes = 0;
+        // The first candidate with the longest match wins. A candidate that
+        // differs at byte best_len cannot beat it, and once the best match
+        // reaches the limit none can.
+        while (cand != kNone && i - cand <= kWindowSize &&
+               probes++ < kMaxChainProbes) {
+          const std::size_t c = cand;
+          if (in[c + best_len] == in[i + best_len]) {
+            const std::size_t len =
+                match_length(in.data() + c, in.data() + i, limit);
+            if (len > best_len) {
+              best_len = len;
+              best_dist = i - c;
+              if (len == limit) break;
+            }
           }
+          cand = prev[c];
         }
-        cand = prev[c];
       }
-    }
-    if (best_len >= kMinMatch) {
-      tokens.push_back(kMatch | static_cast<std::uint32_t>(best_len << 16) |
-                       static_cast<std::uint32_t>(best_dist));
-      // Register all covered positions so later matches can reference them.
-      insert(i, h);
-      for (std::size_t j = i + 1; j < i + best_len && j + kMinMatch <= in.size();
-           ++j)
-        insert(j, hash3(in.data() + j));
-      i += best_len;
-    } else {
-      if (can_hash) insert(i, h);
-      tokens.push_back(in[i]);
-      ++i;
+      if (best_len >= kMinMatch) {
+        tokens.push_back(kMatch | static_cast<std::uint32_t>(best_len << 16) |
+                         static_cast<std::uint32_t>(best_dist));
+        // Register all covered positions so later matches can reference them.
+        insert(i, h);
+        for (std::size_t j = i + 1;
+             j < i + best_len && j + kMinMatch <= in.size(); ++j)
+          insert(j, hash3(in.data() + j));
+        i += best_len;
+      } else {
+        if (can_hash) insert(i, h);
+        tokens.push_back(in[i]);
+        ++i;
+      }
     }
   }
   return tokens;
@@ -167,6 +175,7 @@ constexpr byte_t kFormatStored = 0;
 
 std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   const std::vector<std::uint32_t> tokens = tokenize(in);
+  throw_if_stop_requested();
 
   // Histogram both alphabets.
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);

@@ -2,10 +2,11 @@
 /// runs every drain (FIFO order, futures, draining destructor),
 /// stage/drain/commit and abort semantics at the manager level, one staged
 /// version at a time (a second stage() or checkpoint() is refused until it
-/// is committed or aborted), pending-vs-committed store states, retention
-/// interplay, and the ResilientRunner async mode (failure during drain
-/// recovers from the previous committed version, bit-stable reruns, and the
-/// blocking-time win over sync).
+/// is committed or aborted), abort and destruction stopping a running
+/// drain instead of finishing it, pending-vs-committed store states,
+/// retention interplay, and the ResilientRunner async mode (failure during
+/// drain recovers from the previous committed version, bit-stable reruns,
+/// and the blocking-time win over sync).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,8 +17,11 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <set>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -25,8 +29,11 @@
 #include "ckpt/checkpoint_manager.hpp"
 #include "common/rng.hpp"
 #include "common/serial_worker.hpp"
+#include "common/stop_request.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace lck {
@@ -422,6 +429,213 @@ TEST(AsyncManager, NothingStartsWhileAStagedVersionIsUndecided) {
   EXPECT_EQ(t1.version, t0.version + 1);
   mgr.abort_version(t1.version);
   EXPECT_EQ(mgr.checkpoint().version, t0.version + 2);
+}
+
+// ----- manager: stopping a drain that is thrown away ------------------------
+
+/// Compressor that, while held, polls throw_if_stop_requested() until the
+/// drain is asked to stop or a deadline passes, and counts which of the two
+/// ended each call; released, it stores the doubles verbatim. The deadline
+/// keeps a broken stop path from wedging the CTest run: it fails the test
+/// instead.
+class StoppableCompressor final : public Compressor {
+ public:
+  static constexpr auto kDeadline = std::chrono::seconds(60);
+
+  [[nodiscard]] std::string name() const override { return "stoppable"; }
+  [[nodiscard]] bool lossy() const noexcept override { return false; }
+  [[nodiscard]] std::vector<byte_t> compress(
+      std::span<const double> data) const override {
+    if (!held_.load()) return none_.compress(data);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ++entered_;
+      threads_.insert(std::this_thread::get_id());
+    }
+    cv_.notify_all();
+    const auto until = std::chrono::steady_clock::now() + kDeadline;
+    while (std::chrono::steady_clock::now() < until) {
+      try {
+        throw_if_stop_requested();
+      } catch (const stop_requested_error&) {
+        stopped_.fetch_add(1);
+        throw;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    expired_.fetch_add(1);
+    throw corrupt_stream_error("stoppable compressor: deadline expired");
+  }
+  void decompress(std::span<const byte_t> stream,
+                  std::span<double> out) const override {
+    none_.decompress(stream, out);
+  }
+
+  void hold(bool held) { held_ = held; }
+  /// Wait until a held call has started; false at the deadline.
+  [[nodiscard]] bool wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kDeadline, [&] { return entered_ > 0; });
+  }
+  /// Held calls that ended on the stop request, and on the deadline.
+  [[nodiscard]] int stopped() const { return stopped_.load(); }
+  [[nodiscard]] int expired() const { return expired_.load(); }
+  /// Distinct threads that ran a held call.
+  [[nodiscard]] std::size_t threads() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  NoneCompressor none_;
+  std::atomic<bool> held_{false};
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int entered_ = 0;
+  mutable std::set<std::thread::id> threads_;
+  mutable std::atomic<int> stopped_{0};
+  mutable std::atomic<int> expired_{0};
+};
+
+/// One 64-double chunk, and three full-size chunks: under OpenMP the
+/// second batch of sizes runs the codec on team threads too.
+const std::size_t kStopSizes[] = {64, 3 * kChunkElems};
+
+/// Files a drain left behind in a DiskStore directory: part-written
+/// `.tmp` streams and sealed `.pending` ones.
+std::vector<std::string> leftovers(const std::filesystem::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.find(".tmp") != std::string::npos ||
+        name.find(".pending") != std::string::npos)
+      out.push_back(name);
+  }
+  return out;
+}
+
+bool bit_equal(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Commit v0, stage v1 with the codec held, abort v1 while its codec runs:
+/// the drain must end on its stop, leave nothing pending, keep v0 as the
+/// recovery point, and let the next stage() commit as usual.
+void check_abort_stops_running_drain(std::unique_ptr<CheckpointStore> store,
+                                     std::size_t n) {
+  StoppableCompressor codec;
+  const Vector v0 = random_vector(n, 11);
+  Vector x = v0;
+  CheckpointManager mgr(std::move(store), &codec);
+  mgr.protect(0, "x", &x);
+  const StageTicket t0 = mgr.stage();
+  mgr.commit_version(t0.version);
+
+  x = random_vector(n, 12);
+  codec.hold(true);
+  const StageTicket t1 = mgr.stage();
+  ASSERT_TRUE(codec.wait_entered()) << "drain never reached the codec";
+  mgr.abort_version(t1.version);
+  EXPECT_GE(codec.stopped(), 1) << "the codec never saw the stop";
+  EXPECT_EQ(codec.expired(), 0) << "a codec call ran into its deadline";
+  if (n > kChunkElems && num_threads() > 1) {
+    EXPECT_GT(codec.threads(), 1u) << "no team thread ran the codec";
+  }
+  EXPECT_FALSE(mgr.store().has_pending(t1.version));
+  EXPECT_EQ(mgr.versions_in_flight(), 0);
+  EXPECT_EQ(mgr.latest_version(), t0.version);
+
+  x.assign(n, 0.0);
+  EXPECT_EQ(mgr.recover().version, t0.version);
+  EXPECT_TRUE(bit_equal(x, v0)) << "recovered state is not v0's";
+
+  codec.hold(false);
+  x = random_vector(n, 13);
+  const StageTicket t2 = mgr.stage();
+  EXPECT_EQ(t2.version, t1.version + 1);
+  mgr.commit_version(t2.version);
+  EXPECT_EQ(mgr.latest_version(), t2.version);
+}
+
+TEST(AsyncManager, AbortStopsARunningDrain) {
+  for (const std::size_t n : kStopSizes) {
+    SCOPED_TRACE("MemoryStore, " + std::to_string(n) + " doubles");
+    check_abort_stops_running_drain(std::make_unique<MemoryStore>(), n);
+  }
+  for (const std::size_t n : kStopSizes) {
+    SCOPED_TRACE("DiskStore, " + std::to_string(n) + " doubles");
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("lckpt_async_stop_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    check_abort_stops_running_drain(std::make_unique<DiskStore>(dir.string()),
+                                    n);
+    EXPECT_EQ(leftovers(dir), std::vector<std::string>{});
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(AsyncManager, DestructionStopsARunningDrain) {
+  for (const std::size_t n : kStopSizes) {
+    SCOPED_TRACE(std::to_string(n) + " doubles");
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("lckpt_async_stop_dtor_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    StoppableCompressor codec;
+    {
+      Vector x = random_vector(n, 21);
+      CheckpointManager mgr(std::make_unique<DiskStore>(dir.string()), &codec);
+      mgr.protect(0, "x", &x);
+      mgr.commit_version(mgr.stage().version);
+      codec.hold(true);
+      (void)mgr.stage();
+      ASSERT_TRUE(codec.wait_entered()) << "drain never reached the codec";
+    }  // the destructor stops the drain, joins it and aborts v1
+    EXPECT_GE(codec.stopped(), 1) << "the codec never saw the stop";
+    EXPECT_EQ(codec.expired(), 0) << "a codec call ran into its deadline";
+    EXPECT_EQ(leftovers(dir), std::vector<std::string>{});
+    EXPECT_EQ(DiskStore(dir.string()).latest_version(), 0);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(AsyncManager, DrainsStoppedCountsOnlyDrainsEndedByTheirStop) {
+  obs::MetricsRegistry reg;
+  const auto stopped = [&reg] {
+    return reg.snapshot().counter("ckpt.drains_stopped");
+  };
+  StoppableCompressor codec;
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &codec);
+  mgr.set_observability({&reg, nullptr});
+  Vector x(64, 1.0);
+  mgr.protect(0, "x", &x);
+
+  // A drain that had finished before its abort: nothing to stop.
+  const StageTicket t0 = mgr.stage();
+  (void)mgr.wait_drain(t0.version);
+  mgr.abort_version(t0.version);
+  EXPECT_EQ(stopped(), 0.0);
+
+  codec.hold(true);
+  const StageTicket t1 = mgr.stage();
+  ASSERT_TRUE(codec.wait_entered()) << "drain never reached the codec";
+  mgr.abort_version(t1.version);
+  EXPECT_EQ(stopped(), 1.0);
+
+  // Committed drains are never counted.
+  codec.hold(false);
+  mgr.commit_version(mgr.stage().version);
+  EXPECT_EQ(stopped(), 1.0);
+
+  // Nor is a drain that failed with an error of its own.
+  ThrowingCompressor bad;
+  CheckpointManager failing(std::make_unique<MemoryStore>(), &bad);
+  failing.set_observability({&reg, nullptr});
+  failing.protect(0, "x", &x);
+  const StageTicket tf = failing.stage();
+  EXPECT_THROW((void)failing.wait_drain(tf.version), corrupt_stream_error);
+  failing.abort_version(tf.version);
+  EXPECT_EQ(stopped(), 1.0);
 }
 
 // ----- stores: pending state across both backends ---------------------------

@@ -1,16 +1,19 @@
-/// Tests for the common substrate: byte/bit I/O, CRC-32, RNG, statistics,
-/// and the logical-rank partitioner.
+/// Tests for the common substrate: byte/bit I/O, CRC-32, stop requests, RNG,
+/// statistics, and the logical-rank partitioner.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
+#include <thread>
+#include <type_traits>
 
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/stop_request.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/partitioner.hpp"
 #include "sparse/vector_ops.hpp"
@@ -339,6 +342,59 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = crc32(data);
   data[17] ^= 0x04;
   EXPECT_NE(before, crc32(data));
+}
+
+// ----- stop requests -------------------------------------------------------
+
+TEST(StopRequest, WithoutAScopeTheCheckDoesNothing) {
+  EXPECT_EQ(current_stop_request(), nullptr);
+  EXPECT_NO_THROW(throw_if_stop_requested());
+  static_assert(!std::is_base_of_v<corrupt_stream_error, stop_requested_error>,
+                "a stop is not a malformed stream");
+}
+
+TEST(StopRequest, ScopesNestAndRestoreTheOuterRequest) {
+  StopRequest outer{false};
+  StopRequest inner{true};
+  {
+    const StopScope a(&outer);
+    EXPECT_EQ(current_stop_request(), &outer);
+    EXPECT_NO_THROW(throw_if_stop_requested());
+    {
+      const StopScope b(&inner);
+      EXPECT_EQ(current_stop_request(), &inner);
+      EXPECT_THROW(throw_if_stop_requested(), stop_requested_error);
+      {
+        const StopScope none(nullptr);
+        EXPECT_NO_THROW(throw_if_stop_requested());
+      }
+      EXPECT_EQ(current_stop_request(), &inner);
+    }
+    EXPECT_EQ(current_stop_request(), &outer);
+    outer = true;
+    EXPECT_THROW(throw_if_stop_requested(), stop_requested_error);
+  }
+  EXPECT_EQ(current_stop_request(), nullptr);
+  EXPECT_NO_THROW(throw_if_stop_requested());
+}
+
+TEST(StopRequest, AnotherThreadDoesNotSeeAScope) {
+  StopRequest stop{true};
+  const StopScope scope(&stop);
+  const StopRequest* seen = &stop;
+  bool threw = false;
+  std::thread other([&] {
+    seen = current_stop_request();
+    try {
+      throw_if_stop_requested();
+    } catch (const stop_requested_error&) {
+      threw = true;
+    }
+  });
+  other.join();
+  EXPECT_EQ(seen, nullptr);
+  EXPECT_FALSE(threw);
+  EXPECT_THROW(throw_if_stop_requested(), stop_requested_error);
 }
 
 TEST(Rng, DeterministicFromSeed) {

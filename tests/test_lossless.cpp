@@ -1,5 +1,6 @@
 /// Lossless codec tests: RLE, byte shuffle, deflate-like LZ77+Huffman, and
-/// the Compressor-interface wrappers. Every codec must be bit-exact.
+/// the Compressor-interface wrappers. Every codec must be bit-exact, and
+/// deflate gives up on a stop request without changing its stream otherwise.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "common/stop_request.hpp"
 #include "compress/compressor.hpp"
 #include "compress/lossless/byte_codecs.hpp"
 #include "compress/lossless/deflate_like.hpp"
@@ -263,6 +265,31 @@ TEST(LosslessRatio, GzipClassRatioIsLimitedOnSolverData) {
   const double r = compression_ratio(*comp, v);
   EXPECT_GT(r, 0.9);
   EXPECT_LT(r, 3.0);
+}
+
+// ----- stop requests -------------------------------------------------------
+
+TEST(DeflateStop, RequestedStopThrowsOnLargeInputs) {
+  const Vector in = smooth_vector(16384);  // 128 KiB: 32 tokenizer blocks
+  StopRequest stop{true};
+  const StopScope scope(&stop);
+  for (const char* name : {"deflate", "shuffle-deflate"}) {
+    SCOPED_TRACE(name);
+    const auto comp = make_compressor(name);
+    EXPECT_THROW((void)comp->compress(in), stop_requested_error);
+  }
+}
+
+TEST(DeflateStop, UnrequestedStopLeavesTheStreamUnchanged) {
+  const Vector in = smooth_vector(16384);
+  StopRequest stop{false};
+  for (const char* name : {"deflate", "shuffle-deflate"}) {
+    SCOPED_TRACE(name);
+    const auto comp = make_compressor(name);
+    const auto bare = comp->compress(in);
+    const StopScope scope(&stop);
+    EXPECT_EQ(comp->compress(in), bare);
+  }
 }
 
 TEST(CompressorFactory, UnknownNameThrows) {
