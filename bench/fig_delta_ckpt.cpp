@@ -67,18 +67,14 @@ MethodDelta measure_method(const std::string& method, int checkpoints,
   Vector static_payload(p.a.values().begin(), p.a.values().end());
 
   auto solver = p.make_solver();
-  NoneCompressor none;  // traditional scheme: verbatim storage
-  // Both managers store verbatim chunks raw (no lz4 frames), so the ratio
+  // Traditional scheme: both managers store the chunks raw, so the ratio
   // measures delta encoding alone — the traditional *verbatim* full stream
   // the paper's motivation measures is the baseline.
-  StreamingConfig raw_frames;
-  raw_frames.style = "raw";
+  NoneCompressor none;
   CheckpointManager mgr_full(std::make_unique<MemoryStore>(), &none);
-  mgr_full.set_streaming(raw_frames);
   auto store_delta = std::make_unique<MemoryStore>();
   auto* store_delta_raw = store_delta.get();
   CheckpointManager mgr_delta(std::move(store_delta), &none);
-  mgr_delta.set_streaming(raw_frames);
   mgr_delta.set_delta(max_chain, /*chunk_elems=*/256);
   mgr_delta.set_retention(2 * max_chain + 2);
 

@@ -57,8 +57,8 @@ void read_blob(FrameReader& in, std::vector<byte_t>& out) {
   }
 }
 
-/// Decode one literal chunk: verbatim styles carry the raw doubles, codec
-/// chunks the registered codec's stream for exactly this slice.
+/// Decode one literal chunk: raw frames carry the doubles, codec chunks the
+/// registered codec's stream for exactly this slice.
 void decode_chunk(const Compressor& comp, const FrameReader::Chunk& chunk,
                   std::span<double> out) {
   if (chunk.style == FrameStyle::kCodec)
@@ -176,10 +176,9 @@ CheckpointRecord CheckpointManager::write_stream(
   const std::size_t batch = 2 * static_cast<std::size_t>(num_threads());
   const StopRequest* const stop = current_stop_request();
 
-  FrameWriter out(sink, streaming_, rec.base_version, rec.chain_len, sink_);
+  FrameWriter out(sink, rec.base_version, rec.chain_len, sink_);
   out.put(static_cast<std::uint32_t>(vars.size()));
 
-  WallTimer timer;
   std::vector<std::vector<byte_t>> payloads;
   for (const auto& var : vars) {
     out.put(static_cast<std::int32_t>(var.id));
@@ -189,7 +188,6 @@ CheckpointRecord CheckpointManager::write_stream(
       out.put(static_cast<std::uint64_t>(var.blob->size()));
       out.put_bytes(*var.blob);
       rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
       continue;
     }
     const Vector& vec = *var.vec;
@@ -269,7 +267,7 @@ CheckpointRecord CheckpointManager::write_stream(
           out.put_ref_chunk(raw_len, hash);
           ++refs;
         } else if (verbatim) {
-          var_bytes += out.put_verbatim_chunk(
+          out.put_raw_chunk(
               {reinterpret_cast<const byte_t*>(slice(c).data()), raw_len},
               hash);
         } else {
@@ -281,7 +279,6 @@ CheckpointRecord CheckpointManager::write_stream(
     if (!verbatim)
       observe_compress(sink_, comp, vec.size() * sizeof(double), var_bytes,
                        comp_seconds);
-    rec.per_var_bytes[*var.name] = var_bytes;
     if (state != nullptr) {
       state->vars.push_back({var.id, comp.name(), std::move(hashes)});
       rec.chunks += count;
@@ -289,7 +286,6 @@ CheckpointRecord CheckpointManager::write_stream(
     }
   }
   out.finish();
-  rec.compress_seconds = timer.seconds();
   rec.stored_bytes = out.stream_bytes();
   return rec;
 }
@@ -696,9 +692,8 @@ CheckpointRecord CheckpointManager::recover() {
     chain_len = in.chain_len();
   }
 
-  rec.compress_seconds = timer.seconds();
   if (sink_.metrics != nullptr)
-    sink_.metrics->observe("ckpt.recover_seconds", rec.compress_seconds);
+    sink_.metrics->observe("ckpt.recover_seconds", timer.seconds());
   recovery_pending_ = false;
   return rec;
 }

@@ -183,13 +183,6 @@ class CheckpointManager {
     delta_chunk_elems_ = chunk_elems;
   }
 
-  /// Configure the stream writer (see frame_stream.hpp): the style of
-  /// verbatim chunks. Must not change while a drain is in flight.
-  void set_streaming(const StreamingConfig& cfg) {
-    cfg.validate();
-    streaming_ = cfg;
-  }
-
   [[nodiscard]] const CheckpointStore& store() const { return *store_; }
 
   /// Attach (or detach, with a null sink) the observability handles. The
@@ -298,7 +291,6 @@ class CheckpointManager {
   int next_version_ = 0;
   int retention_ = 1;
   int prune_floor_ = 0;  ///< Versions below this are already pruned.
-  StreamingConfig streaming_{};  ///< Stream writer knob.
   obs::Sink sink_{};  ///< Observability handles (both null => off).
   bool recovery_pending_ = false;
 

@@ -4,22 +4,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace lck {
 
 /// Accounting for one checkpoint or recovery, consumed by the virtual-time
-/// PFS model (sizes) and by the real-time measurements (seconds).
+/// PFS model (sizes).
 struct CheckpointRecord {
   int version = -1;
   std::size_t raw_bytes = 0;         ///< Sum of uncompressed payloads.
   std::size_t stored_bytes = 0;      ///< Bytes actually written/read. For a
                                      ///< delta-chain recovery: total bytes
                                      ///< read across the whole chain.
-  double compress_seconds = 0.0;     ///< Real local (de)compression time.
-  /// Stored size by variable name (checkpoints only).
-  std::map<std::string, std::size_t> per_var_bytes;
 
   // ----- delta checkpoints ----------------------------------------------------
   /// Base version this checkpoint's references resolve against, or -1 for a

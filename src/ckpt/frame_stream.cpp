@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "common/crc32.hpp"
-#include "compress/lossless/deflate_like.hpp"
-#include "compress/lossless/lz4_like.hpp"
 #include "obs/metrics.hpp"
 
 namespace lck {
@@ -28,11 +26,6 @@ T load(const byte_t* p) noexcept {
   return v;
 }
 
-bool verbatim_style(FrameStyle s) noexcept {
-  return s == FrameStyle::kRaw || s == FrameStyle::kLz4 ||
-         s == FrameStyle::kDeflate;
-}
-
 /// Per-style length invariants, checked before any payload is allocated.
 bool plausible_frame(FrameStyle style, std::uint32_t raw_len,
                      std::uint32_t comp_len) noexcept {
@@ -41,9 +34,6 @@ bool plausible_frame(FrameStyle style, std::uint32_t raw_len,
       return raw_len > 0 && raw_len <= kMetaFrameBytes && comp_len == raw_len;
     case FrameStyle::kRaw:
       return raw_len > 0 && raw_len <= kMaxChunkBytes && comp_len == raw_len;
-    case FrameStyle::kLz4:
-    case FrameStyle::kDeflate:
-      return raw_len <= kMaxChunkBytes && comp_len > 0 && comp_len < raw_len;
     case FrameStyle::kCodec:
       return raw_len > 0 && raw_len <= kMaxChunkBytes && comp_len > 0 &&
              comp_len <= codec_payload_bound(raw_len);
@@ -55,19 +45,9 @@ bool plausible_frame(FrameStyle style, std::uint32_t raw_len,
 
 }  // namespace
 
-FrameStyle frame_style_from_name(const std::string& name) {
-  for (const FrameStyle s :
-       {FrameStyle::kRaw, FrameStyle::kLz4, FrameStyle::kDeflate})
-    if (name == frame_style_name(s)) return s;
-  throw config_error("unknown frame style '" + name +
-                     "' (expected raw, lz4, or deflate)");
-}
-
 const char* frame_style_name(FrameStyle style) noexcept {
   switch (style) {
     case FrameStyle::kRaw: return "raw";
-    case FrameStyle::kLz4: return "lz4";
-    case FrameStyle::kDeflate: return "deflate";
     case FrameStyle::kCodec: return "codec";
     case FrameStyle::kRef: return "ref";
     case FrameStyle::kMeta: return "meta";
@@ -75,18 +55,11 @@ const char* frame_style_name(FrameStyle style) noexcept {
   return "?";
 }
 
-void StreamingConfig::validate() const {
-  (void)frame_style_from_name(style);
-}
-
 // ----- FrameWriter ----------------------------------------------------------
 
-FrameWriter::FrameWriter(ByteSink& sink, const StreamingConfig& cfg,
-                         int base_version, std::uint32_t chain_len,
-                         obs::Sink obs)
-    : sink_(sink),
-      style_(frame_style_from_name(cfg.style)),
-      obs_(obs) {
+FrameWriter::FrameWriter(ByteSink& sink, int base_version,
+                         std::uint32_t chain_len, obs::Sink obs)
+    : sink_(sink), obs_(obs) {
   require((base_version < 0) == (chain_len == 0),
           "frame stream: a delta needs a base, a full checkpoint none");
   byte_t header[kStreamHeaderBytes];
@@ -115,28 +88,12 @@ void FrameWriter::put_bytes(std::span<const byte_t> bytes) {
   }
 }
 
-std::size_t FrameWriter::put_verbatim_chunk(std::span<const byte_t> raw,
-                                            std::uint64_t hash) {
+void FrameWriter::put_raw_chunk(std::span<const byte_t> raw,
+                                std::uint64_t hash) {
   require(!raw.empty() && raw.size() <= kMaxChunkBytes,
           "frame stream: chunk size out of range");
   flush_meta();
-  std::span<const byte_t> payload = raw;
-  FrameStyle style = FrameStyle::kRaw;
-  if (style_ == FrameStyle::kLz4) {
-    comp_.resize(lz4_compress_bound(raw.size()));
-    comp_.resize(lz4_compress_into(raw, comp_));
-  } else if (style_ == FrameStyle::kDeflate) {
-    comp_ = deflate_compress(raw);
-  }
-  // Raw fallback whenever compression does not strictly win; the reader
-  // relies on comp_len < raw_len holding for compressed chunks.
-  if (!comp_.empty() && comp_.size() < raw.size()) {
-    payload = comp_;
-    style = style_;
-  }
-  emit_frame(style, raw.size(), payload, hash);
-  comp_.clear();
-  return payload.size();
+  emit_frame(FrameStyle::kRaw, raw.size(), raw, hash);
 }
 
 void FrameWriter::put_codec_chunk(std::span<const byte_t> payload,
@@ -174,10 +131,9 @@ void FrameWriter::emit_frame(FrameStyle style, std::size_t raw_len,
   crc.update({header, kFrameCrcSpan});
   crc.update(payload);
   store(header + kFrameCrcSpan, crc.value());
-  // Pending metadata, the chunk's compressed image and the write buffer
-  // all coexist right now — this is the writer's high-water mark.
-  peak_ = std::max(peak_, meta_.size() + comp_.size() + wbuf_.size() +
-                              kFrameHeaderBytes);
+  // Pending metadata and the write buffer coexist right now — this is the
+  // writer's high-water mark.
+  peak_ = std::max(peak_, meta_.size() + wbuf_.size() + kFrameHeaderBytes);
   emit(header);
   emit(payload);
   if (obs_.metrics != nullptr) {
@@ -321,16 +277,7 @@ FrameReader::Chunk FrameReader::next_chunk(std::size_t raw_len) {
   if (raw_len_ != raw_len)
     throw corrupt_stream_error("frame stream: chunk length disagrees with "
                                "the variable's chunk geometry");
-  Chunk c{style_, hash_, buf_};
-  if (style_ == FrameStyle::kLz4) {
-    raw_.resize(raw_len);
-    lz4_decompress_into(buf_, raw_);
-    c.payload = raw_;
-  } else if (style_ == FrameStyle::kDeflate) {
-    raw_ = deflate_decompress(buf_, raw_len);
-    c.payload = raw_;
-  }
-  return c;
+  return {style_, hash_, buf_};
 }
 
 void FrameReader::expect_end() {
@@ -371,7 +318,8 @@ std::optional<std::vector<std::span<const byte_t>>> chunk_payloads(
       return out;
     }
     if (comp_len > stream.size() - pos) return std::nullopt;
-    if ((verbatim_style(style) || style == FrameStyle::kCodec) && comp_len > 0)
+    if ((style == FrameStyle::kRaw || style == FrameStyle::kCodec) &&
+        comp_len > 0)
       out.push_back(stream.subspan(pos, comp_len));
     pos += comp_len;
   }

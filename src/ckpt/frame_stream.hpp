@@ -7,9 +7,10 @@
 /// chunk of a protected vector is one frame; variable headers and blob
 /// bytes travel in metadata frames between them. FrameWriter pushes frames
 /// through a small coalescing write buffer straight into a store-provided
-/// ByteSink, so peak writer memory is one chunk's compressed image plus the
-/// write buffer, independent of checkpoint size. FrameReader is the
-/// inverse, one frame at a time.
+/// ByteSink, so peak writer memory is one metadata frame plus the write
+/// buffer, independent of checkpoint size. The writer compresses nothing:
+/// a chunk is either the variable's codec stream, produced by the caller,
+/// or its raw doubles. FrameReader is the inverse, one frame at a time.
 ///
 /// On-wire layout (all integers little-endian):
 ///
@@ -26,21 +27,22 @@
 /// `chain_len` the number of deltas down to the chain's full checkpoint: a
 /// full checkpoint is a stream with base -1 and chain_len 0.
 ///
-/// Frame styles (closed set, numbering follows fd_checkpt's RAW=1, LZ4=2):
+/// Frame styles (closed set, numbering follows fd_checkpt's RAW=1):
 ///
-///   1 raw      chunk of verbatim doubles, stored as is
-///   2 lz4      chunk of verbatim doubles, LZ4-like compressed
-///   3 deflate  chunk of verbatim doubles, deflate-like compressed
+///   1 raw      chunk of a `none`-codec variable: its doubles, stored as is
+///              (the paper's traditional checkpoint)
 ///   4 codec    chunk compressed by the variable's Compressor; the payload
 ///              is that codec's stream for exactly this slice
 ///   5 ref      chunk with no payload: its content is the literal chunk with
 ///              the same hash earlier in this stream or down the base chain
 ///   6 meta     a piece of the metadata byte stream below, verbatim
 ///
-/// raw_len is the chunk's raw byte size (the meta payload size for meta
-/// frames); hash is the CRC-64 of the chunk's raw doubles in delta mode and
-/// 0 otherwise. Styles 2/3 fall back to raw per chunk whenever compression
-/// does not win, so comp_len < raw_len holds for them.
+/// Styles 2 and 3 (verbatim chunks the writer itself LZ4- or
+/// deflate-compressed) existed up to format version 2 and are retired: a
+/// chunk is compressed only by its variable's codec, and a version-2
+/// stream is refused at its header. raw_len is the chunk's raw byte size
+/// (the meta payload size for meta frames); hash is the CRC-64 of the
+/// chunk's raw doubles in delta mode and 0 otherwise.
 ///
 /// Metadata (carried by meta frames, read as one byte stream):
 ///
@@ -74,7 +76,7 @@ namespace lck {
 /// Magic prefix of checkpoint streams ("FKPT", little-endian).
 inline constexpr std::uint32_t kFrameStreamMagic = 0x54504b46u;
 /// Format version; streams of any other version are rejected.
-inline constexpr std::uint16_t kFrameStreamVersion = 2;
+inline constexpr std::uint16_t kFrameStreamVersion = 3;
 inline constexpr std::size_t kStreamHeaderBytes = 4 + 2 + 4 + 4 + 4;
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4 + 8 + 4;
 /// Chunk size of a full checkpoint, in doubles: a vector is one chunk up to
@@ -100,16 +102,11 @@ constexpr std::size_t codec_payload_bound(std::size_t raw_bytes) noexcept {
 
 enum class FrameStyle : std::uint8_t {
   kRaw = 1,
-  kLz4 = 2,
-  kDeflate = 3,
   kCodec = 4,
   kRef = 5,
   kMeta = 6,
 };
 
-/// Map a config-facing style name ("raw", "lz4", "deflate") to its enum.
-/// Throws config_error on any other name.
-[[nodiscard]] FrameStyle frame_style_from_name(const std::string& name);
 [[nodiscard]] const char* frame_style_name(FrameStyle style) noexcept;
 
 /// How a vector of `elems` doubles splits into chunks of `chunk_elems`.
@@ -131,16 +128,6 @@ struct ChunkGeometry {
   }
 };
 
-/// Knob of the checkpoint writer.
-struct StreamingConfig {
-  /// Style of verbatim (uncompressed-codec) vector chunks: "raw", "lz4",
-  /// or "deflate".
-  std::string style = "lz4";
-
-  /// Throws config_error unless `style` names one of those three.
-  void validate() const;
-};
-
 /// Writes one checkpoint stream into `sink`. Metadata goes through put*(),
 /// vector chunks through the put_*_chunk() calls, in stream order. Call
 /// finish() exactly once after the last put; the destructor does not write
@@ -150,9 +137,8 @@ class FrameWriter {
  public:
   /// `obs`: optional metrics handle; when its registry is non-null each
   /// frame records its size and compression ratio (frame.* series).
-  FrameWriter(ByteSink& sink, const StreamingConfig& cfg,
-              int base_version = -1, std::uint32_t chain_len = 0,
-              obs::Sink obs = {});
+  explicit FrameWriter(ByteSink& sink, int base_version = -1,
+                       std::uint32_t chain_len = 0, obs::Sink obs = {});
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -166,10 +152,8 @@ class FrameWriter {
   /// Append metadata bytes, flushing full meta frames as they fill.
   void put_bytes(std::span<const byte_t> bytes);
 
-  /// Chunk of verbatim doubles in the configured style (raw fallback).
-  /// Returns the payload bytes stored.
-  std::size_t put_verbatim_chunk(std::span<const byte_t> raw,
-                                 std::uint64_t hash);
+  /// Chunk of verbatim doubles, stored as is.
+  void put_raw_chunk(std::span<const byte_t> raw, std::uint64_t hash);
   /// Chunk compressed by the variable's codec; `raw_len` is its raw size.
   void put_codec_chunk(std::span<const byte_t> payload, std::size_t raw_len,
                        std::uint64_t hash);
@@ -185,7 +169,7 @@ class FrameWriter {
   [[nodiscard]] std::size_t stream_bytes() const noexcept { return total_; }
 
   /// High-water mark of bytes buffered inside the writer — pending
-  /// metadata + compressed chunk image + write buffer + one header.
+  /// metadata + write buffer + one header.
   [[nodiscard]] std::size_t peak_buffered_bytes() const noexcept {
     return peak_;
   }
@@ -198,10 +182,8 @@ class FrameWriter {
   void flush_wbuf();
 
   ByteSink& sink_;
-  FrameStyle style_;
   obs::Sink obs_{};
   std::vector<byte_t> meta_;  // metadata frame under construction
-  std::vector<byte_t> comp_;  // per-chunk compression scratch
   std::vector<byte_t> wbuf_;  // coalescing buffer in front of the sink
   std::size_t total_ = 0;
   std::size_t peak_ = 0;
@@ -238,8 +220,8 @@ class FrameReader {
   struct Chunk {
     FrameStyle style = FrameStyle::kRaw;
     std::uint64_t hash = 0;
-    /// Raw doubles for verbatim styles, the codec stream for kCodec, empty
-    /// for kRef. Valid until the next read.
+    /// Raw doubles for kRaw, the codec stream for kCodec, empty for kRef.
+    /// Valid until the next read.
     std::span<const byte_t> payload;
   };
 
@@ -266,7 +248,6 @@ class FrameReader {
   std::uint32_t raw_len_ = 0;
   std::uint64_t hash_ = 0;
   std::vector<byte_t> buf_;  // payload of the current frame
-  std::vector<byte_t> raw_;  // decoded lz4/deflate chunk
   std::size_t pos_ = 0;      // metadata consumed from buf_
   std::size_t total_ = 0;
   bool at_end_ = false;
@@ -277,8 +258,8 @@ class FrameReader {
 [[nodiscard]] std::optional<int> peek_base_version(
     std::span<const byte_t> stream) noexcept;
 
-/// Payloads of the chunk frames that carry one (styles raw, lz4, deflate
-/// and codec), in stream order, viewing into `stream`; nullopt when
+/// Payloads of the chunk frames that carry one (styles raw and codec), in
+/// stream order, viewing into `stream`; nullopt when
 /// `stream` is not a complete frame sequence. Frame CRCs are not checked.
 [[nodiscard]] std::optional<std::vector<std::span<const byte_t>>>
 chunk_payloads(std::span<const byte_t> stream);

@@ -109,6 +109,19 @@ class ByteReader {
     pos_ += count * sizeof(T);
   }
 
+  /// Read `count` values into a new vector. `count` is checked against the
+  /// remaining bytes before anything is allocated, so a corrupt count
+  /// cannot demand more memory than the stream backs.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  std::vector<T> get_vector(std::size_t count) {
+    if (count > remaining() / sizeof(T))
+      throw corrupt_stream_error("array length exceeds remaining bytes");
+    std::vector<T> v(count);
+    get_array(v.data(), count);
+    return v;
+  }
+
   /// View `count` raw bytes without copying and advance.
   std::span<const byte_t> get_bytes(std::size_t count) {
     check(count);

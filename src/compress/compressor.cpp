@@ -33,13 +33,7 @@ void NoneCompressor::decompress(std::span<const byte_t> stream,
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             ErrorBound eb) {
   if (name == "none") return std::make_unique<NoneCompressor>();
-  if (name == "rle") return std::make_unique<RleCompressor>();
-  if (name == "shuffle-rle") return std::make_unique<ShuffleRleCompressor>();
-  if (name == "deflate") return std::make_unique<DeflateCompressor>(false);
-  if (name == "shuffle-deflate")
-    return std::make_unique<DeflateCompressor>(true);
-  if (name == "lz4") return std::make_unique<Lz4Compressor>(false);
-  if (name == "shuffle-lz4") return std::make_unique<Lz4Compressor>(true);
+  if (auto lossless = make_lossless_compressor(name)) return lossless;
   if (name == "sz") return std::make_unique<SzLikeCompressor>(eb);
   if (name == "zfp") {
     if (eb.mode == ErrorBound::Mode::kPointwiseRelative)

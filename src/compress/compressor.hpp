@@ -73,7 +73,9 @@ class LossyCompressor : public Compressor {
   ErrorBound eb_;
 };
 
-/// Identity "compressor" — the traditional checkpointing scheme.
+/// Identity "compressor" — the traditional checkpointing scheme. The
+/// checkpoint manager stores a `none` variable's chunks as raw frames and
+/// never calls compress(); this stream form serves direct callers.
 class NoneCompressor final : public Compressor {
  public:
   static constexpr std::uint32_t kMagic = 0x454e4f4eu;  // "NONE"

@@ -31,13 +31,11 @@ inline std::size_t match_len_ops(const byte_t* a, const byte_t* b,
 
 }  // namespace
 
-std::size_t lz4_compress_into(std::span<const byte_t> in,
-                              std::span<byte_t> out) {
-  if (out.size() < lz4_compress_bound(in.size()))
-    throw config_error("lz4: output buffer below compress bound");
+std::vector<byte_t> lz4_compress(std::span<const byte_t> in) {
   const std::size_t n = in.size();
-  if (n == 0) return 0;
+  if (n == 0) return {};
 
+  std::vector<byte_t> out(lz4_compress_bound(n));
   byte_t* op = out.data();
   const byte_t* ip = in.data();
 
@@ -102,21 +100,18 @@ std::size_t lz4_compress_into(std::span<const byte_t> in,
     ++pos;
   }
   emit_sequence(anchor, n - anchor, 0, 0);
-  return static_cast<std::size_t>(op - out.data());
-}
-
-std::vector<byte_t> lz4_compress(std::span<const byte_t> in) {
-  std::vector<byte_t> out(lz4_compress_bound(in.size()));
-  out.resize(lz4_compress_into(in, out));
+  out.resize(static_cast<std::size_t>(op - out.data()));
   return out;
 }
 
-void lz4_decompress_into(std::span<const byte_t> in, std::span<byte_t> out) {
+std::vector<byte_t> lz4_decompress(std::span<const byte_t> in,
+                                   std::size_t expected_size) {
+  std::vector<byte_t> out(expected_size);
   const std::size_t isz = in.size();
   const std::size_t osz = out.size();
   if (isz == 0) {
     if (osz != 0) throw corrupt_stream_error("lz4: empty stream");
-    return;
+    return out;
   }
   std::size_t ip = 0;
   std::size_t op = 0;
@@ -142,7 +137,7 @@ void lz4_decompress_into(std::span<const byte_t> in, std::span<byte_t> out) {
 
     if (ip == isz) {  // a block always ends on a literal-only sequence
       if (op != osz) throw corrupt_stream_error("lz4: output size mismatch");
-      return;
+      return out;
     }
 
     if (isz - ip < 2) throw corrupt_stream_error("lz4: truncated offset");
@@ -170,13 +165,6 @@ void lz4_decompress_into(std::span<const byte_t> in, std::span<byte_t> out) {
       out[op + i] = out[op + i - offset];
     op += mlen;
   }
-}
-
-std::vector<byte_t> lz4_decompress(std::span<const byte_t> in,
-                                   std::size_t expected_size) {
-  std::vector<byte_t> out(expected_size);
-  lz4_decompress_into(in, out);
-  return out;
 }
 
 }  // namespace lck

@@ -7,8 +7,8 @@
 /// [token | literal-length extension | literals | 16-bit offset |
 /// match-length extension], minimum match 4, 64 KiB window. Skipping the
 /// Huffman stage trades ratio for an order of magnitude more throughput
-/// than the deflate-like codec, which is what the streaming frame path
-/// wants: compression must keep up with the store sink. The container is
+/// than the deflate-like codec. It is the byte coder of the "lz4" and
+/// "shuffle-lz4" codecs (lossless_compressors.hpp). The container is
 /// custom (raw block, no xxHash footer) — we reproduce the algorithm
 /// class, not the LZ4 frame format.
 
@@ -28,19 +28,10 @@ namespace lck {
 /// Compress raw bytes. Always succeeds; worst case is lz4_compress_bound().
 [[nodiscard]] std::vector<byte_t> lz4_compress(std::span<const byte_t> in);
 
-/// Compress into a caller-provided buffer of at least
-/// lz4_compress_bound(in.size()) bytes; returns the compressed size.
-/// This is the allocation-free entry point the frame writer uses per frame.
-[[nodiscard]] std::size_t lz4_compress_into(std::span<const byte_t> in,
-                                            std::span<byte_t> out);
-
 /// Decompress; `expected_size` must match the original input size exactly.
 /// Throws corrupt_stream_error on malformed input (bad offsets, lengths
 /// running past either buffer, or a short/long output).
 [[nodiscard]] std::vector<byte_t> lz4_decompress(std::span<const byte_t> in,
                                                  std::size_t expected_size);
-
-/// Decompress into a caller-provided buffer that must be filled exactly.
-void lz4_decompress_into(std::span<const byte_t> in, std::span<byte_t> out);
 
 }  // namespace lck

@@ -10,135 +10,90 @@
 namespace lck {
 namespace {
 
-std::span<const byte_t> as_bytes(std::span<const double> data) {
-  return {reinterpret_cast<const byte_t*>(data.data()),
-          data.size() * sizeof(double)};
-}
-
-void bytes_to_doubles(std::span<const byte_t> bytes, std::span<double> out) {
-  if (bytes.size() != out.size() * sizeof(double))
-    throw corrupt_stream_error("lossless: byte count mismatch");
-  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-}
+/// One lossless codec: its name and stream magic, whether it shuffles the
+/// doubles' bytes before coding, whether its stream records that in a flag
+/// byte, and its byte coder.
+struct Format {
+  const char* name;
+  std::uint32_t magic;
+  bool shuffle;
+  bool flag_byte;
+  std::vector<byte_t> (*encode)(std::span<const byte_t>);
+  std::vector<byte_t> (*decode)(std::span<const byte_t>, std::size_t);
+};
 
 constexpr std::uint32_t kMagicRle = 0x31454c52u;      // "RLE1"
-constexpr std::uint32_t kMagicDeflate = 0x31464544u;  // "DEF1"
 constexpr std::uint32_t kMagicShufRle = 0x31525353u;  // "SSR1"
+constexpr std::uint32_t kMagicDeflate = 0x31464544u;  // "DEF1"
 constexpr std::uint32_t kMagicLz4 = 0x315a344cu;      // "L4Z1"
+
+constexpr Format kFormats[] = {
+    {"rle", kMagicRle, false, false, rle_encode, rle_decode},
+    {"shuffle-rle", kMagicShufRle, true, false, rle_encode, rle_decode},
+    {"deflate", kMagicDeflate, false, true, deflate_compress,
+     deflate_decompress},
+    {"shuffle-deflate", kMagicDeflate, true, true, deflate_compress,
+     deflate_decompress},
+    {"lz4", kMagicLz4, false, true, lz4_compress, lz4_decompress},
+    {"shuffle-lz4", kMagicLz4, true, true, lz4_compress, lz4_decompress},
+};
+
+class LosslessCompressor final : public Compressor {
+ public:
+  explicit LosslessCompressor(const Format& f) : f_(f) {}
+
+  [[nodiscard]] std::string name() const override { return f_.name; }
+  [[nodiscard]] bool lossy() const noexcept override { return false; }
+
+  [[nodiscard]] std::vector<byte_t> compress(
+      std::span<const double> data) const override {
+    ByteWriter out;
+    out.put(f_.magic);
+    out.put(static_cast<std::uint64_t>(data.size()));
+    if (f_.flag_byte) out.put(static_cast<std::uint8_t>(f_.shuffle ? 1 : 0));
+    std::span<const byte_t> input{
+        reinterpret_cast<const byte_t*>(data.data()), data.size_bytes()};
+    std::vector<byte_t> shuffled;
+    if (f_.shuffle) {
+      shuffled = shuffle_bytes(input, sizeof(double));
+      input = shuffled;
+    }
+    const auto enc = f_.encode(input);
+    out.put(static_cast<std::uint64_t>(enc.size()));
+    out.put_bytes(enc);
+    return std::move(out).take();
+  }
+
+  /// A stream with a flag byte is unshuffled as its flag says, so either
+  /// row of a coder decodes both of its streams.
+  void decompress(std::span<const byte_t> stream,
+                  std::span<double> out) const override {
+    ByteReader in(stream);
+    if (in.get<std::uint32_t>() != f_.magic)
+      throw corrupt_stream_error(name() + ": bad magic");
+    if (in.get<std::uint64_t>() != out.size())
+      throw corrupt_stream_error(name() + ": size mismatch");
+    const bool shuffled = f_.flag_byte ? in.get<std::uint8_t>() != 0
+                                       : f_.shuffle;
+    const auto enc_size = in.get<std::uint64_t>();
+    auto decoded = f_.decode(in.get_bytes(enc_size), out.size_bytes());
+    if (shuffled) decoded = unshuffle_bytes(decoded, sizeof(double));
+    if (decoded.size() != out.size_bytes())
+      throw corrupt_stream_error(name() + ": byte count mismatch");
+    if (!decoded.empty())
+      std::memcpy(out.data(), decoded.data(), decoded.size());
+  }
+
+ private:
+  const Format& f_;
+};
 
 }  // namespace
 
-std::vector<byte_t> RleCompressor::compress(
-    std::span<const double> data) const {
-  ByteWriter out;
-  out.put(kMagicRle);
-  out.put(static_cast<std::uint64_t>(data.size()));
-  const auto enc = rle_encode(as_bytes(data));
-  out.put(static_cast<std::uint64_t>(enc.size()));
-  out.put_bytes(enc);
-  return std::move(out).take();
-}
-
-void RleCompressor::decompress(std::span<const byte_t> stream,
-                               std::span<double> out) const {
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagicRle)
-    throw corrupt_stream_error("rle: bad magic");
-  const auto n = in.get<std::uint64_t>();
-  if (n != out.size()) throw corrupt_stream_error("rle: size mismatch");
-  const auto enc_size = in.get<std::uint64_t>();
-  const auto decoded =
-      rle_decode(in.get_bytes(enc_size), n * sizeof(double));
-  bytes_to_doubles(decoded, out);
-}
-
-std::vector<byte_t> DeflateCompressor::compress(
-    std::span<const double> data) const {
-  ByteWriter out;
-  out.put(kMagicDeflate);
-  out.put(static_cast<std::uint64_t>(data.size()));
-  out.put(static_cast<std::uint8_t>(shuffle_ ? 1 : 0));
-  std::vector<byte_t> staged;
-  std::span<const byte_t> input = as_bytes(data);
-  if (shuffle_) {
-    staged = shuffle_bytes(input, sizeof(double));
-    input = staged;
-  }
-  const auto enc = deflate_compress(input);
-  out.put(static_cast<std::uint64_t>(enc.size()));
-  out.put_bytes(enc);
-  return std::move(out).take();
-}
-
-void DeflateCompressor::decompress(std::span<const byte_t> stream,
-                                   std::span<double> out) const {
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagicDeflate)
-    throw corrupt_stream_error("deflate: bad magic");
-  const auto n = in.get<std::uint64_t>();
-  if (n != out.size()) throw corrupt_stream_error("deflate: size mismatch");
-  const bool shuffled = in.get<std::uint8_t>() != 0;
-  const auto enc_size = in.get<std::uint64_t>();
-  auto decoded =
-      deflate_decompress(in.get_bytes(enc_size), n * sizeof(double));
-  if (shuffled) decoded = unshuffle_bytes(decoded, sizeof(double));
-  bytes_to_doubles(decoded, out);
-}
-
-std::vector<byte_t> Lz4Compressor::compress(std::span<const double> data) const {
-  ByteWriter out;
-  out.put(kMagicLz4);
-  out.put(static_cast<std::uint64_t>(data.size()));
-  out.put(static_cast<std::uint8_t>(shuffle_ ? 1 : 0));
-  std::vector<byte_t> staged;
-  std::span<const byte_t> input = as_bytes(data);
-  if (shuffle_) {
-    staged = shuffle_bytes(input, sizeof(double));
-    input = staged;
-  }
-  const auto enc = lz4_compress(input);
-  out.put(static_cast<std::uint64_t>(enc.size()));
-  out.put_bytes(enc);
-  return std::move(out).take();
-}
-
-void Lz4Compressor::decompress(std::span<const byte_t> stream,
-                               std::span<double> out) const {
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagicLz4)
-    throw corrupt_stream_error("lz4: bad magic");
-  const auto n = in.get<std::uint64_t>();
-  if (n != out.size()) throw corrupt_stream_error("lz4: size mismatch");
-  const bool shuffled = in.get<std::uint8_t>() != 0;
-  const auto enc_size = in.get<std::uint64_t>();
-  auto decoded = lz4_decompress(in.get_bytes(enc_size), n * sizeof(double));
-  if (shuffled) decoded = unshuffle_bytes(decoded, sizeof(double));
-  bytes_to_doubles(decoded, out);
-}
-
-std::vector<byte_t> ShuffleRleCompressor::compress(
-    std::span<const double> data) const {
-  ByteWriter out;
-  out.put(kMagicShufRle);
-  out.put(static_cast<std::uint64_t>(data.size()));
-  const auto shuffled = shuffle_bytes(as_bytes(data), sizeof(double));
-  const auto enc = rle_encode(shuffled);
-  out.put(static_cast<std::uint64_t>(enc.size()));
-  out.put_bytes(enc);
-  return std::move(out).take();
-}
-
-void ShuffleRleCompressor::decompress(std::span<const byte_t> stream,
-                                      std::span<double> out) const {
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagicShufRle)
-    throw corrupt_stream_error("shuffle-rle: bad magic");
-  const auto n = in.get<std::uint64_t>();
-  if (n != out.size()) throw corrupt_stream_error("shuffle-rle: size mismatch");
-  const auto enc_size = in.get<std::uint64_t>();
-  const auto decoded =
-      rle_decode(in.get_bytes(enc_size), n * sizeof(double));
-  bytes_to_doubles(unshuffle_bytes(decoded, sizeof(double)), out);
+std::unique_ptr<Compressor> make_lossless_compressor(const std::string& name) {
+  for (const Format& f : kFormats)
+    if (name == f.name) return std::make_unique<LosslessCompressor>(f);
+  return nullptr;
 }
 
 }  // namespace lck

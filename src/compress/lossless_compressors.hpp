@@ -1,69 +1,24 @@
 #pragma once
 /// \file lossless_compressors.hpp
-/// \brief Compressor-interface wrappers around the lossless byte codecs:
-///        RLE, shuffle+RLE, deflate-like, shuffle+deflate.
+/// \brief The lossless codecs: one byte coder (RLE, deflate-like or
+///        LZ4-like) over the raw double array, optionally byte-shuffled
+///        first.
+///
+/// One class implements all six names: "rle", "shuffle-rle", "deflate"
+/// (LZ77 + Huffman, the gzip stand-in of the paper's lossless scheme),
+/// "shuffle-deflate", "lz4" (byte-aligned LZ77, no entropy stage) and
+/// "shuffle-lz4". Each name is one row of a table that fixes its stream
+/// magic; a stream is magic:u32 n:u64 [shuffle:u8] enc_size:u64 enc, where
+/// the shuffle flag is present for the deflate and LZ4 rows only.
+
+#include <memory>
 
 #include "compress/compressor.hpp"
 
 namespace lck {
 
-/// Byte-level run-length coding of the raw double array.
-class RleCompressor final : public Compressor {
- public:
-  [[nodiscard]] std::string name() const override { return "rle"; }
-  [[nodiscard]] bool lossy() const noexcept override { return false; }
-  [[nodiscard]] std::vector<byte_t> compress(
-      std::span<const double> data) const override;
-  void decompress(std::span<const byte_t> stream,
-                  std::span<double> out) const override;
-};
-
-/// LZ77 + Huffman on the raw double array — the gzip stand-in used for
-/// "lossless checkpointing" in the paper's evaluation.
-class DeflateCompressor final : public Compressor {
- public:
-  explicit DeflateCompressor(bool shuffle = false) : shuffle_(shuffle) {}
-  [[nodiscard]] std::string name() const override {
-    return shuffle_ ? "shuffle-deflate" : "deflate";
-  }
-  [[nodiscard]] bool lossy() const noexcept override { return false; }
-  [[nodiscard]] std::vector<byte_t> compress(
-      std::span<const double> data) const override;
-  void decompress(std::span<const byte_t> stream,
-                  std::span<double> out) const override;
-
- private:
-  bool shuffle_;
-};
-
-/// LZ4-class fast LZ77 on the raw double array — byte-aligned tokens, no
-/// entropy stage, an order of magnitude faster than the deflate-like codec
-/// at a lower ratio. Also available as the "lz4" streaming frame style.
-class Lz4Compressor final : public Compressor {
- public:
-  explicit Lz4Compressor(bool shuffle = false) : shuffle_(shuffle) {}
-  [[nodiscard]] std::string name() const override {
-    return shuffle_ ? "shuffle-lz4" : "lz4";
-  }
-  [[nodiscard]] bool lossy() const noexcept override { return false; }
-  [[nodiscard]] std::vector<byte_t> compress(
-      std::span<const double> data) const override;
-  void decompress(std::span<const byte_t> stream,
-                  std::span<double> out) const override;
-
- private:
-  bool shuffle_;
-};
-
-/// Byte-shuffle + RLE (fast, moderate ratio on smooth data).
-class ShuffleRleCompressor final : public Compressor {
- public:
-  [[nodiscard]] std::string name() const override { return "shuffle-rle"; }
-  [[nodiscard]] bool lossy() const noexcept override { return false; }
-  [[nodiscard]] std::vector<byte_t> compress(
-      std::span<const double> data) const override;
-  void decompress(std::span<const byte_t> stream,
-                  std::span<double> out) const override;
-};
+/// The lossless codec called `name`, or nullptr when no row has that name.
+[[nodiscard]] std::unique_ptr<Compressor> make_lossless_compressor(
+    const std::string& name);
 
 }  // namespace lck

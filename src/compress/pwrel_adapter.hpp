@@ -3,9 +3,10 @@
 /// \brief Decorator that gives any absolute-error-bounded lossy compressor
 ///        the paper's pointwise-relative semantics |x_i−x'_i| ≤ eb·|x_i|.
 ///
-/// Implementation: a log₂ transform with exact sign/zero bitmaps, compressing
-/// log₂|x_i| under the absolute bound log₂(1+0.999·eb) with the wrapped
-/// compressor. Zeros, subnormals and non-finite values are stored verbatim.
+/// Implementation: the log₂ transform SZ's pointwise-relative mode uses too
+/// (exact_array.hpp), compressing log₂|x_i| under the absolute bound
+/// log₂(1+0.999·eb) with the wrapped compressor. Zeros, subnormals and
+/// non-finite values are stored exactly.
 
 #include <memory>
 

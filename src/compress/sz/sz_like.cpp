@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
 #include "compress/exact_array.hpp"
 #include "compress/huffman.hpp"
-#include "compress/lossless/byte_codecs.hpp"
 
 namespace lck {
 namespace {
@@ -144,23 +142,20 @@ void core_compress(ByteWriter& out, std::span<const double> data, double eb) {
   out.put_bytes(payload);
 }
 
-/// Inverse of core_compress. Returns exactly `expect_n` doubles.
-std::vector<double> core_decompress(ByteReader& in, std::size_t expect_n) {
+/// Inverse of core_compress: fills `out`, whose size the stream must match.
+void core_decompress(ByteReader& in, std::span<double> out) {
   const auto eb = in.get<double>();
   const auto n = in.get<std::uint64_t>();
   const auto radius = in.get<std::uint32_t>();
-  if (n != expect_n) throw corrupt_stream_error("sz: element count mismatch");
+  if (n != out.size()) throw corrupt_stream_error("sz: element count mismatch");
   if (radius != kRadius) throw corrupt_stream_error("sz: radius mismatch");
 
   const auto lengths = read_code_lengths(in, kAlphabet);
   const HuffmanDecoder dec(lengths);
-  const auto outlier_count = in.get<std::uint64_t>();
-  std::vector<double> outliers(outlier_count);
-  in.get_array(outliers.data(), outlier_count);
+  const auto outliers = in.get_vector<double>(in.get<std::uint64_t>());
   const auto payload_size = in.get<std::uint64_t>();
   BitReader br(in.get_bytes(payload_size));
 
-  std::vector<double> out(n);
   PredictorBank bank;
   std::size_t next_outlier = 0;
   const double two_eb = 2.0 * eb;
@@ -182,7 +177,6 @@ std::vector<double> core_decompress(ByteReader& in, std::size_t expect_n) {
   }
   if (next_outlier != outliers.size())
     throw corrupt_stream_error("sz: unused outliers");
-  return out;
 }
 
 }  // namespace
@@ -216,33 +210,9 @@ std::vector<byte_t> SzLikeCompressor::compress(
       break;
     }
     case ErrorBound::Mode::kPointwiseRelative: {
-      // Log-transform: compress log2|x| with absolute bound log2(1+eb).
-      // Zeros and non-finite values are recorded exactly via bitmaps.
-      std::vector<bool> zero_mask(n), sign_mask(n);
-      std::vector<double> logs;
-      logs.reserve(n);
-      // eb == 0 means lossless; the log/exp round trip is not bit-exact, so
-      // route every element through the verbatim path in that case.
-      const bool exact_only = eb_.value <= 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = data[i];
-        const bool is_zero = exact_only || x == 0.0 || !std::isfinite(x) ||
-                             std::fabs(x) < std::numeric_limits<double>::min();
-        zero_mask[i] = is_zero;
-        sign_mask[i] = std::signbit(x);
-        if (!is_zero) logs.push_back(std::log2(std::fabs(x)));
-      }
-      write_rle_bitset(out, zero_mask);
-      write_rle_bitset(out, sign_mask);
-      // Compact exact array (see exact_array.hpp): zeros cost ~0 bits, so
-      // sparse fields stop bottoming out at ratio ≈ 1.
-      write_exact_array(out, data, zero_mask);
-
-      // 0.999 safety factor absorbs the log2/exp2 rounding so the pointwise
-      // bound |x−x'| ≤ eb·|x| holds exactly (verified by property tests).
-      const double log_eb = std::log2(1.0 + 0.999 * eb_.value);
-      out.put(static_cast<std::uint64_t>(logs.size()));
-      core_compress(out, logs, log_eb);
+      // Compress log2|x| under an absolute bound (exact_array.hpp).
+      const auto logs = write_log_transform(out, data, eb_.value);
+      core_compress(out, logs, log_transform_bound(eb_.value));
       break;
     }
   }
@@ -261,32 +231,13 @@ void SzLikeCompressor::decompress(std::span<const byte_t> stream,
 
   switch (mode) {
     case ErrorBound::Mode::kAbsolute:
-    case ErrorBound::Mode::kValueRangeRelative: {
-      const auto vals = core_decompress(in, n);
-      std::copy(vals.begin(), vals.end(), out.begin());
+    case ErrorBound::Mode::kValueRangeRelative:
+      core_decompress(in, out);
       break;
-    }
     case ErrorBound::Mode::kPointwiseRelative: {
-      const auto zero_mask = read_rle_bitset(in, n);
-      const auto sign_mask = read_rle_bitset(in, n);
-      std::size_t exact_entries = 0;
-      for (std::size_t i = 0; i < n; ++i)
-        if (zero_mask[i]) ++exact_entries;
-      ExactArrayReader exact(in, exact_entries);
-      const auto log_count = in.get<std::uint64_t>();
-      const auto logs = core_decompress(in, log_count);
-
-      std::size_t li = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (zero_mask[i]) {
-          out[i] = exact.next(sign_mask[i]);
-        } else {
-          if (li >= logs.size())
-            throw corrupt_stream_error("sz: log stream exhausted");
-          const double mag = std::exp2(logs[li++]);
-          out[i] = sign_mask[i] ? -mag : mag;
-        }
-      }
+      LogTransformReader logs(in, n);
+      core_decompress(in, logs.logs());
+      logs.restore(out);
       break;
     }
     default:

@@ -30,14 +30,24 @@ IBlock forward_lift(const IBlock& q) noexcept {
   return {ss, ds, d0, d1};
 }
 
-/// Exact inverse of forward_lift.
+/// Exact inverse of forward_lift. The sums wrap modulo 2^64 instead of
+/// overflowing: a corrupt stream's coefficients can exceed the range a
+/// valid block's never leave, and signed overflow would be undefined.
 IBlock inverse_lift(const IBlock& c) noexcept {
-  const std::int64_t s0 = c[0] + ((c[1] + 1) >> 1);
-  const std::int64_t s1 = s0 - c[1];
-  const std::int64_t a = s0 + ((c[2] + 1) >> 1);
-  const std::int64_t b = a - c[2];
-  const std::int64_t cc = s1 + ((c[3] + 1) >> 1);
-  const std::int64_t d = cc - c[3];
+  const auto add = [](std::int64_t x, std::int64_t y) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                     static_cast<std::uint64_t>(y));
+  };
+  const auto sub = [](std::int64_t x, std::int64_t y) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
+                                     static_cast<std::uint64_t>(y));
+  };
+  const std::int64_t s0 = add(c[0], add(c[1], 1) >> 1);
+  const std::int64_t s1 = sub(s0, c[1]);
+  const std::int64_t a = add(s0, add(c[2], 1) >> 1);
+  const std::int64_t b = sub(a, c[2]);
+  const std::int64_t cc = add(s1, add(c[3], 1) >> 1);
+  const std::int64_t d = sub(cc, c[3]);
   return {a, b, cc, d};
 }
 

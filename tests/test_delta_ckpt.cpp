@@ -70,7 +70,12 @@ TEST(DeltaManager, UnchangedChunksBecomeRefsAgainstBase) {
   const CheckpointRecord rec = mgr.checkpoint();
   EXPECT_EQ(rec.chunks, 8u);
   EXPECT_EQ(rec.chunks_deduped, 7u);
-  EXPECT_EQ(rec.per_var_bytes.at("v"), 128 * sizeof(double));
+  // The one literal chunk carries its 128 doubles; the refs carry nothing.
+  const auto stream = mgr.store().read(rec.version);
+  const auto payloads = chunk_payloads(stream);
+  ASSERT_TRUE(payloads.has_value());
+  ASSERT_EQ(payloads->size(), 1u);
+  EXPECT_EQ(payloads->front().size(), 128 * sizeof(double));
 }
 
 TEST(DeltaManager, WithinStreamDuplicatesDedupWithoutABase) {

@@ -1,6 +1,7 @@
 /// The checkpoint wire format (ckpt/frame_stream.hpp) and the manager's one
 /// writer and one reader: transport round trips and corruption detection,
-/// the in-tree LZ4-class codec, bounded writer memory, recovered values
+/// retired styles and versions refused, the in-tree LZ4-class codec,
+/// bounded writer memory, `none` vectors stored raw, recovered values
 /// pinned bit-exactly for every codec, size and mode, and a seeded mutation
 /// sweep that must see nothing but corrupt_stream_error. Per-chunk
 /// compression is covered in test_block_compressor.cpp.
@@ -19,6 +20,7 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/lossless/lz4_like.hpp"
+#include "obs/metrics.hpp"
 
 namespace lck {
 namespace {
@@ -78,58 +80,55 @@ TEST(FrameTransport, MetadataAndChunksRoundTripInEveryStyle) {
   const auto noise = pattern_bytes(2048, 2);
   const auto big_meta = pattern_bytes(kMetaFrameBytes + 17, 3);
   const std::vector<byte_t> codec_payload{9, 8, 7, 6, 5};
-  for (const char* style : {"raw", "lz4", "deflate"}) {
-    SCOPED_TRACE(style);
-    std::vector<byte_t> stream;
-    VectorSink sink(stream);
-    FrameWriter w(sink, StreamingConfig{.style = style}, /*base_version=*/3,
-                  /*chain_len=*/2);
-    w.put<std::uint32_t>(0xabcd1234u);
-    w.put_string("var/name");
-    w.put_bytes(big_meta);  // spans two metadata frames
-    w.put_verbatim_chunk(bytes_of(smooth), 11);
-    w.put_verbatim_chunk(noise, 12);  // incompressible: raw fallback
-    w.put_codec_chunk(codec_payload, 64, 13);
-    w.put_ref_chunk(128, 14);
-    w.put<double>(2.5);
-    w.finish();
-    EXPECT_EQ(w.stream_bytes(), stream.size());
+  std::vector<byte_t> stream;
+  VectorSink sink(stream);
+  FrameWriter w(sink, /*base_version=*/3, /*chain_len=*/2);
+  w.put<std::uint32_t>(0xabcd1234u);
+  w.put_string("var/name");
+  w.put_bytes(big_meta);  // spans two metadata frames
+  w.put_raw_chunk(bytes_of(smooth), 11);
+  w.put_raw_chunk(noise, 12);
+  w.put_codec_chunk(codec_payload, 64, 13);
+  w.put_ref_chunk(128, 14);
+  w.put<double>(2.5);
+  w.finish();
+  EXPECT_EQ(w.stream_bytes(), stream.size());
 
-    SpanSource src(stream);
-    FrameReader r(src);
-    EXPECT_EQ(r.base_version(), 3);
-    EXPECT_EQ(r.chain_len(), 2u);
-    EXPECT_EQ(r.get<std::uint32_t>(), 0xabcd1234u);
-    EXPECT_EQ(r.get_string(), "var/name");
-    std::vector<byte_t> meta(big_meta.size());
-    r.read_into(meta);
-    EXPECT_EQ(meta, big_meta);
-    auto c = r.next_chunk(smooth.size() * sizeof(double));
-    EXPECT_EQ(c.hash, 11u);
-    EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(),
-                           bytes_of(smooth).begin(), bytes_of(smooth).end()));
-    c = r.next_chunk(noise.size());
-    EXPECT_EQ(c.style, FrameStyle::kRaw);
-    EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(), noise.begin(),
-                           noise.end()));
-    c = r.next_chunk(64);
-    EXPECT_EQ(c.style, FrameStyle::kCodec);
-    EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(),
-                           codec_payload.begin(), codec_payload.end()));
-    c = r.next_chunk(128);
-    EXPECT_EQ(c.style, FrameStyle::kRef);
-    EXPECT_EQ(c.hash, 14u);
-    EXPECT_TRUE(c.payload.empty());
-    EXPECT_DOUBLE_EQ(r.get<double>(), 2.5);
-    EXPECT_NO_THROW(r.expect_end());
-    EXPECT_EQ(r.stream_bytes(), stream.size());
-  }
+  SpanSource src(stream);
+  FrameReader r(src);
+  EXPECT_EQ(r.base_version(), 3);
+  EXPECT_EQ(r.chain_len(), 2u);
+  EXPECT_EQ(r.get<std::uint32_t>(), 0xabcd1234u);
+  EXPECT_EQ(r.get_string(), "var/name");
+  std::vector<byte_t> meta(big_meta.size());
+  r.read_into(meta);
+  EXPECT_EQ(meta, big_meta);
+  auto c = r.next_chunk(smooth.size() * sizeof(double));
+  EXPECT_EQ(c.style, FrameStyle::kRaw);
+  EXPECT_EQ(c.hash, 11u);
+  EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(),
+                         bytes_of(smooth).begin(), bytes_of(smooth).end()));
+  c = r.next_chunk(noise.size());
+  EXPECT_EQ(c.style, FrameStyle::kRaw);
+  EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(), noise.begin(),
+                         noise.end()));
+  c = r.next_chunk(64);
+  EXPECT_EQ(c.style, FrameStyle::kCodec);
+  EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(),
+                         codec_payload.begin(), codec_payload.end()));
+  c = r.next_chunk(128);
+  EXPECT_EQ(c.style, FrameStyle::kRef);
+  EXPECT_EQ(c.hash, 14u);
+  EXPECT_TRUE(c.payload.empty());
+  EXPECT_DOUBLE_EQ(r.get<double>(), 2.5);
+  EXPECT_NO_THROW(r.expect_end());
+  EXPECT_EQ(r.stream_bytes(), stream.size());
 }
 
 TEST(FrameTransport, EmptyStreamIsHeaderAndTerminator) {
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, StreamingConfig{});
+  FrameWriter w(sink);
   w.finish();
   EXPECT_EQ(stream.size(), kStreamHeaderBytes + kFrameHeaderBytes);
   SpanSource src(stream);
@@ -142,7 +141,7 @@ TEST(FrameTransport, TruncationIsDetected) {
   const auto payload = pattern_bytes(10000, 3);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, StreamingConfig{});
+  FrameWriter w(sink);
   w.put_bytes(payload);
   w.finish();
 
@@ -181,7 +180,7 @@ TEST(FrameTransport, CorruptionIsDetected) {
   const auto payload = pattern_bytes(9000, 4);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, StreamingConfig{});
+  FrameWriter w(sink);
   w.put_bytes(payload);
   w.finish();
 
@@ -232,22 +231,20 @@ TEST(FrameTransport, CorruptionIsDetected) {
 }
 
 TEST(FrameTransport, WriterMemoryIsBounded) {
-  // 4 MiB of chunks: the writer's high-water mark must stay at one chunk's
-  // compressed image + pending metadata + write buffer + header,
-  // independent of stream length.
+  // 4 MiB of chunks: the writer's high-water mark must stay at pending
+  // metadata + write buffer + header, independent of stream length.
   const auto chunk = pattern_bytes(kChunkElems * sizeof(double), 5);
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, StreamingConfig{.style = "lz4"});
+  FrameWriter w(sink);
   for (int i = 0; i < 8; ++i) {
     w.put<std::uint32_t>(static_cast<std::uint32_t>(i));
-    w.put_verbatim_chunk(chunk, 0);
+    w.put_raw_chunk(chunk, 0);
   }
   w.finish();
   EXPECT_LE(w.peak_buffered_bytes(),
-            kWriteBufferBytes + kMetaFrameBytes +
-                lz4_compress_bound(chunk.size()) + kFrameHeaderBytes);
-  EXPECT_GT(stream.size(), 8 * chunk.size());  // random data: raw fallback
+            kWriteBufferBytes + kMetaFrameBytes + kFrameHeaderBytes);
+  EXPECT_GT(stream.size(), 8 * chunk.size());  // every chunk stored raw
 }
 
 TEST(FrameTransport, SinkReceivesIncrementalAppends) {
@@ -265,7 +262,7 @@ TEST(FrameTransport, SinkReceivesIncrementalAppends) {
 
   const auto meta = pattern_bytes(16 * kWriteBufferBytes, 6);
   CountingSink sink;
-  FrameWriter w(sink, StreamingConfig{.style = "raw"});
+  FrameWriter w(sink);
   w.put_bytes(meta);
   w.finish();
   EXPECT_EQ(sink.total, w.stream_bytes());
@@ -275,22 +272,45 @@ TEST(FrameTransport, SinkReceivesIncrementalAppends) {
   EXPECT_LE(sink.max_append, std::max(kWriteBufferBytes, kMetaFrameBytes));
 }
 
-TEST(FrameTransport, ValidateRejectsBadConfigs) {
-  StreamingConfig cfg;
-  cfg.style = "zstd";
-  EXPECT_THROW(cfg.validate(), config_error);
-  EXPECT_NO_THROW(StreamingConfig{}.validate());
+TEST(FrameTransport, RetiredStylesAndVersionsAreRefused) {
+  // Styles 2 and 3 (chunks the writer LZ4- or deflate-compressed) belonged
+  // to format version 2. A version-3 stream holding one, CRC-valid and
+  // with the comp_len < raw_len those styles had, is corrupt; a version-2
+  // header is refused before any frame is read.
+  std::vector<byte_t> stream;
+  VectorSink sink(stream);
+  FrameWriter w(sink);
+  w.put_codec_chunk(std::vector<byte_t>{9, 8, 7, 6, 5}, 64, 0);
+  w.finish();
+  const auto read_chunk = [](const std::vector<byte_t>& s) {
+    SpanSource src(s);
+    FrameReader r(src);
+    (void)r.next_chunk(64);
+    r.expect_end();
+  };
+  EXPECT_NO_THROW(read_chunk(stream));
+  for (const byte_t style : {byte_t{2}, byte_t{3}}) {
+    auto bad = stream;
+    bad[kStreamHeaderBytes] = style;
+    refresh_crcs(bad);
+    EXPECT_THROW(read_chunk(bad), corrupt_stream_error) << int{style};
+  }
+  auto v2 = stream;
+  store<std::uint16_t>(v2, 4, 2);
+  refresh_crcs(v2);
+  EXPECT_THROW(read_chunk(v2), corrupt_stream_error);
+  EXPECT_EQ(peek_base_version(v2), std::nullopt);
 }
 
 TEST(FrameTransport, HeaderPeekAndChunkSplitViewTheStream) {
   std::vector<byte_t> stream;
   VectorSink sink(stream);
-  FrameWriter w(sink, StreamingConfig{.style = "raw"}, 41, 1);
+  FrameWriter w(sink, 41, 1);
   const std::vector<byte_t> a{1, 2, 3}, b{4, 5, 6, 7};
   w.put<std::uint32_t>(7);
   w.put_codec_chunk(a, 8, 0);
   w.put_ref_chunk(8, 1);
-  w.put_verbatim_chunk(b, 0);
+  w.put_raw_chunk(b, 0);
   w.finish();
   EXPECT_EQ(peek_base_version(stream), std::optional<int>{41});
   const auto parts = chunk_payloads(stream);
@@ -485,6 +505,40 @@ TEST(ManagerStream, WritesTheFramedFormat) {
   EXPECT_EQ(rec.stored_bytes, blob.size());
 }
 
+TEST(ManagerStream, NoneVectorsAreStoredAsRawFrames) {
+  // The traditional scheme stores state verbatim: every chunk of a `none`
+  // vector is a raw frame, even one a byte coder would shrink.
+  NoneCompressor none;
+  auto store = std::make_unique<MemoryStore>();
+  auto* store_raw = store.get();
+  CheckpointManager mgr(std::move(store), &none);
+  obs::MetricsRegistry metrics;
+  mgr.set_observability({&metrics, nullptr});
+  Vector x(3 * kChunkElems + 5);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = static_cast<double>(i % 7);
+  mgr.protect(0, "x", &x);
+  mgr.checkpoint();
+
+  const auto stream = store_raw->read(0);
+  std::size_t chunk_frames = 0;
+  for (std::size_t pos = kStreamHeaderBytes; stream.at(pos) != 0;
+       pos += kFrameHeaderBytes + load<std::uint32_t>(stream, pos + 5)) {
+    const auto style = static_cast<FrameStyle>(stream[pos]);
+    if (style == FrameStyle::kMeta) continue;
+    EXPECT_EQ(style, FrameStyle::kRaw);
+    ++chunk_frames;
+  }
+  EXPECT_EQ(chunk_frames, 4u);
+  EXPECT_EQ(metrics.snapshot().counter("frame.frames{style=raw}"), 4.0);
+
+  const Vector saved = x;
+  x.assign(x.size(), -1.0);
+  mgr.recover();
+  ASSERT_EQ(x.size(), saved.size());
+  EXPECT_EQ(std::memcmp(x.data(), saved.data(), x.size() * sizeof(double)), 0);
+}
+
 TEST(ManagerStream, StreamsOfOtherFormatsAreRejected) {
   NoneCompressor none;
   const auto recover_blob = [&none](const std::vector<byte_t>& blob) {
@@ -616,7 +670,7 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
                                 std::uint32_t count) {
     std::vector<byte_t> s;
     VectorSink sink(s);
-    FrameWriter w(sink, StreamingConfig{.style = "raw"});
+    FrameWriter w(sink);
     w.put<std::uint32_t>(1);
     w.put<std::int32_t>(0);
     w.put_string("x");
@@ -626,7 +680,7 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
     w.put(chunk);
     w.put(count);
     const std::vector<byte_t> one(8, 0);
-    w.put_verbatim_chunk(one, 0);
+    w.put_raw_chunk(one, 0);
     w.finish();
     return s;
   };
@@ -643,7 +697,7 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
 
   std::vector<byte_t> s;
   VectorSink sink(s);
-  FrameWriter w(sink, StreamingConfig{.style = "raw"});
+  FrameWriter w(sink);
   w.put<std::uint32_t>(1);
   w.put<std::int32_t>(1);
   w.put_string("b");
@@ -726,7 +780,6 @@ TEST(ManagerStream, EveryCheckpointStreamsThroughTheStoreSink) {
       auto store = std::make_unique<CountingStore>();
       auto* store_raw = store.get();
       CheckpointManager mgr(std::move(store), &none);
-      mgr.set_streaming({.style = "raw"});
       if (delta) mgr.set_delta(2);
       Vector x = smooth_vector(std::size_t{1} << 17, 61);  // 1 MiB of state
       mgr.protect(0, "x", &x);
@@ -789,7 +842,7 @@ struct History {
   std::vector<byte_t> blob;
 };
 
-/// Protected state: x through a codec, y verbatim (lz4 frames), a blob.
+/// Protected state: x through a codec, y verbatim (raw frames), a blob.
 /// `versions` = 1 without delta gives one full stream; otherwise a chain
 /// v0 full, v1 delta on v0, v2 delta on v1, each touching one chunk, so
 /// recovering the tip needs every link.

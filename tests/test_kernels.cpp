@@ -658,6 +658,11 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       {"zfp", 0, 1.0e-06, "field", 20000u, 67928u, 0x52d75c1bu},
       {"zfp", 1, 1.0e-05, "spiky", 20000u, 16711u, 0x6c35c324u},
       {"zfp", 2, 1.0e-04, "field", 20000u, 48763u, 0x53aa2ab7u},
+      // The plain RLE wrapper and the pointwise-relative adapter's exact
+      // and sign masks (the spiky field is 93% zeros between spikes of
+      // either sign).
+      {"rle", 0, 0.0e+00, "spiky", 20000u, 16338u, 0x5f89a9bau},
+      {"trunc", 2, 1.0e-04, "spiky", 20000u, 7774u, 0xfca662f4u},
   };
   for (const Golden& g : goldens) {
     ErrorBound eb;

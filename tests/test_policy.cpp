@@ -284,10 +284,13 @@ TEST(ConfigValidate, CollectsEveryViolationInOneError) {
 /// checkpoint and shifts later failures. The promotion-channel columns
 /// (promotions_completed, promotion_seconds_total, recoveries_by_tier) and
 /// the two delta-chain rows were recorded later from the same runner, to
-/// pin the tiered promotion schedule. The default FixedIntervalPolicy
-/// must reproduce the table exactly: integer counters bit-for-bit, clock
-/// sums to 1e-9 relative (libm slack across platforms — locally the full
-/// struct is bit-identical).
+/// pin the tiered promotion schedule. The three traditional rows without
+/// delta were re-recorded when `none` chunks stopped being LZ4-framed and
+/// became raw frames: their stored bytes and byte-priced sums moved, and
+/// no counter did. The default FixedIntervalPolicy must reproduce the
+/// table exactly: integer counters bit-for-bit, clock sums to 1e-9
+/// relative (libm slack across platforms — locally the full struct is
+/// bit-identical).
 struct GoldenRun {
   int scheme;
   int mode;
@@ -304,14 +307,13 @@ struct GoldenRun {
 };
 
 constexpr GoldenRun kGoldenRuns[] = {
-    {0, 0, 0, 27, 23, 6, 5, 5, 0, 155.47494621307743, 5.3200526750000003, 0,
-     0, 5.3263029000000008, 8428, 0, 0, {0, 0, 0}},
+    {0, 0, 0, 27, 23, 6, 5, 5, 0, 155.47494643807744, 5.3200529000000003, 0,
+     0, 5.3263029000000008, 8464, 0, 0, {0, 0, 0}},
     {0, 1, 0, 27, 23, 6, 5, 5, 0, 149.46093600071632, 0.25000071319444445,
-     5.3200526412500153, 0, 5.3263029000000008, 8422.6000000000004, 0, 0,
-     {0, 0, 0}},
+     5.3200529000000074, 0, 5.3263029000000008, 8464, 0, 0, {0, 0, 0}},
     {0, 2, 0, 25, 23, 3, 5, 2, 0, 128.65508904159407, 0.25000071319444445,
-     0.25000073102428999, 0, 1.1152607269444446, 8421.3999999999996, 8,
-     3.6920323509791668, {1, 0, 1}},
+     0.25000073472221018, 0, 1.1152607269444446, 8464, 8, 3.6920326216666672,
+     {1, 0, 1}},
     {2, 0, 0, 33, 29, 6, 7, 5, 0, 187.60293055566075, 7.4480135540000001, 0,
      0, 5.3262569966666664, 819.42857142857144, 0, 0, {0, 0, 0}},
     {2, 1, 0, 34, 29, 6, 7, 5, 0, 184.56092643341074, 0.35000049875,

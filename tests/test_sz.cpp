@@ -1,11 +1,14 @@
 /// SZ-like compressor tests: the error-bound contract (the paper's central
 /// correctness requirement), compression-ratio expectations on solver-like
-/// data, and stream robustness.
+/// data, and stream robustness — for every codec, corrupt count fields.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
@@ -262,6 +265,53 @@ TEST(SzConfig, ErrorBoundIsMutable) {
   const Vector out = roundtrip(c, in);
   for (std::size_t i = 0; i < in.size(); ++i)
     ASSERT_LE(std::fabs(in[i] - out[i]), 1e-2 * std::fabs(in[i]) + 1e-300);
+}
+
+// ----- corrupt counts --------------------------------------------------------
+
+TEST(CorruptCounts, OverwrittenCountsEndInCorruptStreamErrorOrADecode) {
+  // Every u64 window of each stream overwritten with 2^36 in turn. A count
+  // field that takes the value must be checked against the bytes left (or
+  // against what the masks imply) before anything is sized by it, so the
+  // decode completes or throws corrupt_stream_error — never std::bad_alloc
+  // or std::length_error. The field has zeros of both signs, a subnormal
+  // and spikes, so SZ stores outliers and the pointwise-relative streams an
+  // exact array with values.
+  Vector in(1000);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    in[i] = std::sin(0.01 * static_cast<double>(i)) *
+            (i % 97 == 0 ? 1e4 : 1.0);
+  for (std::size_t i = 0; i < in.size(); i += 13) in[i] = 0.0;
+  in[26] = -0.0;
+  in[500] = std::numeric_limits<double>::denorm_min();
+
+  std::vector<std::pair<std::string, ErrorBound>> cases;
+  for (const char* name : {"none", "rle", "shuffle-rle", "deflate",
+                           "shuffle-deflate", "lz4", "shuffle-lz4"})
+    cases.emplace_back(name, ErrorBound{});
+  for (const char* name : {"sz", "zfp", "trunc"})
+    for (const ErrorBound eb :
+         {ErrorBound::absolute(1e-6), ErrorBound::value_range_rel(1e-5),
+          ErrorBound::pointwise_rel(1e-4)})
+      cases.emplace_back(name, eb);
+
+  const std::uint64_t count = std::uint64_t{1} << 36;
+  for (const auto& [name, eb] : cases) {
+    const auto comp = make_compressor(name, eb);
+    const auto stream = comp->compress(in);
+    for (std::size_t at = 0; at + sizeof count <= stream.size(); ++at) {
+      auto bad = stream;
+      std::memcpy(bad.data() + at, &count, sizeof count);
+      Vector out(in.size());
+      try {
+        comp->decompress(bad, out);
+      } catch (const corrupt_stream_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << " mode " << static_cast<int>(eb.mode)
+                      << ", 2^36 at offset " << at << ": " << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace
