@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -87,8 +85,10 @@ void verify_ref_hash(const Compressor& comp, std::span<const double> slice,
         var_name);
 }
 
-/// Per-codec compression observability: real seconds and achieved ratio,
-/// labeled by the compressor name.
+/// Per-codec compression observability of one vector, labeled by the
+/// compressor name: the summed seconds of its compress() calls, and the raw
+/// bytes of the chunks they encoded over their payload bytes. References
+/// are not compression, so a vector without an encoded chunk has no ratio.
 void observe_compress(obs::Sink sink, const Compressor& comp,
                       std::size_t raw_bytes, std::size_t stored_bytes,
                       double seconds) {
@@ -163,24 +163,93 @@ void CheckpointManager::set_observability(obs::Sink sink) {
 
 CheckpointRecord CheckpointManager::write_stream(
     const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
-    ChunkBaseState* state, ByteSink& sink) const {
+    ChunkBaseState* state, ByteSink& sink) {
   CheckpointRecord rec;
   rec.version = version;
   rec.base_version = base != nullptr ? base->version : -1;
   rec.chain_len = base != nullptr ? base->chain_len + 1 : 0;
   const std::size_t chunk_elems =
       state != nullptr ? state->chunk_elems : kChunkElems;
-  // Literal chunks are compressed concurrently in bounded batches and
-  // emitted in order: each payload depends only on its chunk's doubles, so
-  // the stream is deterministic and at most one batch of payloads is alive.
-  const std::size_t batch = 2 * static_cast<std::size_t>(num_threads());
-  const StopRequest* const stop = current_stop_request();
+  const auto lanes = static_cast<std::size_t>(num_threads());
 
+  // Plan every vector first: canonical geometry (a one-chunk vector
+  // records its own length as the chunk size, so every header field is
+  // pinned by the others), and in delta mode its chunk hashes and which
+  // chunks are references.
+  struct VecPlan {
+    ChunkGeometry geo{0, 1};
+    bool verbatim = false;
+    std::vector<std::uint64_t> hashes;  // delta mode only
+    std::vector<std::uint8_t> is_ref;
+  };
+  std::vector<VecPlan> plans(vars.size());
+  struct ChunkAt {
+    std::size_t var = 0;
+    std::size_t chunk = 0;
+  };
+  const auto slice = [&](ChunkAt at) {
+    const ChunkGeometry& geo = plans[at.var].geo;
+    return std::span<const double>(
+        vars[at.var].vec->data() + geo.begin(at.chunk), geo.length(at.chunk));
+  };
+  std::vector<ChunkAt> hashed;  // every chunk, in delta mode only
+  for (std::size_t k = 0; k < vars.size(); ++k) {
+    const Vector* vec = vars[k].vec;
+    if (vec == nullptr) continue;
+    VecPlan& plan = plans[k];
+    plan.geo = ChunkGeometry(
+        vec->size(),
+        std::min(chunk_elems, std::max<std::size_t>(vec->size(), 1)));
+    plan.verbatim =
+        dynamic_cast<const NoneCompressor*>(vars[k].compressor) != nullptr;
+    plan.is_ref.assign(plan.geo.count(), 0);
+    if (state == nullptr) continue;
+    plan.hashes.resize(plan.geo.count());
+    for (std::size_t c = 0; c < plan.geo.count(); ++c)
+      hashed.push_back({k, c});
+  }
+  // Delta mode: hash every chunk's raw bytes on the lanes (the hash list
+  // is a pure function of the data, so sync and async drains agree), then
+  // decide literal/ref in chunk order: a chunk references the base
+  // version's content or a literal emitted earlier in its vector.
+  lanes_.run(lanes, hashed.size(), [&](std::size_t i) {
+    const auto s = slice(hashed[i]);
+    plans[hashed[i].var].hashes[hashed[i].chunk] =
+        crc64({reinterpret_cast<const byte_t*>(s.data()), s.size_bytes()});
+  });
+  for (std::size_t k = 0; k < vars.size() && state != nullptr; ++k) {
+    if (vars[k].vec == nullptr) continue;
+    VecPlan& plan = plans[k];
+    const auto* base_hashes =
+        base != nullptr
+            ? base->hashes_for(vars[k].id, vars[k].compressor->name())
+            : nullptr;
+    std::unordered_set<std::uint64_t> available;
+    if (base_hashes != nullptr)
+      available.insert(base_hashes->begin(), base_hashes->end());
+    for (std::size_t c = 0; c < plan.hashes.size(); ++c)
+      plan.is_ref[c] = available.insert(plan.hashes[c]).second ? 0 : 1;
+  }
+  // The literal codec chunks of every vector, as one list in stream order,
+  // are compressed on the lanes in batches of 2 × lanes, and the frames are
+  // written in order on this thread: each payload depends only on its
+  // chunk's doubles, so the stream is deterministic and at most one batch
+  // of payloads is alive.
+  std::vector<ChunkAt> literals;
+  for (std::size_t k = 0; k < vars.size(); ++k)
+    for (std::size_t c = 0; c < plans[k].is_ref.size(); ++c)
+      if (!plans[k].verbatim && plans[k].is_ref[c] == 0)
+        literals.push_back({k, c});
+  const std::size_t batch = 2 * lanes;
+  std::vector<std::vector<byte_t>> payloads(std::min(batch, literals.size()));
+  std::vector<double> seconds(payloads.size());
+  std::size_t first = 0;  // entry of `literals` in payloads[0]
+  std::size_t ready = 0;  // entries of `literals` compressed so far
+  std::size_t next = 0;   // next entry of `literals` to write
   FrameWriter out(sink, rec.base_version, rec.chain_len, sink_);
   out.put(static_cast<std::uint32_t>(vars.size()));
-
-  std::vector<std::vector<byte_t>> payloads;
-  for (const auto& var : vars) {
+  for (std::size_t k = 0; k < vars.size(); ++k) {
+    const VarView& var = vars[k];
     out.put(static_cast<std::int32_t>(var.id));
     out.put_string(*var.name);
     if (var.vec == nullptr) {
@@ -190,97 +259,56 @@ CheckpointRecord CheckpointManager::write_stream(
       rec.raw_bytes += var.blob->size();
       continue;
     }
-    const Vector& vec = *var.vec;
     const Compressor& comp = *var.compressor;
-    // Canonical geometry: a one-chunk vector records its own length as the
-    // chunk size, so every header field is pinned by the others.
-    const ChunkGeometry geo(
-        vec.size(),
-        std::min(chunk_elems, std::max<std::size_t>(vec.size(), 1)));
-    const std::size_t count = geo.count();
-    const auto slice = [&](std::size_t c) {
-      return std::span<const double>(vec.data() + geo.begin(c), geo.length(c));
-    };
+    VecPlan& plan = plans[k];
+    const std::size_t count = plan.geo.count();
     out.put(static_cast<std::uint8_t>(VarKind::kVector));
     out.put_string(comp.name());
-    out.put(static_cast<std::uint64_t>(vec.size()));
-    out.put(static_cast<std::uint64_t>(geo.chunk_elems));
+    out.put(static_cast<std::uint64_t>(plan.geo.elems));
+    out.put(static_cast<std::uint64_t>(plan.geo.chunk_elems));
     out.put(static_cast<std::uint32_t>(count));
-    rec.raw_bytes += vec.size() * sizeof(double);
+    rec.raw_bytes += plan.geo.elems * sizeof(double);
 
-    // Delta mode: hash every chunk's raw bytes (concurrently; the hash list
-    // is a pure function of the data, so sync and async drains agree), then
-    // decide literal/ref in chunk order: a chunk references the base
-    // version's content or a literal emitted earlier in this stream.
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint8_t> is_ref(count, 0);
-    if (state != nullptr) {
-      hashes.resize(count);
-      parallel_for(0, static_cast<index_t>(count), [&](index_t c) {
-        const auto s = slice(static_cast<std::size_t>(c));
-        hashes[static_cast<std::size_t>(c)] = crc64(
-            {reinterpret_cast<const byte_t*>(s.data()), s.size_bytes()});
-      });
-      const auto* base_hashes =
-          base != nullptr ? base->hashes_for(var.id, comp.name()) : nullptr;
-      std::unordered_set<std::uint64_t> available;
-      if (base_hashes != nullptr)
-        available.insert(base_hashes->begin(), base_hashes->end());
-      for (std::size_t c = 0; c < count; ++c)
-        is_ref[c] = available.insert(hashes[c]).second ? 0 : 1;
-    }
-
-    const bool verbatim = dynamic_cast<const NoneCompressor*>(&comp) != nullptr;
-    std::size_t var_bytes = 0;
-    std::size_t refs = 0;
+    std::size_t literal_bytes = 0;
+    std::size_t payload_bytes = 0;
     double comp_seconds = 0.0;
-    for (std::size_t first = 0; first < count; first += batch) {
+    std::size_t refs = 0;
+    for (std::size_t c = 0; c < count; ++c) {
       throw_if_stop_requested();
-      const std::size_t last = std::min(count, first + batch);
-      if (!verbatim) {
-        payloads.resize(last - first);
-        const WallTimer comp_timer;
-        // An exception must not escape the parallel region (that would
-        // terminate); the first one is carried out and rethrown here.
-        std::exception_ptr error;
-        std::mutex error_mu;
-        parallel_for(static_cast<index_t>(first), static_cast<index_t>(last),
-                     [&](index_t ci) {
-                       // Team threads do not inherit the drain's request.
-                       const StopScope scope(stop);
-                       const auto c = static_cast<std::size_t>(ci);
-                       if (is_ref[c] != 0) return;
-                       try {
-                         payloads[c - first] = comp.compress(slice(c));
-                       } catch (...) {
-                         const std::lock_guard<std::mutex> lock(error_mu);
-                         if (error == nullptr) error = std::current_exception();
-                       }
-                     });
-        if (error != nullptr) std::rethrow_exception(error);
-        comp_seconds += comp_timer.seconds();
+      const std::uint64_t hash = plan.hashes.empty() ? 0 : plan.hashes[c];
+      const auto s = slice({k, c});
+      if (plan.is_ref[c] != 0) {
+        out.put_ref_chunk(s.size_bytes(), hash);
+        ++refs;
+        continue;
       }
-      for (std::size_t c = first; c < last; ++c) {
-        const std::uint64_t hash = hashes.empty() ? 0 : hashes[c];
-        const std::size_t raw_len = slice(c).size_bytes();
-        if (is_ref[c] != 0) {
-          out.put_ref_chunk(raw_len, hash);
-          ++refs;
-        } else if (verbatim) {
-          out.put_raw_chunk(
-              {reinterpret_cast<const byte_t*>(slice(c).data()), raw_len},
-              hash);
-        } else {
-          out.put_codec_chunk(payloads[c - first], raw_len, hash);
-          var_bytes += payloads[c - first].size();
-        }
+      if (plan.verbatim) {
+        out.put_raw_chunk(
+            {reinterpret_cast<const byte_t*>(s.data()), s.size_bytes()}, hash);
+        continue;
       }
+      if (next == ready) {
+        first = next;
+        ready = std::min(literals.size(), first + batch);
+        lanes_.run(lanes, ready - first, [&](std::size_t i) {
+          const ChunkAt at = literals[first + i];
+          const WallTimer timer;
+          payloads[i] = vars[at.var].compressor->compress(slice(at));
+          seconds[i] = timer.seconds();
+        });
+      }
+      const std::vector<byte_t>& payload = payloads[next - first];
+      out.put_codec_chunk(payload, s.size_bytes(), hash);
+      literal_bytes += s.size_bytes();
+      payload_bytes += payload.size();
+      comp_seconds += seconds[next - first];
+      ++next;
     }
-    if (!verbatim)
-      observe_compress(sink_, comp, vec.size() * sizeof(double), var_bytes,
+    if (!plan.verbatim)
+      observe_compress(sink_, comp, literal_bytes, payload_bytes,
                        comp_seconds);
     if (state != nullptr) {
-      state->vars.push_back({var.id, comp.name(), std::move(hashes)});
+      state->vars.push_back({var.id, comp.name(), std::move(plan.hashes)});
       rec.chunks += count;
       rec.chunks_deduped += refs;
     }

@@ -11,16 +11,17 @@
 ///  - stage() / wait_drain() / commit_version() / abort_version() — the
 ///    staged pipeline (CkptMode::kAsync): stage() memcpys the protected
 ///    variables into the staged copy and returns immediately; the manager's
-///    SerialWorker thread drains that copy (compression + store write) into
-///    a *pending* store version; the caller later promotes it with
-///    commit_version() or rolls it back with abort_version(). One staged
-///    version at a time, as in FTI: until it is committed or aborted,
-///    stage() and checkpoint() refuse (config_error), so the caller's
-///    wait_drain() is the one-deep back-pressure. abort_version() does not
-///    wait out a drain it throws away: it requests the staged version's
-///    stop (common/stop_request.hpp), and the drain abandons its work at
-///    its next check — between chunk batches, and every 4 KiB inside
-///    deflate's match finder.
+///    SerialWorker thread drains that copy (compression, with helper lanes
+///    beside it, + store write) into a *pending* store version; the caller
+///    later promotes it with commit_version() or rolls it back with
+///    abort_version(). One staged version at a time, as in FTI: until it
+///    is committed or aborted, stage() and checkpoint() refuse
+///    (config_error), so the caller's wait_drain() is the one-deep
+///    back-pressure. abort_version() does not wait out a drain it throws
+///    away: it requests the staged version's stop
+///    (common/stop_request.hpp), and the drain abandons its work at its
+///    next check — before each chunk it writes, and every 4 KiB inside
+///    deflate's match finder on every lane.
 
 #include <functional>
 #include <future>
@@ -255,14 +256,18 @@ class CheckpointManager {
   /// The one writer: serialize one snapshot as a stream straight into
   /// `sink` with bounded memory (see frame_stream.hpp). `state` is non-null
   /// in delta mode only; the writer then hashes every chunk into it and
-  /// stores chunks found in `base` (or earlier in this stream) as
-  /// references. Shared by the sync path and the background drain, so the
-  /// two produce byte-identical streams for identical variable values.
+  /// stores chunks found in `base` (or earlier in its vector) as
+  /// references. It plans every variable first, then compresses the
+  /// literal chunks of all vectors as one list, in batches of 2 × W on W
+  /// lanes (lanes_; W is num_threads() on the calling thread), and writes
+  /// the frames in variable and chunk order on the calling thread. Shared
+  /// by the sync path and the background drain, so the two produce
+  /// byte-identical streams for identical variable values, whatever W.
   /// Calls FrameWriter's finish() but NOT sink.finish() — sealing the sink
   /// is the caller's job.
   CheckpointRecord write_stream(const std::vector<VarView>& vars, int version,
                                 const ChunkBaseState* base,
-                                ChunkBaseState* state, ByteSink& sink) const;
+                                ChunkBaseState* state, ByteSink& sink);
 
   /// The base the next checkpoint deltas against, or nullptr when a full
   /// checkpoint is due (no committed predecessor, chain at max length,
@@ -326,6 +331,10 @@ class CheckpointManager {
   /// The in-flight version's stop request: stage() clears it, abort and
   /// the destructor set it, and its drain polls it.
   StopRequest stop_drain_{false};
+  /// The helper lanes of write_stream(), used by one writer at a time: the
+  /// owner in checkpoint(), or the drain, which nothing else writes beside.
+  /// Declared before the worker, so they outlive its drains.
+  LaneRunner lanes_;
   // Declared last: drains touch the staged copy and the store, so the worker
   // must join before either is torn down.
   std::unique_ptr<SerialWorker> worker_;

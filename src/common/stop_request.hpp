@@ -8,8 +8,9 @@
 /// anywhere below, codecs included, calls throw_if_stop_requested(). So the
 /// request passes through any decorator that forwards Compressor::compress.
 /// Threads do not inherit a scope: a loop that hands work to other threads
-/// (parallel_for) installs the request again in its body. With no scope on
-/// the calling thread, throw_if_stop_requested() does nothing.
+/// installs the request again on each of them, as LaneRunner does for its
+/// helpers (serial_worker.hpp). With no scope on the calling thread,
+/// throw_if_stop_requested() does nothing.
 
 #include <atomic>
 #include <stdexcept>

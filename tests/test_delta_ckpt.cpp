@@ -1,8 +1,9 @@
 /// Chunked content-addressed delta checkpointing: manager delta chains
-/// (sync + staged), within-stream and cross-version refs, ref-counted
-/// retention, crash mid-chain, the L3 dedup store, tiered chain
-/// re-materialization after a node-severity failure, runner integration,
-/// and the deterministic fixed-partition vector reductions.
+/// (sync + staged), within-stream and cross-version refs, the codec ratio
+/// of delta checkpoints, ref-counted retention, crash mid-chain, the L3
+/// dedup store, tiered chain re-materialization after a node-severity
+/// failure, runner integration, and the deterministic fixed-partition
+/// vector reductions.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
 #include "compress/sz/sz_like.hpp"
+#include "obs/metrics.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -76,6 +78,34 @@ TEST(DeltaManager, UnchangedChunksBecomeRefsAgainstBase) {
   ASSERT_TRUE(payloads.has_value());
   ASSERT_EQ(payloads->size(), 1u);
   EXPECT_EQ(payloads->front().size(), 128 * sizeof(double));
+}
+
+TEST(DeltaManager, CompressRatioCountsOnlyTheChunksTheCodecEncoded) {
+  // compress.ratio{codec=...} is the raw bytes of the chunks a codec
+  // encoded over their payload bytes, so references are not compression.
+  // Deflate does not shrink uniform random doubles: neither the full
+  // checkpoint nor the delta one, with 7 of its 8 chunks references, may
+  // read above 1. A checkpoint of references only observes no ratio, but
+  // its (zero) codec seconds.
+  obs::MetricsRegistry reg;
+  const auto deflate = make_compressor("deflate");
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), deflate.get());
+  mgr.set_observability({&reg, nullptr});
+  mgr.set_delta(4, 128);
+  Vector v = random_vector(1024, 2);
+  mgr.protect(0, "v", &v);
+  mgr.checkpoint();
+  v[5 * 128 + 3] += 1.0;
+  EXPECT_EQ(mgr.checkpoint().chunks_deduped, 7u);
+  EXPECT_EQ(mgr.checkpoint().chunks_deduped, 8u);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const auto* ratio = snap.histogram("compress.ratio{codec=deflate}");
+  ASSERT_NE(ratio, nullptr);
+  EXPECT_EQ(ratio->count, 2u);
+  EXPECT_LE(ratio->max, 1.0);
+  const auto* seconds = snap.histogram("compress.seconds{codec=deflate}");
+  ASSERT_NE(seconds, nullptr);
+  EXPECT_EQ(seconds->count, 3u);
 }
 
 TEST(DeltaManager, WithinStreamDuplicatesDedupWithoutABase) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "compress/compressor.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
+#include "parallel/parallel_for.hpp"
 #include "svc/checkpoint_service.hpp"
 
 namespace lck {
@@ -332,7 +334,8 @@ int thread_count() {
 TEST(ThreadTopology, OnlyBackgroundWorkStartsAThreadAndOnlyOnePerOwner) {
   if (!std::filesystem::exists("/proc/self/task"))
     GTEST_SKIP() << "/proc/self/task is absent";
-  // One-chunk vectors and blobs throughout, so no OpenMP team starts.
+  // No OpenMP team starts: a checkpoint compresses on the manager's own
+  // helper lanes, and its codecs run no parallel loop.
   NoneCompressor none;
   Vector x(64, 1.0);
   {
@@ -347,6 +350,40 @@ TEST(ThreadTopology, OnlyBackgroundWorkStartsAThreadAndOnlyOnePerOwner) {
     const StageTicket second = mgr.stage();
     EXPECT_EQ(thread_count() - before, 1) << "after a second stage()";
     mgr.commit_version(second.version);
+  }
+  // A drain compresses the chunks of all its vectors side by side on W
+  // lanes, W being num_threads() on the drain thread: itself plus a helper
+  // per chunk beyond the first, up to W − 1, started on first need and kept.
+  std::size_t lanes = 1;
+  std::thread([&lanes] {
+    lanes = static_cast<std::size_t>(num_threads());
+  }).join();
+  const auto deflate = make_compressor("deflate");
+  const struct {
+    const char* what;
+    std::vector<std::size_t> sizes;
+  } drains[] = {
+      {"one one-chunk deflate vector", {64}},
+      {"two one-chunk deflate vectors", {64, 64}},
+      {"one 3 × 64Ki-double deflate vector", {3 * kChunkElems}},
+  };
+  for (const auto& drain : drains) {
+    SCOPED_TRACE(drain.what);
+    const int before = thread_count();
+    std::vector<Vector> vecs;
+    std::size_t chunks = 0;
+    for (const std::size_t n : drain.sizes) {
+      vecs.emplace_back(n, 1.0);
+      chunks += ChunkGeometry(n, kChunkElems).count();
+    }
+    const int want = 1 + static_cast<int>(std::min(lanes, chunks) - 1);
+    CheckpointManager mgr(std::make_unique<MemoryStore>(), deflate.get());
+    for (std::size_t k = 0; k < vecs.size(); ++k)
+      mgr.protect(static_cast<int>(k), std::to_string(k), &vecs[k]);
+    mgr.commit_version(mgr.stage().version);
+    EXPECT_EQ(thread_count() - before, want) << "after the first stage()";
+    mgr.commit_version(mgr.stage().version);
+    EXPECT_EQ(thread_count() - before, want) << "after a second stage()";
   }
   {
     const int before = thread_count();

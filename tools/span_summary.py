@@ -7,7 +7,7 @@ TRACE is the file a `perfbench/run.py ... --trace 1` run writes to
 <build>/traces/<workload>-seed<n>.json. For every (span name, thread) the
 table gives the count and the p50, p90 and sum of the span durations in
 milliseconds. Thread 0 is the solve loop; other numbers are background
-threads (the drain worker, OpenMP team threads, the tiered promoter) in the
+threads (the drain worker and its helper lanes, the tiered promoter) in the
 order they first opened a span. Given NAMEs, only those spans are listed.
 Timings cover every solve in the run, traced solves only.
 """
