@@ -1,12 +1,17 @@
 /// google-benchmark microbenchmarks for the compression stack: throughput
-/// of each compressor on solver-like data, plus the Huffman core.
+/// of each compressor on solver-like data, deflate on near-incompressible
+/// data, the Huffman core, and the CRC-32 and CRC-64 that check and address
+/// every checkpoint byte.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "ckpt/chunk/chunk_hash.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
@@ -24,10 +29,21 @@ lck::Vector solver_like(std::size_t n) {
   return v;
 }
 
-void bm_compress(benchmark::State& state, const char* name) {
+/// Standard normals: close to incompressible, like a CG iterate's bytes, so
+/// deflate spends its time in the match finder, not the entropy stage.
+lck::Vector standard_normals(std::size_t n) {
+  lck::Rng rng(7);
+  lck::Vector v(n);
+  for (auto& x : v) x = rng.normal(0.0, 1.0);
+  return v;
+}
+
+using Field = lck::Vector (*)(std::size_t);
+
+void bm_compress(benchmark::State& state, const char* name, Field field) {
   const auto comp =
       lck::make_compressor(name, lck::ErrorBound::pointwise_rel(1e-4));
-  const auto data = solver_like(static_cast<std::size_t>(state.range(0)));
+  const auto data = field(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     auto stream = comp->compress(data);
     benchmark::DoNotOptimize(stream);
@@ -36,10 +52,10 @@ void bm_compress(benchmark::State& state, const char* name) {
                           static_cast<std::int64_t>(data.size() * 8));
 }
 
-void bm_decompress(benchmark::State& state, const char* name) {
+void bm_decompress(benchmark::State& state, const char* name, Field field) {
   const auto comp =
       lck::make_compressor(name, lck::ErrorBound::pointwise_rel(1e-4));
-  const auto data = solver_like(static_cast<std::size_t>(state.range(0)));
+  const auto data = field(static_cast<std::size_t>(state.range(0)));
   const auto stream = comp->compress(data);
   lck::Vector out(data.size());
   for (auto _ : state) {
@@ -138,25 +154,54 @@ void bm_huffman_decode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
+/// One checksum over random bytes.
+template <class Crc>
+void bm_crc(benchmark::State& state) {
+  lck::Rng rng(11);
+  std::vector<lck::byte_t> bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : bytes) b = static_cast<lck::byte_t>(rng());
+  for (auto _ : state) {
+    Crc crc;
+    crc.update(bytes);
+    auto value = crc.value();
+    benchmark::DoNotOptimize(value);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+void bm_crc32(benchmark::State& state) { bm_crc<lck::Crc32>(state); }
+void bm_crc64(benchmark::State& state) { bm_crc<lck::Crc64>(state); }
+
 }  // namespace
 
 // 4,096 elements is the delta chunk, 13,824 one 24^3 solver vector: the
 // sizes the checkpoint pipeline hands each codec call.
-BENCHMARK_CAPTURE(bm_compress, sz, "sz")
+BENCHMARK_CAPTURE(bm_compress, sz, "sz", solver_like)
     ->Arg(4096)->Arg(13824)->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_compress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")
+BENCHMARK_CAPTURE(bm_compress, zfp, "zfp", solver_like)
+    ->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK_CAPTURE(bm_compress, deflate, "deflate", solver_like)
     ->Arg(4096)->Arg(13824)->Arg(1 << 16);
-BENCHMARK_CAPTURE(bm_compress, shuffle_rle, "shuffle-rle")->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, sz, "sz")
+BENCHMARK_CAPTURE(bm_compress, deflate_normal, "deflate", standard_normals)
+    ->Arg(13824);
+BENCHMARK_CAPTURE(bm_compress, shuffle_rle, "shuffle-rle", solver_like)
+    ->Arg(1 << 20);
+BENCHMARK_CAPTURE(bm_decompress, sz, "sz", solver_like)
     ->Arg(4096)->Arg(13824)->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")
+BENCHMARK_CAPTURE(bm_decompress, zfp, "zfp", solver_like)
+    ->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate", solver_like)
     ->Arg(4096)->Arg(13824)->Arg(1 << 16);
+BENCHMARK_CAPTURE(bm_decompress, deflate_normal, "deflate", standard_normals)
+    ->Arg(13824);
 BENCHMARK(bm_huffman_encode);
 BENCHMARK(bm_huffman_decode);
 BENCHMARK(bm_histogram_4way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);
+// 32,768 bytes is one 4,096-element delta chunk, 110,592 one 24^3 vector.
+BENCHMARK(bm_crc32)->Arg(32768)->Arg(110592);
+BENCHMARK(bm_crc64)->Arg(32768)->Arg(110592);
 
 BENCHMARK_MAIN();

@@ -8,34 +8,26 @@
 /// (standard content-addressed-storage assumption; the 64-bit space makes
 /// an accidental collision across a checkpoint history vanishingly
 /// unlikely, and a cross-length collision is caught by the compressor's
-/// embedded element count at decode time).
+/// embedded element count at decode time). It is the eight-bytes-a-step
+/// `ReflectedCrc` of common/crc32.hpp at 64 bits.
 
 #include <cstdint>
 #include <span>
 
+#include "common/crc32.hpp"
 #include "common/types.hpp"
 
 namespace lck {
 
 /// Incremental CRC-64/XZ computation (poly 0x42F0E1EBA9EA3693, reflected,
 /// init/xorout all-ones).
-class Crc64 {
- public:
-  void update(std::span<const byte_t> data) noexcept {
-    for (const byte_t b : data)
-      state_ = table()[(state_ ^ b) & 0xffu] ^ (state_ >> 8);
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return state_ ^ 0xffffffffffffffffull;
-  }
-
- private:
-  static const std::uint64_t* table() noexcept;
-  std::uint64_t state_ = 0xffffffffffffffffull;
-};
+using Crc64 = ReflectedCrc<std::uint64_t, 0xc96c5795d7870f42ull>;
 
 /// One-shot CRC-64 of a byte span.
-[[nodiscard]] std::uint64_t crc64(std::span<const byte_t> data) noexcept;
+[[nodiscard]] inline std::uint64_t crc64(std::span<const byte_t> data) noexcept {
+  Crc64 c;
+  c.update(data);
+  return c.value();
+}
 
 }  // namespace lck

@@ -4,10 +4,12 @@
 ///        the ZFP-like bit-plane coder.
 ///
 /// Both sides move up to 32 bits per step through a 64-bit register: the
-/// writer accumulates bits and stores whole 32-bit words, the reader keeps
-/// a left-aligned window that it refills eight bytes at a time and one byte
-/// at a time near the end of its span, so it never loads past the span.
+/// writer accumulates bits and stores each whole 32-bit word with one copy
+/// into a buffer that doubles when full, the reader keeps a left-aligned
+/// window that it refills eight bytes at a time and one byte at a time near
+/// the end of its span, so it never loads past the span.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -42,6 +44,8 @@ class BitWriter {
 
   /// Pad with zero bits to the next byte boundary and return the buffer.
   [[nodiscard]] std::vector<byte_t> finish() {
+    buf_.resize(size_);
+    size_ = 0;
     while (nacc_ >= 8) {
       nacc_ -= 8;
       buf_.push_back(static_cast<byte_t>(acc_ >> nacc_));
@@ -54,7 +58,7 @@ class BitWriter {
 
   /// Number of bits written so far.
   [[nodiscard]] std::size_t bit_count() const noexcept {
-    return buf_.size() * 8 + nacc_;
+    return size_ * 8 + nacc_;
   }
 
  private:
@@ -65,17 +69,22 @@ class BitWriter {
     nacc_ += n;
     if (nacc_ >= 32) {
       nacc_ -= 32;
-      const auto w = static_cast<std::uint32_t>(acc_ >> nacc_);
-      const byte_t be[4] = {
-          static_cast<byte_t>(w >> 24), static_cast<byte_t>(w >> 16),
-          static_cast<byte_t>(w >> 8), static_cast<byte_t>(w)};
-      buf_.insert(buf_.end(), be, be + 4);
+      auto w = static_cast<std::uint32_t>(acc_ >> nacc_);
+      if constexpr (std::endian::native == std::endian::little)
+        w = __builtin_bswap32(w);
+      // Grow to 4, 8, 16, ... bytes: the capacities appending each word
+      // to the vector would reach.
+      if (buf_.size() - size_ < sizeof(w))
+        buf_.resize(std::max(sizeof(w), 2 * buf_.size()));
+      std::memcpy(buf_.data() + size_, &w, sizeof(w));
+      size_ += sizeof(w);
     }
   }
 
-  std::vector<byte_t> buf_;
-  std::uint64_t acc_ = 0;  // the low nacc_ bits are pending output
-  unsigned nacc_ = 0;      // < 32 between calls
+  std::vector<byte_t> buf_;  // the first size_ bytes are written
+  std::size_t size_ = 0;     // a multiple of 4 between calls
+  std::uint64_t acc_ = 0;    // the low nacc_ bits are pending output
+  unsigned nacc_ = 0;        // < 32 between calls
 };
 
 /// Reads bits MSB-first from a byte span. A read that needs more bits than

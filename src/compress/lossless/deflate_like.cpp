@@ -99,6 +99,11 @@ std::size_t match_length(const byte_t* a, const byte_t* b, std::size_t limit) {
   return len;
 }
 
+/// Greedy LZ77 parse in two passes. Pass 1 links every position that has
+/// three bytes into its hash chain, in order, so each position's chain holds
+/// exactly the earlier positions with its hash, nearest first, whatever the
+/// parse emits. Pass 2 parses: each search starts at the position's own
+/// `prev` entry and links nothing.
 std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
   constexpr std::size_t kHashSize = 1u << 15;
   constexpr int kMaxChainProbes = 64;
@@ -110,56 +115,52 @@ std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
   std::vector<std::uint32_t> tokens;
   tokens.reserve(in.size());  // at most one token per input byte
 
-  // Link position j, whose 3-byte hash is h, into its chain.
-  const auto insert = [&](std::size_t j, std::uint32_t h) {
-    prev[j] = head[h];
-    head[h] = static_cast<std::uint32_t>(j);
-  };
-
-  // A stop request is polled once per 4 KiB of input; where a block ends
-  // does not affect the tokens.
+  // A stop request is polled once per 4 KiB of input in each pass; where a
+  // block ends does not affect the tokens.
   constexpr std::size_t kStopCheckBytes = 4096;
+  const std::size_t linked =
+      in.size() >= kMinMatch ? in.size() - kMinMatch + 1 : 0;
+  for (std::size_t j = 0; j < linked;) {
+    throw_if_stop_requested();
+    for (const std::size_t end = std::min(linked, j + kStopCheckBytes);
+         j < end; ++j) {
+      const std::uint32_t h = hash3(in.data() + j);
+      prev[j] = head[h];
+      head[h] = static_cast<std::uint32_t>(j);
+    }
+  }
+
   std::size_t i = 0;
   while (i < in.size()) {
     throw_if_stop_requested();
     const std::size_t block_end = std::min(in.size(), i + kStopCheckBytes);
     while (i < block_end) {
       std::size_t best_len = 0, best_dist = 0;
-      const bool can_hash = i + kMinMatch <= in.size();
-      const std::uint32_t h = can_hash ? hash3(in.data() + i) : 0;
-      if (can_hash) {
-        const std::size_t limit = std::min(kMaxMatch, in.size() - i);
-        std::uint32_t cand = head[h];
-        int probes = 0;
-        // The first candidate with the longest match wins. A candidate that
-        // differs at byte best_len cannot beat it, and once the best match
-        // reaches the limit none can.
-        while (cand != kNone && i - cand <= kWindowSize &&
-               probes++ < kMaxChainProbes) {
-          const std::size_t c = cand;
-          if (in[c + best_len] == in[i + best_len]) {
-            const std::size_t len =
-                match_length(in.data() + c, in.data() + i, limit);
-            if (len > best_len) {
-              best_len = len;
-              best_dist = i - c;
-              if (len == limit) break;
-            }
+      const std::size_t limit = std::min(kMaxMatch, in.size() - i);
+      std::uint32_t cand = prev[i];  // kNone for the unlinked last two
+      int probes = 0;
+      // The first candidate with the longest match wins. A candidate that
+      // differs at byte best_len cannot beat it, and once the best match
+      // reaches the limit none can.
+      while (cand != kNone && i - cand <= kWindowSize &&
+             probes++ < kMaxChainProbes) {
+        const std::size_t c = cand;
+        if (in[c + best_len] == in[i + best_len]) {
+          const std::size_t len =
+              match_length(in.data() + c, in.data() + i, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = i - c;
+            if (len == limit) break;
           }
-          cand = prev[c];
         }
+        cand = prev[c];
       }
       if (best_len >= kMinMatch) {
         tokens.push_back(kMatch | static_cast<std::uint32_t>(best_len << 16) |
                          static_cast<std::uint32_t>(best_dist));
-        // Register all covered positions so later matches can reference them.
-        insert(i, h);
-        for (std::size_t j = i + 1;
-             j < i + best_len && j + kMinMatch <= in.size(); ++j)
-          insert(j, hash3(in.data() + j));
         i += best_len;
       } else {
-        if (can_hash) insert(i, h);
         tokens.push_back(in[i]);
         ++i;
       }

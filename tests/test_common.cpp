@@ -1,13 +1,16 @@
-/// Tests for the common substrate: byte/bit I/O, CRC-32, stop requests, RNG,
+/// Tests for the common substrate: byte/bit I/O, the CRC-32 and CRC-64
+/// implementation (against a byte-at-a-time reference), stop requests, RNG,
 /// statistics, and the logical-rank partitioner.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <thread>
 #include <type_traits>
 
+#include "ckpt/chunk/chunk_hash.hpp"
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
 #include "common/crc32.hpp"
@@ -342,6 +345,66 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = crc32(data);
   data[17] ^= 0x04;
   EXPECT_NE(before, crc32(data));
+}
+
+/// The byte-at-a-time loop, one table lookup per byte, that the sliced
+/// implementation must equal: reflected polynomial `poly`, init and xorout
+/// all ones.
+template <class Word>
+class ByteLoopCrc {
+ public:
+  explicit ByteLoopCrc(Word poly) {
+    for (unsigned b = 0; b < 256; ++b) {
+      Word c = b;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? (poly ^ (c >> 1)) : (c >> 1);
+      table_[b] = c;
+    }
+  }
+
+  Word operator()(std::span<const byte_t> data) const {
+    Word state = ~Word{0};
+    for (const byte_t b : data)
+      state = table_[(state ^ b) & 0xff] ^ (state >> 8);
+    return state ^ ~Word{0};
+  }
+
+ private:
+  std::array<Word, 256> table_{};
+};
+
+template <class Crc, class Word>
+void expect_matches_byte_loop(Word poly) {
+  const ByteLoopCrc<Word> ref(poly);
+  std::vector<byte_t> data(300 + 7);
+  Rng rng(sizeof(Word));
+  for (auto& b : data) b = static_cast<byte_t>(rng());
+  const std::span<const byte_t> all(data);
+  // Every length at every start offset: the eight-byte loads start at
+  // every alignment and leave every tail length.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto s = all.subspan(offset, len);
+      Crc c;
+      c.update(s);
+      ASSERT_EQ(c.value(), ref(s)) << "offset " << offset << ", length " << len;
+    }
+  }
+  // One input fed to two update calls, split at every point.
+  const auto whole = all.first(300);
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    Crc c;
+    c.update(whole.first(split));
+    c.update(whole.subspan(split));
+    ASSERT_EQ(c.value(), ref(whole)) << "split at " << split;
+  }
+}
+
+TEST(Crc32, EqualsByteAtATimeLoopAtEveryLengthOffsetAndSplit) {
+  expect_matches_byte_loop<Crc32>(0xedb88320u);
+}
+
+TEST(Crc64, EqualsByteAtATimeLoopAtEveryLengthOffsetAndSplit) {
+  expect_matches_byte_loop<Crc64>(0xc96c5795d7870f42ull);
 }
 
 // ----- stop requests -------------------------------------------------------

@@ -1,12 +1,17 @@
 /// Lossless codec tests: RLE, byte shuffle, deflate-like LZ77+Huffman, and
-/// the Compressor-interface wrappers. Every codec must be bit-exact, and
-/// deflate gives up on a stop request without changing its stream otherwise.
+/// the Compressor-interface wrappers. Every codec must be bit-exact, deflate's
+/// streams are pinned at the match finder's edges, and deflate gives up on a
+/// stop request without changing its stream otherwise.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <string>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/stop_request.hpp"
 #include "compress/compressor.hpp"
@@ -184,6 +189,92 @@ TEST_P(DeflateRandomRoundTrip, MixedEntropyData) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeflateRandomRoundTrip,
                          ::testing::Values(3, 64, 1000, 16384, 100000));
+
+// ----- deflate pins at the match finder's edges --------------------------------
+// Stream size and CRC-32 of deflate_compress for inputs that reach the
+// matcher's limits, computed with the matcher that linked each position
+// while it parsed. Any matcher that finds the same candidates in the same
+// order writes the same bytes.
+
+/// `n` seeded random bytes drawn from the first `symbols` byte values.
+std::vector<byte_t> alphabet_bytes(std::size_t n, unsigned symbols) {
+  Rng rng(1000 * symbols + n);
+  std::vector<byte_t> v(n);
+  for (auto& b : v) b = static_cast<byte_t>(rng.uniform_index(symbols));
+  return v;
+}
+
+/// A random 258-byte block (one longest match) in 16-symbol filler, with
+/// its second copy starting `dist` bytes after the first.
+std::vector<byte_t> block_at_distance(std::size_t dist) {
+  constexpr std::size_t kFirst = 500;
+  std::vector<byte_t> in = alphabet_bytes(kFirst + dist + 258 + 500, 16);
+  const auto block = random_bytes(258, dist);
+  std::copy(block.begin(), block.end(), in.begin() + kFirst);
+  std::copy(block.begin(), block.end(),
+            in.begin() + static_cast<std::ptrdiff_t>(kFirst + dist));
+  return in;
+}
+
+struct DeflatePin {
+  std::string name;
+  std::vector<byte_t> in;
+  std::size_t stream_bytes;
+  std::uint32_t stream_crc;
+};
+
+std::vector<DeflatePin> deflate_pins() {
+  // At 40 KiB and above with 2 or 4 symbols, the chains inside the window
+  // run past the 64-probe cap, so the cap picks the candidates.
+  std::vector<DeflatePin> pins = {
+      {"2sym_100", alphabet_bytes(100, 2), 81, 0x61357869u},
+      {"2sym_40k", alphabet_bytes(40 << 10, 2), 6676, 0x5e1cf53bu},
+      {"2sym_70k", alphabet_bytes(70 << 10, 2), 11663, 0xe5f81792u},
+      {"4sym_100", alphabet_bytes(100, 4), 91, 0x65b6db6au},
+      {"4sym_40k", alphabet_bytes(40 << 10, 4), 12442, 0x29bac55du},
+      {"4sym_70k", alphabet_bytes(70 << 10, 4), 21555, 0x43e7a650u},
+      {"16sym_100", alphabet_bytes(100, 16), 109, 0xe4b538a2u},
+      {"16sym_40k", alphabet_bytes(40 << 10, 16), 24292, 0x2e813f94u},
+      {"16sym_70k", alphabet_bytes(70 << 10, 16), 42248, 0x6bc99b76u},
+      {"256sym_100", alphabet_bytes(100, 256), 109, 0x087b4cbbu},
+      {"256sym_40k", alphabet_bytes(40 << 10, 256), 40969, 0xfb36af3bu},
+      {"256sym_70k", alphabet_bytes(70 << 10, 256), 71689, 0x421bd24du},
+      // The window test admits a distance of exactly 32 KiB, not one more.
+      {"block_at_32768", block_at_distance(32768), 20677, 0xdb650ae4u},
+      {"block_at_32769", block_at_distance(32769), 21056, 0xbf70fee0u},
+  };
+  // The last two positions of an input are never linked.
+  constexpr std::array<std::uint32_t, 6> kRunCrcs{
+      0xe60914aeu, 0x6a95e996u, 0xbe5762b5u,
+      0x365db58fu, 0x45cf50a5u, 0x37093b9cu};
+  const std::vector<byte_t> run{7, 7, 7, 7, 7};
+  for (std::size_t n = 0; n <= run.size(); ++n)
+    pins.push_back({"run_" + std::to_string(n),
+                    {run.begin(), run.begin() + static_cast<std::ptrdiff_t>(n)},
+                    9 + n,  // stored: format byte, u64 size, the bytes
+                    kRunCrcs[n]});
+  return pins;
+}
+
+TEST(DeflatePins, StreamsAreUnchangedAtTheMatcherEdges) {
+  for (const auto& pin : deflate_pins()) {
+    SCOPED_TRACE(pin.name);
+    const auto enc = deflate_compress(pin.in);
+    EXPECT_EQ(enc.size(), pin.stream_bytes);
+    EXPECT_EQ(crc32(enc), pin.stream_crc);
+    EXPECT_EQ(deflate_decompress(enc, pin.in.size()), pin.in);
+  }
+}
+
+TEST(DeflatePins, AMatchAtExactlyTheWindowIsTaken) {
+  const auto at = deflate_compress(block_at_distance(32768));
+  const auto past = deflate_compress(block_at_distance(32769));
+  // Both are Huffman streams (format byte 1), not the stored fallback, and
+  // only the first codes its second block as one match.
+  ASSERT_EQ(at[0], 1);
+  ASSERT_EQ(past[0], 1);
+  EXPECT_GT(past.size(), at.size() + 200);
+}
 
 // ----- Compressor wrappers ------------------------------------------------------
 
