@@ -426,9 +426,11 @@ int main(int argc, char** argv) {
 
   // --- Cross-ISA determinism: the contract the speed numbers rest on -------
   // A CG trajectory on a wide-row matrix (gather kernels + every fused
-  // reduction) and two compression streams must be bit-identical between
-  // the scalar backend and the native ISA; a silent divergence here would
-  // make every "same result, less time" claim above meaningless.
+  // reduction) and two compression streams (SZ through the histogram
+  // kernels, shuffle-deflate through the byte shuffle) must be
+  // bit-identical between the scalar backend and the native ISA; a silent
+  // divergence here would make every "same result, less time" claim above
+  // meaningless.
   bool bitident = true;
   std::uint32_t solution_crc = 0;
   {
@@ -447,7 +449,7 @@ int main(int argc, char** argv) {
       return f;
     }();
     std::vector<double> final_norms;
-    std::vector<std::uint32_t> x_crcs, sz_crcs, lz4_crcs;
+    std::vector<std::uint32_t> x_crcs, sz_crcs, deflate_crcs;
     for (const simd::Isa isa : {simd::Isa::kScalar, active}) {
       simd::force_isa(isa);
       SolveOptions sopts;
@@ -458,12 +460,12 @@ int main(int argc, char** argv) {
       x_crcs.push_back(vec_crc(cg.solution()));
       const auto sz = make_compressor("sz", ErrorBound::absolute(1e-6));
       sz_crcs.push_back(crc32(sz->compress(field)));
-      const auto lz = make_compressor("shuffle-lz4", ErrorBound{});
-      lz4_crcs.push_back(crc32(lz->compress(field)));
+      const auto def = make_compressor("shuffle-deflate", ErrorBound{});
+      deflate_crcs.push_back(crc32(def->compress(field)));
     }
     simd::reset_isa();
     bitident = final_norms[0] == final_norms[1] && x_crcs[0] == x_crcs[1] &&
-               sz_crcs[0] == sz_crcs[1] && lz4_crcs[0] == lz4_crcs[1];
+               sz_crcs[0] == sz_crcs[1] && deflate_crcs[0] == deflate_crcs[1];
     solution_crc = x_crcs[0];
     std::printf("cross-isa bit-identity (scalar vs %s): %s\n",
                 simd::isa_name(active), bitident ? "ok" : "FAILED");

@@ -93,7 +93,8 @@ void bm_histogram(benchmark::State& state, bool interleaved) {
 void bm_histogram_4way(benchmark::State& state) { bm_histogram(state, true); }
 void bm_histogram_naive(benchmark::State& state) { bm_histogram(state, false); }
 
-/// Tiled byte shuffle (the truncation/deflate/lz4 pre-pass).
+/// Tiled byte shuffle (the pre-pass of truncation, shuffle-rle and
+/// shuffle-deflate).
 void bm_shuffle(benchmark::State& state) {
   const auto data = solver_like(static_cast<std::size_t>(state.range(0)));
   const std::span<const lck::byte_t> bytes{

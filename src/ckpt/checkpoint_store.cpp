@@ -177,49 +177,6 @@ bool DiskStore::has_pending(int version) const {
 
 namespace {
 
-/// Streams frames to `<pending>.tmp`; finish() flushes and renames to the
-/// .pending path, so has_pending() only ever sees complete blobs. A sink
-/// destroyed without finish() removes its temporary (crashed drain).
-class DiskPendingSink final : public ByteSink {
- public:
-  DiskPendingSink(std::string tmp_path, std::string pending_path)
-      : tmp_path_(std::move(tmp_path)),
-        pending_path_(std::move(pending_path)),
-        f_(tmp_path_, std::ios::binary | std::ios::trunc) {
-    if (!f_)
-      throw corrupt_stream_error("disk store: cannot open " + tmp_path_);
-  }
-
-  ~DiskPendingSink() override {
-    if (!finished_) {
-      f_.close();
-      std::error_code ec;
-      fs::remove(tmp_path_, ec);
-    }
-  }
-
-  void append(std::span<const byte_t> bytes) override {
-    f_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!f_)
-      throw corrupt_stream_error("disk store: short write " + tmp_path_);
-  }
-
-  void finish() override {
-    f_.close();
-    if (f_.fail())
-      throw corrupt_stream_error("disk store: close failed " + tmp_path_);
-    fs::rename(tmp_path_, pending_path_);
-    finished_ = true;
-  }
-
- private:
-  std::string tmp_path_;
-  std::string pending_path_;
-  std::ofstream f_;
-  bool finished_ = false;
-};
-
 /// Incremental read of a committed checkpoint file.
 class DiskSource final : public ByteSource {
  public:
@@ -241,8 +198,7 @@ class DiskSource final : public ByteSource {
 }  // namespace
 
 std::unique_ptr<ByteSink> DiskStore::open_write_pending(int version) {
-  const std::string pending = pending_path_for(version);
-  return std::make_unique<DiskPendingSink>(pending + ".tmp", pending);
+  return std::make_unique<AtomicFileSink>(pending_path_for(version));
 }
 
 std::unique_ptr<ByteSource> DiskStore::open_read(int version) const {

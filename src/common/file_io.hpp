@@ -1,9 +1,9 @@
 #pragma once
 /// \file file_io.hpp
 /// \brief Whole-file byte I/O shared by the disk-backed checkpoint stores:
-///        bounds-checked read, crash-safe write via the classic
-///        write-to-temporary + rename() (atomic on POSIX) pattern, and the
-///        strict parse of versioned file names.
+///        bounds-checked read, the one crash-safe publish (write to a
+///        temporary, then rename()), and the strict parse of versioned
+///        file names.
 
 #include <charconv>
 #include <filesystem>
@@ -12,8 +12,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/byte_stream.hpp"
 #include "common/types.hpp"
 
 namespace lck {
@@ -33,34 +35,57 @@ namespace lck {
   return data;
 }
 
-/// Write `data` to `path` atomically: the bytes land in `path` + ".tmp"
-/// first and are rename()d into place, so readers never observe a torn
-/// file and a crash leaves only a sweepable .tmp leftover. The stream is
-/// closed and checked before the rename: a small write sits in the stream
-/// buffer until that close, so a failed close would otherwise publish a
-/// truncated file. Any failure removes the .tmp before the error escapes.
+/// Publishes a file atomically: bytes stream into `path` + ".tmp", and
+/// finish() closes and checks that file, then rename()s it to `path`
+/// (atomic on POSIX), so readers never observe a torn file. The close is
+/// checked because a small write sits in the stream buffer until then, and
+/// a failed close would otherwise publish a truncated file. A sink
+/// destroyed without a successful finish() (a failed write, a crashed
+/// drain) removes its .tmp, so a crash leaves at most a sweepable .tmp.
+class AtomicFileSink final : public ByteSink {
+ public:
+  explicit AtomicFileSink(std::string path)
+      : tmp_path_(path + ".tmp"),
+        path_(std::move(path)),
+        f_(tmp_path_, std::ios::binary | std::ios::trunc) {
+    if (!f_) throw corrupt_stream_error("file io: cannot open " + tmp_path_);
+  }
+
+  ~AtomicFileSink() override {
+    if (!finished_) {
+      f_.close();
+      std::error_code ec;
+      std::filesystem::remove(tmp_path_, ec);
+    }
+  }
+
+  void append(std::span<const byte_t> bytes) override {
+    f_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    if (!f_) throw corrupt_stream_error("file io: short write " + tmp_path_);
+  }
+
+  void finish() override {
+    f_.close();
+    if (f_.fail())
+      throw corrupt_stream_error("file io: close failed " + tmp_path_);
+    std::filesystem::rename(tmp_path_, path_);
+    finished_ = true;
+  }
+
+ private:
+  std::string tmp_path_;
+  std::string path_;
+  std::ofstream f_;
+  bool finished_ = false;
+};
+
+/// Write `data` to `path` through an AtomicFileSink.
 inline void atomic_write_file(const std::string& path,
                               std::span<const byte_t> data) {
-  const std::string tmp = path + ".tmp";
-  const auto discard_tmp = [&] {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-  };
-  std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-  if (!f) throw corrupt_stream_error("file io: cannot open " + tmp);
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  f.close();
-  if (!f) {
-    discard_tmp();
-    throw corrupt_stream_error("file io: short write " + tmp);
-  }
-  try {
-    std::filesystem::rename(tmp, path);
-  } catch (...) {
-    discard_tmp();
-    throw;
-  }
+  AtomicFileSink sink(path);
+  sink.append(data);
+  sink.finish();
 }
 
 /// Version of a file named exactly `<prefix><digits><suffix>` with the

@@ -158,10 +158,6 @@ struct KernelOps {
   /// Merge the 8 partial tables into out (integer sums, order-free).
   void (*hist8_merge)(const std::uint64_t* part, std::size_t alphabet,
                       std::uint64_t* out);
-  /// Count of leading equal bytes of a and b, capped at limit (the LZ4
-  /// match extender). Never reads past a+limit / b+limit.
-  std::size_t (*match_len)(const byte_t* a, const byte_t* b,
-                           std::size_t limit);
 
   // --- self test -----------------------------------------------------------
   /// Exercises this backend's pack ops against scalar arithmetic; returns

@@ -1,6 +1,8 @@
 #include "compress/compressor.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/byte_buffer.hpp"
 #include "compress/lossless_compressors.hpp"
@@ -10,6 +12,18 @@
 #include "compress/zfp/zfp_like.hpp"
 
 namespace lck {
+
+double LossyCompressor::absolute_bound(std::span<const double> data) const {
+  if (eb_.mode != ErrorBound::Mode::kValueRangeRelative) return eb_.value;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const double x : data) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  const double range = data.empty() ? 0.0 : hi - lo;
+  return eb_.value * range;
+}
 
 std::vector<byte_t> NoneCompressor::compress(
     std::span<const double> data) const {
@@ -49,10 +63,9 @@ std::unique_ptr<Compressor> make_compressor(const std::string& name,
   }
   // List the registered names so a typo in a config is a one-look fix
   // (LCK_FORCE_ISA's strict parse in common/simd.cpp follows the same rule).
-  throw config_error(
-      "unknown compressor: '" + name +
-      "' (valid: none, rle, shuffle-rle, deflate, shuffle-deflate, lz4, "
-      "shuffle-lz4, sz, zfp, trunc)");
+  throw config_error("unknown compressor: '" + name +
+                     "' (valid: none, rle, shuffle-rle, deflate, "
+                     "shuffle-deflate, sz, zfp, trunc)");
 }
 
 double compression_ratio(const Compressor& c, std::span<const double> data) {

@@ -70,6 +70,13 @@ class LossyCompressor : public Compressor {
 
  protected:
   explicit LossyCompressor(ErrorBound eb) : eb_(eb) {}
+
+  /// The bound in absolute terms for `data`: the value in absolute mode,
+  /// value · (max − min) in value-range mode, where empty data has range
+  /// 0. A constant or one-element array also has range 0, so its bound is
+  /// zero.
+  [[nodiscard]] double absolute_bound(std::span<const double> data) const;
+
   ErrorBound eb_;
 };
 
@@ -90,7 +97,7 @@ class NoneCompressor final : public Compressor {
 
 /// Factory: create a compressor by name.
 /// Names: "none", "rle", "shuffle-rle", "deflate", "shuffle-deflate",
-/// "lz4", "shuffle-lz4", "sz", "zfp", "trunc". Lossy ones receive `eb`.
+/// "sz", "zfp", "trunc". Lossy ones receive `eb`.
 [[nodiscard]] std::unique_ptr<Compressor> make_compressor(
     const std::string& name, ErrorBound eb = ErrorBound::pointwise_rel(1e-4));
 

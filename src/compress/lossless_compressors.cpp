@@ -5,7 +5,6 @@
 #include "common/byte_buffer.hpp"
 #include "compress/lossless/byte_codecs.hpp"
 #include "compress/lossless/deflate_like.hpp"
-#include "compress/lossless/lz4_like.hpp"
 
 namespace lck {
 namespace {
@@ -25,7 +24,6 @@ struct Format {
 constexpr std::uint32_t kMagicRle = 0x31454c52u;      // "RLE1"
 constexpr std::uint32_t kMagicShufRle = 0x31525353u;  // "SSR1"
 constexpr std::uint32_t kMagicDeflate = 0x31464544u;  // "DEF1"
-constexpr std::uint32_t kMagicLz4 = 0x315a344cu;      // "L4Z1"
 
 constexpr Format kFormats[] = {
     {"rle", kMagicRle, false, false, rle_encode, rle_decode},
@@ -34,8 +32,6 @@ constexpr Format kFormats[] = {
      deflate_decompress},
     {"shuffle-deflate", kMagicDeflate, true, true, deflate_compress,
      deflate_decompress},
-    {"lz4", kMagicLz4, false, true, lz4_compress, lz4_decompress},
-    {"shuffle-lz4", kMagicLz4, true, true, lz4_compress, lz4_decompress},
 };
 
 class LosslessCompressor final : public Compressor {

@@ -1,15 +1,13 @@
 #pragma once
 /// \file lossless_compressors.hpp
-/// \brief The lossless codecs: one byte coder (RLE, deflate-like or
-///        LZ4-like) over the raw double array, optionally byte-shuffled
-///        first.
+/// \brief The lossless codecs: one byte coder (RLE or deflate-like) over
+///        the raw double array, optionally byte-shuffled first.
 ///
-/// One class implements all six names: "rle", "shuffle-rle", "deflate"
-/// (LZ77 + Huffman, the gzip stand-in of the paper's lossless scheme),
-/// "shuffle-deflate", "lz4" (byte-aligned LZ77, no entropy stage) and
-/// "shuffle-lz4". Each name is one row of a table that fixes its stream
+/// One class implements all four names: "rle", "shuffle-rle", "deflate"
+/// (LZ77 + Huffman, the gzip stand-in of the paper's lossless scheme) and
+/// "shuffle-deflate". Each name is one row of a table that fixes its stream
 /// magic; a stream is magic:u32 n:u64 [shuffle:u8] enc_size:u64 enc, where
-/// the shuffle flag is present for the deflate and LZ4 rows only.
+/// the shuffle flag is present for the deflate rows only.
 
 #include <memory>
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
@@ -191,22 +190,11 @@ std::vector<byte_t> SzLikeCompressor::compress(
   out.put(eb_.value);
 
   switch (eb_.mode) {
-    case ErrorBound::Mode::kAbsolute: {
-      core_compress(out, data, eb_.value);
-      break;
-    }
+    case ErrorBound::Mode::kAbsolute:
     case ErrorBound::Mode::kValueRangeRelative: {
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (const double x : data) {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-      }
-      // Degenerate range (constant or single-element data) means the bound
-      // value·(max−min) is zero: store exactly (core handles eb == 0).
-      const double range = n > 0 ? hi - lo : 0.0;
-      const double eb_abs = eb_.value * range;
-      core_compress(out, data, eb_abs);
+      // A zero bound (degenerate value range) stores exactly: core handles
+      // eb == 0.
+      core_compress(out, data, absolute_bound(data));
       break;
     }
     case ErrorBound::Mode::kPointwiseRelative: {

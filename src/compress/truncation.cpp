@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/byte_buffer.hpp"
 #include "compress/lossless/byte_codecs.hpp"
@@ -94,19 +93,9 @@ std::vector<byte_t> TruncationCompressor::compress(
     std::span<const double> data) const {
   require(eb_.mode != ErrorBound::Mode::kPointwiseRelative,
           "trunc: wrap in PointwiseRelativeAdapter for pointwise-relative");
-  double eb_abs = eb_.value;
-  if (eb_.mode == ErrorBound::Mode::kValueRangeRelative) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const double x : data) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-    }
-    // Degenerate range (constant or single-element data) means the bound
-    // value·(max−min) is zero: groom() keeps values exact when eb == 0.
-    const double range = data.empty() ? 0.0 : hi - lo;
-    eb_abs = eb_.value * range;
-  }
+  // A zero bound (degenerate value range) keeps values exact: groom() is
+  // the identity when eb == 0.
+  const double eb_abs = absolute_bound(data);
 
   std::vector<double> groomed(data.size());
   if (eb_abs <= 0.0) {

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
@@ -177,20 +176,9 @@ std::vector<byte_t> ZfpLikeCompressor::compress(
           "zfp: wrap in PointwiseRelativeAdapter for pointwise-relative mode");
   const std::size_t n = data.size();
 
-  double eb_abs = eb_.value;
-  if (eb_.mode == ErrorBound::Mode::kValueRangeRelative) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const double x : data) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-    }
-    // Degenerate range (constant or single-element data) means the bound
-    // value·(max−min) is zero: eb_abs == 0 forces exact (raw) blocks via
-    // the verify-and-fallback path below.
-    const double range = n > 0 ? hi - lo : 0.0;
-    eb_abs = eb_.value * range;
-  }
+  // A zero bound (degenerate value range) forces exact (raw) blocks via the
+  // verify-and-fallback path below.
+  const double eb_abs = absolute_bound(data);
 
   ByteWriter out(n + 64);
   out.put(kMagic);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "compress/sz/sz_like.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pass_counter.hpp"
 #include "obs/trace.hpp"
@@ -75,17 +76,14 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
       compressor_ = std::make_unique<NoneCompressor>();
       break;
     case CkptScheme::kLossless:
-      compressor_ = make_compressor(cfg_.compression.lossless);
-      require(!compressor_->lossy(),
-              "runner: lossless scheme given a lossy compressor");
+      compressor_ = make_compressor("deflate");
       break;
-    case CkptScheme::kLossy:
-      compressor_ =
-          make_compressor(cfg_.compression.lossy, cfg_.compression.lossy_eb);
-      lossy_ = dynamic_cast<LossyCompressor*>(compressor_.get());
-      require(lossy_ != nullptr,
-              "runner: lossy scheme requires a lossy compressor");
+    case CkptScheme::kLossy: {
+      auto sz = std::make_unique<SzLikeCompressor>(cfg_.compression.lossy_eb);
+      lossy_ = sz.get();
+      compressor_ = std::move(sz);
       break;
+    }
   }
   std::unique_ptr<CheckpointStore> store;
   if (cfg_.store_factory) {

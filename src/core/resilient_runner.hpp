@@ -54,11 +54,10 @@ enum class CkptScheme { kTraditional, kLossless, kLossy };
 
 [[nodiscard]] const char* to_string(CkptScheme s) noexcept;
 
-/// Compressor selection for the compressed schemes (names resolved through
-/// make_compressor) plus the Theorem-3 adaptive error bound.
+/// The compressed schemes' error bound plus the Theorem-3 adaptive one. The
+/// lossless scheme runs "deflate" (the paper's gzip) and the lossy scheme
+/// SZ under `lossy_eb`.
 struct CompressionConfig {
-  std::string lossless = "deflate";
-  std::string lossy = "sz";
   ErrorBound lossy_eb = ErrorBound::pointwise_rel(1e-4);
 
   /// Theorem 3: refresh the lossy error bound to θ·||r||/||b|| before every

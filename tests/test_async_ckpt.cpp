@@ -220,12 +220,12 @@ TEST(AsyncManager, StagedStreamIsBitIdenticalToSyncCheckpoint) {
   // Same protected values must serialize to the same bytes on both paths,
   // so sync and async recoveries are interchangeable. Four variables: a
   // vector and a blob stored verbatim, a one-chunk deflate vector and a
-  // 3 × 64Ki + 5-double LZ4 vector, whose chunks are compressed as one
-  // list; two checkpoints each, full and delta. Under OpenMP a sync
+  // 3 × 64Ki + 5-double shuffle-rle vector, whose chunks are compressed as
+  // one list; two checkpoints each, full and delta. Under OpenMP a sync
   // checkpoint on one lane must write the same bytes too.
   NoneCompressor none;
   const auto deflate = make_compressor("deflate");
-  const auto lz4 = make_compressor("lz4");
+  const auto shuffle_rle = make_compressor("shuffle-rle");
   for (const bool delta : {false, true}) {
     SCOPED_TRACE(delta ? "delta" : "full");
     Vector x = random_vector(4000, 1);
@@ -240,7 +240,7 @@ TEST(AsyncManager, StagedStreamIsBitIdenticalToSyncCheckpoint) {
       mgr->protect(0, "x", &x);
       mgr->protect_blob(1, "s", &blob);
       mgr->protect(2, "y", &y, deflate.get());
-      mgr->protect(3, "z", &z, lz4.get());
+      mgr->protect(3, "z", &z, shuffle_rle.get());
       return mgr;
     };
     MemoryStore* sync_raw = nullptr;

@@ -1,7 +1,6 @@
 /// The checkpoint wire format (ckpt/frame_stream.hpp) and the manager's one
 /// writer and one reader: transport round trips and corruption detection,
-/// retired styles and versions refused, the in-tree LZ4-class codec,
-/// bounded writer memory, `none` vectors stored raw, recovered values
+/// retired styles and versions refused, bounded writer memory, `none` vectors stored raw, recovered values
 /// pinned bit-exactly for every codec, size and mode, and a seeded mutation
 /// sweep that must see nothing but corrupt_stream_error. Per-chunk
 /// compression is covered in test_block_compressor.cpp.
@@ -19,7 +18,6 @@
 #include "ckpt/tier/tiered_store.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "compress/lossless/lz4_like.hpp"
 #include "obs/metrics.hpp"
 
 namespace lck {
@@ -327,51 +325,6 @@ TEST(FrameTransport, HeaderPeekAndChunkSplitViewTheStream) {
   EXPECT_FALSE(chunk_payloads(cut).has_value());
 }
 
-// ----- LZ4-class codec ------------------------------------------------------
-
-TEST(Lz4Like, RoundTripCompressibleAndRandom) {
-  // Repetitive input must actually compress; random input must round-trip
-  // within the documented worst-case bound.
-  std::vector<byte_t> text;
-  for (int i = 0; i < 400; ++i)
-    for (const char c : std::string("the quick brown fox "))
-      text.push_back(static_cast<byte_t>(c));
-  const auto ctext = lz4_compress(text);
-  EXPECT_LT(ctext.size() * 2, text.size());
-  EXPECT_EQ(lz4_decompress(ctext, text.size()), text);
-
-  const auto noise = pattern_bytes(10000, 7);
-  const auto cnoise = lz4_compress(noise);
-  EXPECT_LE(cnoise.size(), lz4_compress_bound(noise.size()));
-  EXPECT_EQ(lz4_decompress(cnoise, noise.size()), noise);
-
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{4},
-                              std::size_t{12}, std::size_t{13}}) {
-    const auto tiny = pattern_bytes(n, 50 + n);
-    EXPECT_EQ(lz4_decompress(lz4_compress(tiny), n), tiny) << "n=" << n;
-  }
-}
-
-TEST(Lz4Like, RejectsMalformedInput) {
-  std::vector<byte_t> text(3000, static_cast<byte_t>('a'));
-  const auto good = lz4_compress(text);
-
-  auto cut = good;
-  cut.resize(cut.size() / 2);
-  EXPECT_THROW((void)lz4_decompress(cut, text.size()), corrupt_stream_error);
-
-  // Wrong expected size: both directions must throw, not mis-size output.
-  EXPECT_THROW((void)lz4_decompress(good, text.size() + 1),
-               corrupt_stream_error);
-  EXPECT_THROW((void)lz4_decompress(good, text.size() - 1),
-               corrupt_stream_error);
-
-  // A match referencing data before the start of the output buffer.
-  // token 0x1f: 1 literal, extended match; literal 'x'; offset 9 > produced.
-  const std::vector<byte_t> bad_offset{0x1f, 'x', 0x09, 0x00, 0x00};
-  EXPECT_THROW((void)lz4_decompress(bad_offset, 100), corrupt_stream_error);
-}
-
 // ----- manager: one writer, one reader --------------------------------------
 
 std::unique_ptr<CheckpointStore> make_mode_store(CkptMode mode) {
@@ -452,14 +405,6 @@ TEST(ManagerStream, RecoveredValuesArePinnedForEveryCodecSizeAndMode) {
       {"deflate", 65536, 0xb4eaeb45, 0xb4eaeb45},
       {"deflate", 65537, 0x082d3c37, 0x082d3c37},
       {"deflate", 3 * 65536 + 5, 0x82c4c204, 0x82c4c204},
-      {"lz4", 1, 0x0dad645c, 0x0dad645c},
-      {"lz4", 4095, 0x662d45a2, 0x662d45a2},
-      {"lz4", 4096, 0x73a1baee, 0x73a1baee},
-      {"lz4", 4097, 0x2ac3091c, 0x2ac3091c},
-      {"lz4", 65535, 0xbdafa894, 0xbdafa894},
-      {"lz4", 65536, 0xb4eaeb45, 0xb4eaeb45},
-      {"lz4", 65537, 0x082d3c37, 0x082d3c37},
-      {"lz4", 3 * 65536 + 5, 0x82c4c204, 0x82c4c204},
   };
   for (const Pin& pin : pins) {
     const auto comp =

@@ -455,27 +455,6 @@ TEST(CompressionKernels, Hist8MatchesNaiveHistogram) {
   }
 }
 
-TEST(CompressionKernels, MatchLenExactAtEveryChunkBoundary) {
-  // Two buffers equal up to position p; the counter must return
-  // min(p, limit) and never read past the cap.
-  const std::size_t kBuf = 160;
-  for (const std::size_t p : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                              std::size_t{15}, std::size_t{16}, std::size_t{17},
-                              std::size_t{31}, std::size_t{32}, std::size_t{33},
-                              std::size_t{63}, std::size_t{100}}) {
-    std::vector<byte_t> a(kBuf, byte_t{0x5a}), b(kBuf, byte_t{0x5a});
-    b[p] = byte_t{0xa5};
-    for (const std::size_t limit :
-         {std::size_t{0}, p / 2, p, p + 1, kBuf - 1}) {
-      const std::size_t want = p < limit ? p : limit;
-      for (const simd::Isa isa : runnable_isas())
-        EXPECT_EQ(simd::ops_for(isa).match_len(a.data(), b.data(), limit),
-                  want)
-            << simd::isa_name(isa) << " p=" << p << " limit=" << limit;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Diagnostics: registries must name their members on a bad lookup.
 // ---------------------------------------------------------------------------
@@ -486,12 +465,16 @@ TEST(Diagnostics, MakeCompressorUnknownNameListsRegisteredCodecs) {
     FAIL() << "expected config_error";
   } catch (const config_error& e) {
     const std::string w = e.what();
-    for (const char* name :
-         {"none", "rle", "shuffle-rle", "deflate", "shuffle-deflate", "lz4",
-          "shuffle-lz4", "sz", "zfp", "trunc"})
+    for (const char* name : {"none", "rle", "shuffle-rle", "deflate",
+                             "shuffle-deflate", "sz", "zfp", "trunc"})
       EXPECT_NE(w.find(name), std::string::npos) << "missing " << name
                                                  << " in: " << w;
+    EXPECT_EQ(w.find("lz4"), std::string::npos) << w;
   }
+  // "lz4" and "shuffle-lz4" name no codec: they throw like any other.
+  for (const char* name : {"lz4", "shuffle-lz4"})
+    EXPECT_THROW((void)make_compressor(name, ErrorBound{}), config_error)
+        << name;
 }
 
 }  // namespace
