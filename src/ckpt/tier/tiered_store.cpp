@@ -28,6 +28,9 @@ TieredCheckpointStore::TieredCheckpointStore(std::vector<Level> levels,
   require(!levels_.empty(), "tiered store: at least one level required");
   for (const auto& lv : levels_) {
     require(lv.store != nullptr, "tiered store: null level store");
+    require(obs::is_label_value(lv.spec.name),
+            "tiered store: a level name cannot contain { } , = \" \\ or "
+            "control bytes");
     require(lv.spec.retention >= 1, "tiered store: retention must be >= 1");
     require(lv.spec.promote_every >= 1,
             "tiered store: promote_every must be >= 1");

@@ -43,6 +43,8 @@ namespace lck {
 
 /// Static description of one tier of the hierarchy.
 struct TierSpec {
+  /// Value of the tier label on tier.* series; the store refuses a name
+  /// that obs::is_label_value() rejects.
   std::string name = "tier";
   /// Highest failure severity this tier's contents survive. A failure with
   /// severity strictly greater destroys the tier.

@@ -1,8 +1,7 @@
 #pragma once
 /// \file timer.hpp
 /// \brief Real-time measurement helpers: monotonic wall-clock and process
-///        CPU-time stopwatches, plus a ScopedTimer that reports into a
-///        metrics histogram.
+///        CPU-time stopwatches.
 ///
 /// Note: experiment *virtual* time (cluster-scale checkpoint I/O, failure
 /// arrivals) lives on the ResilientRunner's virtual clock; these timers are
@@ -14,11 +13,6 @@
 #include <chrono>
 #include <ctime>
 #include <limits>
-#include <string>
-#include <string_view>
-#include <utility>
-
-#include "obs/metrics.hpp"
 
 namespace lck {
 
@@ -75,41 +69,5 @@ template <typename F>
   }
   return best;
 }
-
-/// RAII span timer: measures steady-clock seconds from construction to
-/// destruction and observes them into a registry histogram. Null registry
-/// => complete no-op (the zero-overhead-when-disabled contract), so call
-/// sites need no branch of their own:
-///
-///   {
-///     obs::ScopedTimer t(sink.metrics, "ckpt.build_seconds",
-///                        {{"kind", "sync"}});
-///     ... timed work ...
-///   }
-namespace obs {
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry* registry, std::string_view name,
-              LabelSet labels = {})
-      : registry_(registry), labels_(std::move(labels)) {
-    if (registry_ != nullptr) name_ = name;
-  }
-  ~ScopedTimer() {
-    if (registry_ != nullptr)
-      registry_->observe(name_, timer_.seconds(), labels_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Seconds elapsed so far (for call sites that also want the value).
-  [[nodiscard]] double seconds() const noexcept { return timer_.seconds(); }
-
- private:
-  MetricsRegistry* registry_;
-  std::string name_;
-  LabelSet labels_;
-  WallTimer timer_;
-};
-}  // namespace obs
 
 }  // namespace lck

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -97,6 +96,45 @@ std::string prom_labels(const std::string& full_name,
   return body.empty() ? std::string{} : "{" + body + "}";
 }
 
+void prom_scalar(std::string& lines, const std::string& base,
+                 const std::string& name, double v) {
+  lines += base + prom_labels(name) + " " + fmt_double(v) + "\n";
+}
+
+/// Cumulative _bucket{le=...} lines, then _sum and _count.
+void prom_histogram(std::string& lines, const std::string& base,
+                    const std::string& name, const HistogramSnapshot& h) {
+  std::uint64_t cum = 0;
+  for (const auto& [upper, n] : h.buckets) {
+    cum += n;
+    lines += base + "_bucket" +
+             prom_labels(name, "le=\"" + fmt_double(upper) + "\"") + " " +
+             std::to_string(cum) + "\n";
+  }
+  lines += base + "_bucket" + prom_labels(name, "le=\"+Inf\"") + " " +
+           std::to_string(h.count) + "\n";
+  lines += base + "_sum" + prom_labels(name) + " " + fmt_double(h.sum) + "\n";
+  lines += base + "_count" + prom_labels(name) + " " +
+           std::to_string(h.count) + "\n";
+}
+
+/// Appends each family, in order of its Prometheus name: its `# TYPE` line,
+/// then the sample lines `render` writes for each of its series. A family's
+/// series need not be adjacent in `series` ("a.b" < "a.b_c" < "a.b{x=1}"),
+/// and the text format wants them in one group under a single TYPE line.
+template <typename Value, typename Render>
+void append_families(std::string& out,
+                     const std::map<std::string, Value>& series,
+                     std::string_view type, Render render) {
+  std::map<std::string, std::string> families;  // name -> sample lines
+  for (const auto& [name, v] : series) {
+    const std::string base = prom_name(base_name(name));
+    render(families[base], base, name, v);
+  }
+  for (const auto& [base, lines] : families)
+    out += "# TYPE " + base + " " + std::string{type} + "\n" + lines;
+}
+
 }  // namespace
 
 // ----- LabelSet -------------------------------------------------------------
@@ -123,6 +161,13 @@ std::string LabelSet::suffix() const {
   }
   out += '}';
   return out;
+}
+
+bool is_label_value(std::string_view value) noexcept {
+  return std::none_of(value.begin(), value.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 ||
+           std::string_view{"{},=\"\\"}.find(c) != std::string_view::npos;
+  });
 }
 
 // ----- HistogramSnapshot ----------------------------------------------------
@@ -217,86 +262,28 @@ std::string MetricsSnapshot::to_json() const {
 
 std::string MetricsSnapshot::to_prometheus() const {
   std::string out;
-  for (const auto& [name, v] : counters) {
-    const std::string base = prom_name(base_name(name));
-    out += "# TYPE " + base + " counter\n";
-    out += base + prom_labels(name) + " " + fmt_double(v) + "\n";
-  }
-  for (const auto& [name, v] : gauges) {
-    const std::string base = prom_name(base_name(name));
-    out += "# TYPE " + base + " gauge\n";
-    out += base + prom_labels(name) + " " + fmt_double(v) + "\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    const std::string base = prom_name(base_name(name));
-    out += "# TYPE " + base + " histogram\n";
-    std::uint64_t cum = 0;
-    for (const auto& [upper, n] : h.buckets) {
-      cum += n;
-      out += base + "_bucket" +
-             prom_labels(name, "le=\"" + fmt_double(upper) + "\"") + " " +
-             std::to_string(cum) + "\n";
-    }
-    out += base + "_bucket" + prom_labels(name, "le=\"+Inf\"") + " " +
-           std::to_string(h.count) + "\n";
-    out += base + "_sum" + prom_labels(name) + " " + fmt_double(h.sum) + "\n";
-    out += base + "_count" + prom_labels(name) + " " +
-           std::to_string(h.count) + "\n";
-  }
+  append_families(out, counters, "counter", prom_scalar);
+  append_families(out, gauges, "gauge", prom_scalar);
+  append_families(out, histograms, "histogram", prom_histogram);
   return out;
 }
 
 // ----- MetricsRegistry ------------------------------------------------------
 
-namespace {
-std::uint64_t next_registry_id() noexcept {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
-
-MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() const {
-  // Tiny per-thread cache: registry id -> shard owned by that registry.
-  // A linear scan beats a hash map at the 1-3 registries a thread ever
-  // sees, and keying by the process-unique id (not `this`) makes stale
-  // entries harmless rather than dangling.
-  thread_local std::vector<std::pair<std::uint64_t, Shard*>> cache;
-  for (const auto& [id, shard] : cache)
-    if (id == id_) return *shard;
-  const std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  cache.emplace_back(id_, shard);
-  return *shard;
-}
-
 void MetricsRegistry::add(std::string_view name, double delta,
                           const LabelSet& labels) {
-  Shard& shard = local_shard();
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  // transparent-comparator-free lookup: build the key once.
-  Cell& cell = shard.cells[Key{std::string{name}, labels}];
+  const std::lock_guard<std::mutex> lock(mu_);
+  Cell& cell = cells_[Key{std::string{name}, labels}];
   cell.has_counter = true;
   cell.counter += delta;
 }
 
 void MetricsRegistry::observe(std::string_view name, double value,
                               const LabelSet& labels) {
-  Shard& shard = local_shard();
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  Cell& cell = shard.cells[Key{std::string{name}, labels}];
-  Hist& h = cell.hist;
-  if (!cell.has_hist) {
-    h.min = value;
-    h.max = value;
-    cell.has_hist = true;
-  } else {
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  Hist& h = cells_[Key{std::string{name}, labels}].hist;
+  h.min = h.count == 0 ? value : std::min(h.min, value);
+  h.max = h.count == 0 ? value : std::max(h.max, value);
   ++h.count;
   h.sum += value;
   ++h.buckets[bucket_exponent(value)];
@@ -310,44 +297,21 @@ void MetricsRegistry::set_gauge(std::string_view name, double value,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  // Collect shard pointers under mu_, then merge each under its own mutex.
-  std::vector<Shard*> shards;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    shards.reserve(shards_.size());
-    for (const auto& s : shards_) shards.push_back(s.get());
-    for (const auto& [key, v] : gauges_)
-      snap.gauges[key.first + key.second.suffix()] = v;
-  }
-  // Intermediate merge keyed by exponent so cross-shard buckets combine
-  // exactly; rendered to upper-bound doubles at the end.
-  std::map<std::string, std::map<int, std::uint64_t>> merged_buckets;
-  for (Shard* shard : shards) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, cell] : shard->cells) {
-      const std::string full = key.first + key.second.suffix();
-      if (cell.has_counter) snap.counters[full] += cell.counter;
-      if (cell.has_hist) {
-        HistogramSnapshot& h = snap.histograms[full];
-        if (h.count == 0) {
-          h.min = cell.hist.min;
-          h.max = cell.hist.max;
-        } else {
-          h.min = std::min(h.min, cell.hist.min);
-          h.max = std::max(h.max, cell.hist.max);
-        }
-        h.count += cell.hist.count;
-        h.sum += cell.hist.sum;
-        auto& buckets = merged_buckets[full];
-        for (const auto& [e, n] : cell.hist.buckets) buckets[e] += n;
-      }
-    }
-  }
-  for (auto& [full, buckets] : merged_buckets) {
-    auto& out = snap.histograms[full].buckets;
-    out.reserve(buckets.size());
-    for (const auto& [e, n] : buckets)
-      out.emplace_back(bucket_upper_bound(e), n);
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, v] : gauges_)
+    snap.gauges[key.first + key.second.suffix()] = v;
+  for (const auto& [key, cell] : cells_) {
+    const std::string full = key.first + key.second.suffix();
+    if (cell.has_counter) snap.counters[full] = cell.counter;
+    if (cell.hist.count == 0) continue;
+    HistogramSnapshot& h = snap.histograms[full];
+    h.count = cell.hist.count;
+    h.sum = cell.hist.sum;
+    h.min = cell.hist.min;
+    h.max = cell.hist.max;
+    h.buckets.reserve(cell.hist.buckets.size());
+    for (const auto& [e, n] : cell.hist.buckets)
+      h.buckets.emplace_back(bucket_upper_bound(e), n);
   }
   return snap;
 }

@@ -56,11 +56,7 @@ SorSolver::SorSolver(const CsrMatrix& a, Vector b, double omega,
 }
 
 std::string SorSolver::name() const {
-  switch (kind_) {
-    case SweepKind::kBackward: return "sor-backward";
-    case SweepKind::kSymmetric: return "ssor";
-    default: return "sor";
-  }
+  return kind_ == SweepKind::kSymmetric ? "ssor" : "sor";
 }
 
 void SorSolver::do_restart() {
@@ -91,14 +87,8 @@ void SorSolver::sweep(bool forward) {
 }
 
 void SorSolver::do_step() {
-  switch (kind_) {
-    case SweepKind::kForward: sweep(true); break;
-    case SweepKind::kBackward: sweep(false); break;
-    case SweepKind::kSymmetric:
-      sweep(true);
-      sweep(false);
-      break;
-  }
+  sweep(true);
+  if (kind_ == SweepKind::kSymmetric) sweep(false);
   res_norm_ = a_.residual_norm2(b_, x_, r_);
 }
 

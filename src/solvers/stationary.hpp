@@ -30,8 +30,8 @@ class JacobiSolver final : public IterativeSolver {
   double initial_res_norm_ = 0.0;
 };
 
-/// SOR sweep direction / symmetric variant selector.
-enum class SweepKind { kForward, kBackward, kSymmetric };
+/// SOR variant: a forward sweep, or a forward then a backward one (SSOR).
+enum class SweepKind { kForward, kSymmetric };
 
 /// Gauss–Seidel / SOR / SSOR (relaxation ω; ω = 1 ⇒ Gauss–Seidel).
 /// Sweeps are inherently sequential over rows (classic formulation).

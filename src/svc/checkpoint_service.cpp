@@ -120,6 +120,8 @@ CheckpointService::~CheckpointService() {
 }
 
 JobHandle CheckpointService::open_job(JobConfig cfg) {
+  require(obs::is_label_value(cfg.name),
+          "svc: a job name cannot contain { } , = \" \\ or control bytes");
   std::unique_lock<std::mutex> lock(mu_);
   const int id = next_job_id_++;
   // The namespace [id·stride, (id+1)·stride) must fit in int keys.

@@ -52,7 +52,8 @@ namespace lck::svc {
 
 /// Per-job knobs for the store stack a JobHandle builds.
 struct JobConfig {
-  /// Metrics label; "" derives "job<id>".
+  /// Metrics label value; "" derives "job<id>". open_job() refuses a name
+  /// that obs::is_label_value() rejects.
   std::string name = "";
 };
 
@@ -135,7 +136,8 @@ class CheckpointService {
   CheckpointService& operator=(const CheckpointService&) = delete;
 
   /// Register a job; never blocks. Job ids are monotonic, so a reopened
-  /// service run never reuses a namespace.
+  /// service run never reuses a namespace. Throws config_error for a name
+  /// the job label cannot carry (JobConfig::name).
   [[nodiscard]] JobHandle open_job(JobConfig cfg = {});
 
   // ----- fleet introspection ------------------------------------------------

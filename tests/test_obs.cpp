@@ -1,20 +1,25 @@
 /// Observability layer tests: registry semantics (concurrency, buckets,
-/// label identity, snapshot determinism), the ScopedTimer/pass-counter
-/// helpers, trace recorder content, and the two contracts the layer makes
-/// to the rest of the library — exact agreement between the registry and
-/// the legacy ResilienceResult accounting, and bit-stable simulation
-/// results whether observability is on or off.
+/// label identity, snapshot determinism, pinned renderings, snapshots taken
+/// while other threads record), the pass counter, trace recorder content,
+/// and the two contracts the layer makes to the rest of the library — exact
+/// agreement between the registry and the legacy ResilienceResult
+/// accounting, and bit-stable simulation results whether observability is
+/// on or off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ckpt/checkpoint_manager.hpp"
-#include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
 #include "obs/metrics.hpp"
@@ -136,25 +141,145 @@ TEST(Metrics, QuantilesInterpolateWithinBuckets) {
   EXPECT_EQ(h->quantile(0.99), 10.0);
 }
 
-// ----- ScopedTimer / pass counter -------------------------------------------
-
-TEST(ScopedTimer, ObservesIntoHistogram) {
+/// Renderings of a fixed registry, pinned byte for byte: counters with and
+/// without labels, gauges at +inf and NaN (both render `null`), and
+/// histograms holding a non-positive, an exact power-of-two and an ordinary
+/// observation. Only the Prometheus sample lines are pinned here; the
+/// `# TYPE` lines have a test of their own below.
+TEST(Metrics, RenderingsMatchGolden) {
   obs::MetricsRegistry reg;
-  {
-    obs::ScopedTimer t(&reg, "span.seconds", {{"stage", "build"}});
-    EXPECT_GE(t.seconds(), 0.0);
+  reg.add("ckpt.committed", 3.0);
+  reg.add("ckpt.committed", 4.0);
+  reg.add("ckpt.committed", 1.0, {{"kind", "sync"}});
+  reg.add("ckpt.stored_bytes", 0.1, {{"tier", "L2-partner"}, {"codec", "sz"}});
+  reg.set_gauge("run.final_residual_norm",
+                std::numeric_limits<double>::infinity());
+  reg.set_gauge("run.virtual_seconds",
+                std::numeric_limits<double>::quiet_NaN());
+  reg.set_gauge("run.converged", 1.0);
+  reg.observe("recovery.seconds", -0.5);
+  reg.observe("recovery.seconds", 4.0);
+  reg.observe("recovery.seconds", 0.3);
+  reg.observe("tier.write_bytes", 1000.0, {{"tier", "L1-local"}});
+  const obs::MetricsSnapshot snap = reg.snapshot();
+
+  EXPECT_EQ(snap.to_json(), R"({
+  "counters": {
+    "ckpt.committed": 7,
+    "ckpt.committed{kind=sync}": 1,
+    "ckpt.stored_bytes{codec=sz,tier=L2-partner}": 0.10000000000000001
+  },
+  "gauges": {
+    "run.converged": 1,
+    "run.final_residual_norm": null,
+    "run.virtual_seconds": null
+  },
+  "histograms": {
+    "recovery.seconds": {"count": 3, "sum": 3.7999999999999998, "min": -0.5, "max": 4, "p50": 0.25, "p99": 3.8949999999999991, "buckets": [[0, 1], [0.5, 1], [4, 1]]},
+    "tier.write_bytes{tier=L1-local}": {"count": 1, "sum": 1000, "min": 1000, "max": 1000, "p50": 1000, "p99": 1000, "buckets": [[1024, 1]]}
   }
-  const auto snap = reg.snapshot();
-  const auto* h = snap.histogram("span.seconds{stage=build}");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);
-  EXPECT_GE(h->sum, 0.0);
+}
+)");
+
+  std::string samples;
+  std::istringstream prom(snap.to_prometheus());
+  for (std::string line; std::getline(prom, line);)
+    if (line.rfind('#', 0) != 0) samples += line + "\n";
+  EXPECT_EQ(samples, R"(ckpt_committed 7
+ckpt_committed{kind="sync"} 1
+ckpt_stored_bytes{codec="sz",tier="L2-partner"} 0.10000000000000001
+run_converged 1
+run_final_residual_norm null
+run_virtual_seconds null
+recovery_seconds_bucket{le="0"} 1
+recovery_seconds_bucket{le="0.5"} 2
+recovery_seconds_bucket{le="4"} 3
+recovery_seconds_bucket{le="+Inf"} 3
+recovery_seconds_sum 3.7999999999999998
+recovery_seconds_count 3
+tier_write_bytes_bucket{tier="L1-local",le="1024"} 1
+tier_write_bytes_bucket{tier="L1-local",le="+Inf"} 1
+tier_write_bytes_sum{tier="L1-local"} 1000
+tier_write_bytes_count{tier="L1-local"} 1
+)");
 }
 
-TEST(ScopedTimer, NullRegistryIsANoOp) {
-  obs::ScopedTimer t(nullptr, "never.recorded");
-  EXPECT_GE(t.seconds(), 0.0);  // must not crash in ctor, seconds() or dtor
+/// The text format allows one `# TYPE` line per metric family, ahead of all
+/// of the family's samples, which form one group. "a.b_c" sorts between
+/// "a.b" and "a.b{x=1}", so series order alone does not group a family.
+TEST(Metrics, PrometheusGroupsEachFamilyUnderOneTypeLine) {
+  obs::MetricsRegistry reg;
+  reg.add("a.b", 1.0);
+  reg.add("a.b", 2.0, {{"x", "1"}});
+  reg.add("a.b", 3.0, {{"x", "2"}});
+  reg.add("a.b_c", 4.0);
+  reg.observe("h.lat", 1.0, {{"job", "a"}});
+  reg.observe("h.lat", 2.0, {{"job", "b"}});
+  const std::string text = reg.snapshot().to_prometheus();
+
+  std::map<std::string, std::string> types;  // family -> type
+  std::map<std::string, int> samples;        // family -> sample lines
+  std::string family;
+  std::string type;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream(line.substr(7)) >> family >> type;
+      EXPECT_TRUE(types.emplace(family, type).second)
+          << "second TYPE line for " << family << " in\n" << text;
+      continue;
+    }
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    if (type == "histogram")
+      for (const std::string suffix : {"_bucket", "_sum", "_count"})
+        if (name.ends_with(suffix)) name.resize(name.size() - suffix.size());
+    // Every sample belongs to the family of the TYPE line above it, and
+    // each family has one TYPE line, so its samples form one group.
+    EXPECT_EQ(name, family) << line << " in\n" << text;
+    ++samples[name];
+  }
+  const std::map<std::string, std::string> want_types{
+      {"a_b", "counter"}, {"a_b_c", "counter"}, {"h_lat", "histogram"}};
+  EXPECT_EQ(types, want_types);
+  // h_lat: one finite bucket, +Inf, _sum and _count per series.
+  const std::map<std::string, int> want_samples{
+      {"a_b", 3}, {"a_b_c", 1}, {"h_lat", 8}};
+  EXPECT_EQ(samples, want_samples);
 }
+
+/// Snapshots taken while four threads record see a counter that never
+/// decreases and never passes what was added; the one taken after the
+/// writers joined sees every add.
+TEST(Metrics, SnapshotsWhileRecordingNeverGoBackwards) {
+  obs::MetricsRegistry reg;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 50000;
+  constexpr double kTotal = kThreads * kOps;
+  std::atomic<bool> writers_done{false};
+  std::vector<double> seen;
+  std::thread snapshotter([&] {
+    bool last = false;
+    do {
+      last = writers_done.load();
+      seen.push_back(reg.snapshot().counter("c"));
+    } while (!last);
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&reg] {
+      for (int i = 0; i < kOps; ++i) reg.add("c", 1.0);
+    });
+  for (auto& t : writers) t.join();
+  writers_done = true;
+  snapshotter.join();
+
+  ASSERT_FALSE(seen.empty());
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_LE(*std::max_element(seen.begin(), seen.end()), kTotal);
+  EXPECT_EQ(seen.back(), kTotal);
+}
+
+// ----- pass counter ---------------------------------------------------------
 
 TEST(PassCounter, VectorOpsShimsStillWork) {
   obs::reset_vector_passes();

@@ -134,6 +134,20 @@ TEST(Service, OneThreadOpensMoreJobsThanTheOldCap) {
   EXPECT_EQ(service.jobs_opened(), kJobs);
 }
 
+TEST(Service, RefusesJobNamesTheMetricLabelsCannotCarry) {
+  // A job's name is the value of the job label on its svc.* series, and
+  // neither rendering escapes a label value.
+  CheckpointService service;
+  for (const std::string bad :
+       {"x,y=\"z\"", "a{b", "a}b", "a=b", "a\"b", "a\\b", "a\tb",
+        "a\x1f" "b"})
+    EXPECT_THROW((void)service.open_job({.name = bad}), config_error) << bad;
+  EXPECT_EQ(service.jobs_opened(), 0);
+  // The names the examples and fig_fleet give pass.
+  for (const std::string ok : {"job3", "poisson-cg-lossy-7", "kkt"})
+    EXPECT_NO_THROW((void)service.open_job({.name = ok})) << ok;
+}
+
 // ----- service: cross-job dedup ---------------------------------------------
 
 TEST(Service, CrossJobDedupHitsAreAttributedToTheWritingJob) {

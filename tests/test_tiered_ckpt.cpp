@@ -295,6 +295,23 @@ TEST(TieredPromotionMetrics, BackgroundCopiesRecordPromotes) {
             static_cast<double>(2 * written));
 }
 
+TEST(TieredStore, RefusesTierNamesTheMetricLabelsCannotCarry) {
+  // A level's name is the value of the tier label on its tier.* series, and
+  // neither rendering escapes a label value.
+  for (const std::string bad :
+       {"L1,x=\"y\"", "L{1", "L}1", "L=1", "L\"1", "L\\1", "L\n1"}) {
+    std::vector<TieredCheckpointStore::Level> levels;
+    levels.push_back({TierSpec{bad, FailureSeverity::kProcess},
+                      std::make_unique<MemoryStore>()});
+    EXPECT_THROW(TieredCheckpointStore(std::move(levels), false),
+                 config_error)
+        << bad;
+  }
+  // make_tiered_store's names, which the service and perfbench also give,
+  // pass.
+  EXPECT_NO_THROW((void)make_tiered_store(2, 1, 1, "", false));
+}
+
 TEST(RunnerStoreFactory, RejectsAStackThatPromotesOnItsOwn) {
   // The runner prices promotions on its virtual clock and executes them
   // when their window closes; a stack that also copies in real time would
