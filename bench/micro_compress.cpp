@@ -1,13 +1,14 @@
 /// google-benchmark microbenchmarks for the compression stack: throughput
 /// of each compressor on solver-like data, deflate on near-incompressible
-/// data, the Huffman core, and the CRC-32 and CRC-64 that check and address
-/// every checkpoint byte.
+/// data, the Huffman core and SZ's per-chunk table steps, and the CRC-32
+/// and CRC-64 that check and address every checkpoint byte.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/chunk/chunk_hash.hpp"
@@ -107,10 +108,10 @@ void bm_shuffle(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 
-/// 2^16 quantization-code-like symbols over SZ's 65,536-symbol alphabet.
-std::vector<std::uint32_t> huffman_symbols() {
+/// `n` quantization-code-like symbols over SZ's 65,536-symbol alphabet.
+std::vector<std::uint32_t> huffman_symbols(std::size_t n = 1 << 16) {
   lck::Rng rng(9);
-  std::vector<std::uint32_t> symbols(1 << 16);
+  std::vector<std::uint32_t> symbols(n);
   for (auto& s : symbols)
     s = 32768 + static_cast<std::uint32_t>(rng.normal(0.0, 40.0));
   return symbols;
@@ -153,6 +154,38 @@ void bm_huffman_decode(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(symbols.size()));
+}
+
+/// The table steps of one SZ chunk's encode, one row each, on 4,096
+/// quantization-code-like symbols (a few hundred distinct) over the
+/// 65,536-symbol alphabet. `count_frequencies` is the one step still sized
+/// by the alphabet; the others pay per symbol present.
+struct SzTable {
+  std::vector<std::uint32_t> symbols = huffman_symbols(4096);
+  std::vector<std::uint64_t> freqs = lck::count_frequencies(symbols, 65536);
+  std::vector<std::uint8_t> lengths = lck::huffman_code_lengths(freqs);
+};
+
+template <class Step>
+void bm_sz_tables(benchmark::State& state, Step step) {
+  const SzTable table;
+  for (auto _ : state) {
+    auto out = step(table);
+    benchmark::DoNotOptimize(out);
+  }
+}
+
+auto frequencies_step(const SzTable& t) {
+  return lck::count_frequencies(t.symbols, 65536);
+}
+auto lengths_step(const SzTable& t) {
+  return lck::huffman_code_lengths(t.freqs);
+}
+auto encoder_step(const SzTable& t) { return lck::HuffmanEncoder(t.lengths); }
+auto writer_step(const SzTable& t) {
+  lck::ByteWriter w;
+  lck::write_code_lengths(w, t.lengths);
+  return std::move(w).take();
 }
 
 /// One checksum over random bytes.
@@ -198,6 +231,10 @@ BENCHMARK_CAPTURE(bm_decompress, deflate_normal, "deflate", standard_normals)
     ->Arg(13824);
 BENCHMARK(bm_huffman_encode);
 BENCHMARK(bm_huffman_decode);
+BENCHMARK_CAPTURE(bm_sz_tables, count_frequencies, frequencies_step);
+BENCHMARK_CAPTURE(bm_sz_tables, huffman_code_lengths, lengths_step);
+BENCHMARK_CAPTURE(bm_sz_tables, HuffmanEncoder, encoder_step);
+BENCHMARK_CAPTURE(bm_sz_tables, write_code_lengths, writer_step);
 BENCHMARK(bm_histogram_4way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);

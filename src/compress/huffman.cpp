@@ -1,8 +1,9 @@
 #include "compress/huffman.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
-#include <numeric>
 #include <queue>
 
 #include "common/simd.hpp"
@@ -27,101 +28,22 @@ std::vector<std::uint64_t> count_frequencies(
 
 namespace {
 
-/// One pass of Huffman tree construction; returns code lengths (possibly
-/// exceeding kHuffmanMaxBits for extreme distributions).
-std::vector<std::uint8_t> build_lengths_once(
-    std::span<const std::uint64_t> freqs) {
+/// Call f(symbol, freq) for every symbol with a nonzero frequency, in symbol
+/// order. Zero counts are skipped eight at a time, as in for_each_code.
+template <typename F>
+void for_each_present(std::span<const std::uint64_t> freqs, F&& f) {
   const std::size_t n = freqs.size();
-  struct Node {
-    std::uint64_t freq;
-    std::int32_t left, right;  // -1 for leaves
-    std::uint32_t symbol;
-  };
-  std::vector<Node> nodes;
-  nodes.reserve(2 * n);
-  using Entry = std::pair<std::uint64_t, std::uint32_t>;  // (freq, node idx)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-
-  for (std::size_t s = 0; s < n; ++s) {
-    if (freqs[s] == 0) continue;
-    nodes.push_back({freqs[s], -1, -1, static_cast<std::uint32_t>(s)});
-    heap.emplace(freqs[s], static_cast<std::uint32_t>(nodes.size() - 1));
+  std::size_t s = 0;
+  for (; s + 8 <= n; s += 8) {
+    std::uint64_t any = 0;
+    for (std::size_t k = s; k < s + 8; ++k) any |= freqs[k];
+    if (any == 0) continue;
+    for (std::size_t k = s; k < s + 8; ++k)
+      if (freqs[k] != 0) f(k, freqs[k]);
   }
-
-  std::vector<std::uint8_t> lengths(n, 0);
-  if (nodes.empty()) return lengths;
-  if (nodes.size() == 1) {
-    lengths[nodes[0].symbol] = 1;  // degenerate alphabet: 1-bit code
-    return lengths;
-  }
-
-  while (heap.size() > 1) {
-    const auto [fa, a] = heap.top();
-    heap.pop();
-    const auto [fb, b] = heap.top();
-    heap.pop();
-    nodes.push_back({fa + fb, static_cast<std::int32_t>(a),
-                     static_cast<std::int32_t>(b), 0});
-    heap.emplace(fa + fb, static_cast<std::uint32_t>(nodes.size() - 1));
-  }
-
-  // Depth-first traversal assigning depths as code lengths.
-  struct Frame {
-    std::uint32_t node;
-    std::uint8_t depth;
-  };
-  std::vector<Frame> stack{{static_cast<std::uint32_t>(nodes.size() - 1), 0}};
-  while (!stack.empty()) {
-    const auto [idx, depth] = stack.back();
-    stack.pop_back();
-    const Node& nd = nodes[idx];
-    if (nd.left < 0) {
-      lengths[nd.symbol] = std::max<std::uint8_t>(depth, 1);
-    } else {
-      stack.push_back({static_cast<std::uint32_t>(nd.left),
-                       static_cast<std::uint8_t>(depth + 1)});
-      stack.push_back({static_cast<std::uint32_t>(nd.right),
-                       static_cast<std::uint8_t>(depth + 1)});
-    }
-  }
-  return lengths;
+  for (; s < n; ++s)
+    if (freqs[s] != 0) f(s, freqs[s]);
 }
-
-}  // namespace
-
-std::vector<std::uint8_t> huffman_code_lengths(
-    std::span<const std::uint64_t> freqs) {
-  std::vector<std::uint64_t> f(freqs.begin(), freqs.end());
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    auto lengths = build_lengths_once(f);
-    const auto max_len =
-        *std::max_element(lengths.begin(), lengths.end());
-    if (max_len <= kHuffmanMaxBits) return lengths;
-    // Flatten the distribution and retry: halving frequencies (keeping them
-    // nonzero) reduces the maximum depth geometrically.
-    for (auto& x : f)
-      if (x > 0) x = (x + 1) / 2;
-  }
-  throw corrupt_stream_error("huffman: failed to limit code length");
-}
-
-HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
-    : codes_(lengths.size(), 0), lengths_(lengths.begin(), lengths.end()) {
-  // Canonical code assignment: count codes per length, then first-code rule.
-  std::vector<std::uint32_t> count(kHuffmanMaxBits + 1, 0);
-  for (const auto l : lengths_) ++count[l];
-  count[0] = 0;
-  std::vector<std::uint32_t> next(kHuffmanMaxBits + 2, 0);
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= kHuffmanMaxBits; ++len) {
-    code = (code + count[len - 1]) << 1;
-    next[len] = code;
-  }
-  for (std::size_t s = 0; s < lengths_.size(); ++s)
-    if (lengths_[s] != 0) codes_[s] = next[lengths_[s]]++;
-}
-
-namespace {
 
 /// Call f(symbol, length) for every symbol with a nonzero code length, in
 /// symbol order. Zero lengths are skipped eight at a time: an SZ table
@@ -141,7 +63,101 @@ void for_each_code(std::span<const std::uint8_t> lengths, F&& f) {
     if (lengths[s] != 0) f(s, lengths[s]);
 }
 
+/// Length of the run of zero lengths starting at `i`, at most 0xffff (one
+/// u16 token), measured eight bytes at a time.
+std::size_t zero_run(std::span<const std::uint8_t> lengths, std::size_t i) {
+  const std::size_t limit =
+      std::min<std::size_t>(lengths.size() - i, 0xffff);
+  std::size_t run = 0;
+  for (; run + 8 <= limit; run += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, lengths.data() + i + run, sizeof(word));
+    if (word != 0)
+      return run + static_cast<std::size_t>(
+                       (std::endian::native == std::endian::little
+                            ? std::countr_zero(word)
+                            : std::countl_zero(word)) /
+                       8);
+  }
+  while (run < limit && lengths[i + run] == 0) ++run;
+  return run;
+}
+
+/// One pass of Huffman tree construction over `freqs` (at least two, all
+/// nonzero): returns the depth of every leaf, possibly exceeding
+/// kHuffmanMaxBits for extreme distributions. Leaf k is node k and the j-th
+/// merge appends node freqs.size() + j; the heap pops the least
+/// (frequency, node) pair, so ties go to the lower node.
+std::vector<std::uint32_t> leaf_depths(std::span<const std::uint64_t> freqs) {
+  const std::size_t m = freqs.size();
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;  // (freq, node)
+  std::vector<Entry> leaves;
+  leaves.reserve(m);
+  for (std::size_t k = 0; k < m; ++k)
+    leaves.emplace_back(freqs[k], static_cast<std::uint32_t>(k));
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
+      std::greater<>{}, std::move(leaves));
+
+  std::vector<std::uint32_t> up(2 * m - 1);  // parent of each node but the root
+  auto node = static_cast<std::uint32_t>(m);
+  while (heap.size() > 1) {
+    const auto [fa, a] = heap.top();
+    heap.pop();
+    const auto [fb, b] = heap.top();
+    heap.pop();
+    up[a] = up[b] = node;
+    heap.emplace(fa + fb, node++);
+  }
+
+  // A parent is appended after its children, so walking down from the root
+  // sets each node's parent depth before its own.
+  std::vector<std::uint32_t> depth(2 * m - 1, 0);
+  for (std::size_t v = 2 * m - 2; v-- > 0;) depth[v] = depth[up[v]] + 1;
+  depth.resize(m);
+  return depth;
+}
+
 }  // namespace
+
+std::vector<std::uint8_t> huffman_code_lengths(
+    std::span<const std::uint64_t> freqs) {
+  std::vector<std::uint32_t> symbols;  // the present symbols, in order
+  std::vector<std::uint64_t> f;        // and their frequencies
+  for_each_present(freqs, [&](std::size_t s, std::uint64_t x) {
+    symbols.push_back(static_cast<std::uint32_t>(s));
+    f.push_back(x);
+  });
+  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  if (symbols.size() == 1) lengths[symbols[0]] = 1;  // degenerate: 1-bit code
+  if (symbols.size() <= 1) return lengths;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const auto depth = leaf_depths(f);
+    if (*std::max_element(depth.begin(), depth.end()) <= kHuffmanMaxBits) {
+      for (std::size_t k = 0; k < symbols.size(); ++k)
+        lengths[symbols[k]] = static_cast<std::uint8_t>(depth[k]);
+      return lengths;
+    }
+    // Flatten the distribution and retry: halving frequencies (keeping them
+    // nonzero) reduces the maximum depth geometrically.
+    for (auto& x : f) x = (x + 1) / 2;
+  }
+  throw corrupt_stream_error("huffman: failed to limit code length");
+}
+
+HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
+    : codes_(lengths.size(), 0), lengths_(lengths.begin(), lengths.end()) {
+  // Canonical code assignment: count codes per length, then first-code rule.
+  std::array<std::uint32_t, 256> count{};
+  for_each_code(lengths, [&](std::size_t, unsigned len) { ++count[len]; });
+  std::array<std::uint32_t, 256> next{};
+  std::uint32_t code = 0;
+  for (unsigned len = 1; len <= kHuffmanMaxBits; ++len) {
+    code = (code + count[len - 1]) << 1;
+    next[len] = code;
+  }
+  for_each_code(lengths,
+                [&](std::size_t s, unsigned len) { codes_[s] = next[len]++; });
+}
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
   if (lengths.size() >= (std::size_t{1} << 27))
@@ -206,9 +222,7 @@ void write_code_lengths(ByteWriter& out, std::span<const std::uint8_t> lengths) 
   std::size_t i = 0;
   while (i < lengths.size()) {
     if (lengths[i] == 0) {
-      std::size_t run = 0;
-      while (i + run < lengths.size() && lengths[i + run] == 0 && run < 0xffff)
-        ++run;
+      const std::size_t run = zero_run(lengths, i);
       out.put(static_cast<std::uint8_t>(0));
       out.put(static_cast<std::uint16_t>(run));
       i += run;

@@ -22,7 +22,8 @@ namespace lck {
 inline constexpr unsigned kHuffmanMaxBits = 24;
 
 /// Compute optimal prefix-code lengths for `freqs` (0 frequency ⇒ length 0).
-/// Guarantees all lengths ≤ kHuffmanMaxBits.
+/// Guarantees all lengths ≤ kHuffmanMaxBits. Past one scan for the nonzero
+/// counts, the tree and its retries are sized by the symbols present.
 [[nodiscard]] std::vector<std::uint8_t> huffman_code_lengths(
     std::span<const std::uint64_t> freqs);
 
@@ -32,10 +33,19 @@ inline constexpr unsigned kHuffmanMaxBits = 24;
 /// `++freq[c]` serializes on store-to-load forwarding for skewed symbol
 /// streams), then merges them. Integer addition is associative, so the
 /// result is identical to the naive loop.
+///
+/// The one encoder step still sized by the alphabet: each call zero-fills
+/// and merges 8 × `alphabet` counters (4 MiB for SZ's 65,536 symbols).
+/// Freeing that block is what lifts glibc's heap trim threshold (twice the
+/// largest mmap'd block freed) above a solver's working set, so a set-up
+/// timed after an SZ checkpoint does not page-fault its memory again.
+/// Sizing it to the symbols present waits until that timing stops
+/// depending on it.
 [[nodiscard]] std::vector<std::uint64_t> count_frequencies(
     std::span<const std::uint32_t> symbols, std::size_t alphabet);
 
-/// Canonical Huffman encoder built from code lengths.
+/// Canonical Huffman encoder built from code lengths; counting and
+/// assigning the codes skips zero lengths eight at a time.
 class HuffmanEncoder {
  public:
   explicit HuffmanEncoder(std::span<const std::uint8_t> lengths);
@@ -88,6 +98,7 @@ class HuffmanDecoder {
 };
 
 /// Serialize a code-length array compactly (RLE of zeros + 5-bit lengths).
+/// Zero runs are measured eight lengths at a time.
 void write_code_lengths(ByteWriter& out, std::span<const std::uint8_t> lengths);
 
 /// Inverse of write_code_lengths; `alphabet` is the expected array size.

@@ -193,8 +193,6 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
 
   const auto lit_lengths = huffman_code_lengths(lit_freq);
   const auto dist_lengths = huffman_code_lengths(dist_freq);
-  const HuffmanEncoder lit_enc(lit_lengths);
-  const HuffmanEncoder dist_enc(dist_lengths);
 
   ByteWriter out;
   out.put(kFormatHuffman);
@@ -202,6 +200,27 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   write_code_lengths(out, lit_lengths);
   write_code_lengths(out, dist_lengths);
 
+  // The payload's exact size, padded to a byte: every symbol's code and
+  // extra bits. A stream no smaller than the stored copy (format byte, u64
+  // size, the bytes) is not coded; the stored copy goes out instead.
+  std::uint64_t payload_bits = 0;
+  for (unsigned s = 0; s < kLitLenAlphabet; ++s)
+    payload_bits += lit_freq[s] *
+                    (lit_lengths[s] +
+                     (s > kEob ? kLengthCodes[s - 257].extra_bits : 0u));
+  for (unsigned d = 0; d < kDistAlphabet; ++d)
+    payload_bits += dist_freq[d] * (dist_lengths[d] + kDistCodes[d].extra_bits);
+  if (out.size() + sizeof(std::uint64_t) + (payload_bits + 7) / 8 >=
+      in.size() + 9) {
+    ByteWriter stored;
+    stored.put(kFormatStored);
+    stored.put(static_cast<std::uint64_t>(in.size()));
+    stored.put_bytes(in);
+    return std::move(stored).take();
+  }
+
+  const HuffmanEncoder lit_enc(lit_lengths);
+  const HuffmanEncoder dist_enc(dist_lengths);
   BitWriter bw;
   for (const std::uint32_t t : tokens) {
     if (t & kMatch) {
@@ -221,15 +240,6 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   const auto payload = bw.finish();
   out.put(static_cast<std::uint64_t>(payload.size()));
   out.put_bytes(payload);
-
-  // Stored fallback if "compression" expanded the data.
-  if (out.size() >= in.size() + 9) {
-    ByteWriter stored;
-    stored.put(kFormatStored);
-    stored.put(static_cast<std::uint64_t>(in.size()));
-    stored.put_bytes(in);
-    return std::move(stored).take();
-  }
   return std::move(out).take();
 }
 

@@ -36,6 +36,14 @@ std::string fmt_double(double v) {
   return s;
 }
 
+/// The text format's spelling of a sample value: JSON has no non-finite
+/// numbers, but Prometheus reads `+Inf`, `-Inf` and `NaN`.
+std::string prom_double(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return fmt_double(v);
+}
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -98,7 +106,7 @@ std::string prom_labels(const std::string& full_name,
 
 void prom_scalar(std::string& lines, const std::string& base,
                  const std::string& name, double v) {
-  lines += base + prom_labels(name) + " " + fmt_double(v) + "\n";
+  lines += base + prom_labels(name) + " " + prom_double(v) + "\n";
 }
 
 /// Cumulative _bucket{le=...} lines, then _sum and _count.
@@ -108,12 +116,12 @@ void prom_histogram(std::string& lines, const std::string& base,
   for (const auto& [upper, n] : h.buckets) {
     cum += n;
     lines += base + "_bucket" +
-             prom_labels(name, "le=\"" + fmt_double(upper) + "\"") + " " +
+             prom_labels(name, "le=\"" + prom_double(upper) + "\"") + " " +
              std::to_string(cum) + "\n";
   }
   lines += base + "_bucket" + prom_labels(name, "le=\"+Inf\"") + " " +
            std::to_string(h.count) + "\n";
-  lines += base + "_sum" + prom_labels(name) + " " + fmt_double(h.sum) + "\n";
+  lines += base + "_sum" + prom_labels(name) + " " + prom_double(h.sum) + "\n";
   lines += base + "_count" + prom_labels(name) + " " +
            std::to_string(h.count) + "\n";
 }

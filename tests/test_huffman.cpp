@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <queue>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
@@ -325,6 +329,247 @@ TEST(Huffman, CompressionBeatsFixedWidthOnSkewedData) {
       enc.encode(bw, static_cast<std::uint32_t>(s));
   const double fixed_bits = 10000.0 * 3;  // 5 symbols => 3 bits fixed
   EXPECT_LT(static_cast<double>(bw.bit_count()), 0.6 * fixed_bits);
+}
+
+// ----- the alphabet-walking reference -------------------------------------
+// The tree builder, code assignment and table writer as they were when each
+// walked the whole alphabet, kept as the reference for the ones that touch
+// only the symbols present: same lengths, same code bits, same table bytes.
+
+namespace reference {
+
+std::vector<std::uint8_t> lengths_once(std::span<const std::uint64_t> freqs) {
+  const std::size_t n = freqs.size();
+  struct Node {
+    std::uint64_t freq;
+    std::int32_t left, right;  // -1 for leaves
+    std::uint32_t symbol;
+  };
+  std::vector<Node> nodes;
+  nodes.reserve(2 * n);
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (freqs[s] == 0) continue;
+    nodes.push_back({freqs[s], -1, -1, static_cast<std::uint32_t>(s)});
+    heap.emplace(freqs[s], static_cast<std::uint32_t>(nodes.size() - 1));
+  }
+  std::vector<std::uint8_t> lengths(n, 0);
+  if (nodes.empty()) return lengths;
+  if (nodes.size() == 1) {
+    lengths[nodes[0].symbol] = 1;
+    return lengths;
+  }
+  while (heap.size() > 1) {
+    const auto [fa, a] = heap.top();
+    heap.pop();
+    const auto [fb, b] = heap.top();
+    heap.pop();
+    nodes.push_back({fa + fb, static_cast<std::int32_t>(a),
+                     static_cast<std::int32_t>(b), 0});
+    heap.emplace(fa + fb, static_cast<std::uint32_t>(nodes.size() - 1));
+  }
+  struct Frame {
+    std::uint32_t node;
+    std::uint8_t depth;
+  };
+  std::vector<Frame> stack{{static_cast<std::uint32_t>(nodes.size() - 1), 0}};
+  while (!stack.empty()) {
+    const auto [idx, depth] = stack.back();
+    stack.pop_back();
+    const Node& nd = nodes[idx];
+    if (nd.left < 0) {
+      lengths[nd.symbol] = std::max<std::uint8_t>(depth, 1);
+    } else {
+      stack.push_back({static_cast<std::uint32_t>(nd.left),
+                       static_cast<std::uint8_t>(depth + 1)});
+      stack.push_back({static_cast<std::uint32_t>(nd.right),
+                       static_cast<std::uint8_t>(depth + 1)});
+    }
+  }
+  return lengths;
+}
+
+/// Also reports how many trees it built: more than one means the halving
+/// retry ran.
+std::vector<std::uint8_t> code_lengths(std::span<const std::uint64_t> freqs,
+                                       int& attempts) {
+  std::vector<std::uint64_t> f(freqs.begin(), freqs.end());
+  for (attempts = 1; attempts <= 64; ++attempts) {
+    auto lengths = lengths_once(f);
+    if (*std::max_element(lengths.begin(), lengths.end()) <= kHuffmanMaxBits)
+      return lengths;
+    for (auto& x : f)
+      if (x > 0) x = (x + 1) / 2;
+  }
+  throw corrupt_stream_error("reference: failed to limit code length");
+}
+
+std::vector<std::uint32_t> codes(std::span<const std::uint8_t> lengths) {
+  std::vector<std::uint32_t> codes(lengths.size(), 0);
+  std::vector<std::uint32_t> count(kHuffmanMaxBits + 1, 0);
+  for (const auto l : lengths) ++count[l];
+  count[0] = 0;
+  std::vector<std::uint32_t> next(kHuffmanMaxBits + 2, 0);
+  std::uint32_t code = 0;
+  for (unsigned len = 1; len <= kHuffmanMaxBits; ++len) {
+    code = (code + count[len - 1]) << 1;
+    next[len] = code;
+  }
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    if (lengths[s] != 0) codes[s] = next[lengths[s]]++;
+  return codes;
+}
+
+std::vector<byte_t> table_bytes(std::span<const std::uint8_t> lengths) {
+  ByteWriter out;
+  out.put(static_cast<std::uint32_t>(lengths.size()));
+  std::size_t i = 0;
+  while (i < lengths.size()) {
+    if (lengths[i] == 0) {
+      std::size_t run = 0;
+      while (i + run < lengths.size() && lengths[i + run] == 0 && run < 0xffff)
+        ++run;
+      out.put(static_cast<std::uint8_t>(0));
+      out.put(static_cast<std::uint16_t>(run));
+      i += run;
+    } else {
+      out.put(lengths[i]);
+      ++i;
+    }
+  }
+  return std::move(out).take();
+}
+
+}  // namespace reference
+
+std::vector<byte_t> table_bytes(std::span<const std::uint8_t> lengths) {
+  ByteWriter out;
+  write_code_lengths(out, lengths);
+  return std::move(out).take();
+}
+
+/// Lengths, the code bits of every present symbol and the table bytes all
+/// equal the reference's; returns how many trees the reference built.
+int expect_matches_reference(std::span<const std::uint64_t> freqs,
+                             const std::string& what) {
+  SCOPED_TRACE(what);
+  int attempts = 0;
+  const auto ref = reference::code_lengths(freqs, attempts);
+  const auto lengths = huffman_code_lengths(freqs);
+  EXPECT_EQ(lengths, ref);
+  // Each present symbol once, in symbol order: with equal lengths, equal
+  // bit streams mean equal codes.
+  const auto ref_codes = reference::codes(ref);
+  const HuffmanEncoder enc(lengths);
+  BitWriter got, expect;
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    if (ref[s] == 0) continue;
+    enc.encode(got, static_cast<std::uint32_t>(s));
+    expect.write_bits(ref_codes[s], ref[s]);
+  }
+  EXPECT_EQ(got.bit_count(), expect.bit_count());
+  EXPECT_EQ(got.finish(), expect.finish());
+  EXPECT_EQ(table_bytes(lengths), reference::table_bytes(ref));
+  return attempts;
+}
+
+TEST(HuffmanReference, SzLikeTablesMatch) {
+  // Quantization codes of a 4,096- to 16,384-value chunk, Gaussian around
+  // SZ's zero code 32,768, counted by the dispatched histogram kernels;
+  // the spread sets how many of the 65,536 symbols occur.
+  constexpr std::size_t kAlphabet = 65536;
+  std::size_t fewest = kAlphabet, most = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    const double sigma =
+        seed == 1 ? 0.0 : std::pow(10.0, rng.uniform(-0.5, 2.8));
+    std::vector<std::uint32_t> symbols(4096 << (seed % 3));
+    for (auto& x : symbols)
+      x = static_cast<std::uint32_t>(std::clamp(
+          std::lround(32768.0 + rng.normal(0.0, sigma)), 0L, 65535L));
+    const auto freqs = count_frequencies(symbols, kAlphabet);
+    const auto present = static_cast<std::size_t>(
+        std::count_if(freqs.begin(), freqs.end(),
+                      [](std::uint64_t f) { return f != 0; }));
+    fewest = std::min(fewest, present);
+    most = std::max(most, present);
+    expect_matches_reference(freqs, "seed " + std::to_string(seed) + ", " +
+                                        std::to_string(present) + " present");
+  }
+  EXPECT_EQ(fewest, 1u);
+  EXPECT_GE(most, 2000u);
+  EXPECT_LE(most, 3000u);
+}
+
+TEST(HuffmanReference, EdgeTablesMatch) {
+  std::vector<std::uint64_t> freqs(65536, 0);
+  expect_matches_reference(freqs, "empty");
+  freqs[0] = 5;
+  expect_matches_reference(freqs, "one symbol at 0");
+  freqs[0] = 0;
+  freqs[65535] = 1;
+  expect_matches_reference(freqs, "one symbol at 65535");
+  freqs[0] = 7;
+  expect_matches_reference(freqs, "symbols 0 and 65535");
+  expect_matches_reference(std::vector<std::uint64_t>{3, 3},
+                           "two symbols, equal counts");
+  expect_matches_reference(std::vector<std::uint64_t>{0, 9, 0, 1, 0},
+                           "two symbols among five");
+}
+
+TEST(HuffmanReference, HalvingRetryMatches) {
+  // Fibonacci counts build a tree one level deeper per symbol, so 30 or
+  // more of them exceed kHuffmanMaxBits and take the halving retry, both
+  // packed at the start of an alphabet and scattered across SZ's.
+  for (const std::size_t count : {30u, 40u, 60u}) {
+    std::vector<std::uint64_t> fib(count);
+    std::uint64_t a = 1, b = 1;
+    for (auto& f : fib) {
+      f = a;
+      b = std::exchange(a, b) + b;
+    }
+    const std::string name = std::to_string(count) + " Fibonacci counts";
+    EXPECT_GT(expect_matches_reference(fib, name + ", packed"), 1);
+    std::vector<std::uint64_t> scattered(65536, 0);
+    for (std::size_t k = 0; k < count; ++k) scattered[k * 1087 + 3] = fib[k];
+    EXPECT_GT(expect_matches_reference(scattered, name + ", scattered"), 1);
+  }
+}
+
+TEST(HuffmanReference, ZeroRunsAtTheTokenCapMatch) {
+  // Runs just under, at and past the 0xffff cap of one zero-run token,
+  // starting at every offset mod 8, ending at the table's end or before
+  // a code, so the cap falls at every position within an 8-byte step.
+  for (std::size_t run = 65534; run <= 65537; ++run)
+    for (std::size_t start = 0; start < 8; ++start)
+      for (std::size_t after = 0; after <= 9; after += 3) {
+        std::vector<std::uint8_t> lengths(start + run + after, 3);
+        std::fill_n(lengths.begin() + static_cast<std::ptrdiff_t>(start), run,
+                    std::uint8_t{0});
+        const auto bytes = table_bytes(lengths);
+        ASSERT_EQ(bytes, reference::table_bytes(lengths))
+            << "run " << run << " from " << start << ", " << after << " after";
+        ByteReader r(bytes);
+        ASSERT_EQ(read_code_lengths(r, lengths.size()), lengths);
+      }
+}
+
+TEST(HuffmanReference, DeflateAlphabetsMatch) {
+  // 285 and 30 symbols are not multiples of eight: the last few are
+  // handled one at a time. Sparse and dense tables, codes at the very end.
+  for (const std::size_t alphabet : {285u, 30u})
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      Rng rng(seed * 7919 + alphabet);
+      std::vector<std::uint64_t> freqs(alphabet, 0);
+      const std::uint64_t keep = 1 + seed % 4;  // keep about 1 in keep
+      for (auto& f : freqs)
+        if (rng.uniform_index(keep) == 0) f = 1 + rng.uniform_index(5000);
+      if (seed % 2 == 0) freqs.back() = 1 + seed;
+      expect_matches_reference(freqs, std::to_string(alphabet) +
+                                          " symbols, seed " +
+                                          std::to_string(seed));
+    }
 }
 
 }  // namespace

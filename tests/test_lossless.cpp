@@ -239,6 +239,13 @@ std::vector<DeflatePin> deflate_pins() {
       {"256sym_100", alphabet_bytes(100, 256), 109, 0x087b4cbbu},
       {"256sym_40k", alphabet_bytes(40 << 10, 256), 40969, 0xfb36af3bu},
       {"256sym_70k", alphabet_bytes(70 << 10, 256), 71689, 0x421bd24du},
+      // Huffman streams one byte under the stored copy's size (coded) and
+      // of exactly its size (stored), found by a seeded search over sizes
+      // and pinned with the encoder that coded every stream before it
+      // compared it with the stored copy. The second's matches carry 9
+      // extra bits, without which its stream would be one byte shorter.
+      {"8sym_67", alphabet_bytes(67, 8), 75, 0xc42f7347u},
+      {"8sym_68", alphabet_bytes(68, 8), 77, 0x8f3e21ebu},
       // The window test admits a distance of exactly 32 KiB, not one more.
       {"block_at_32768", block_at_distance(32768), 20677, 0xdb650ae4u},
       {"block_at_32769", block_at_distance(32769), 21056, 0xbf70fee0u},

@@ -142,7 +142,8 @@ TEST(Metrics, QuantilesInterpolateWithinBuckets) {
 }
 
 /// Renderings of a fixed registry, pinned byte for byte: counters with and
-/// without labels, gauges at +inf and NaN (both render `null`), and
+/// without labels, gauges at +inf, -inf and NaN (`null` in JSON, `+Inf`,
+/// `-Inf` and `NaN` in the Prometheus text), and
 /// histograms holding a non-positive, an exact power-of-two and an ordinary
 /// observation. Only the Prometheus sample lines are pinned here; the
 /// `# TYPE` lines have a test of their own below.
@@ -156,6 +157,8 @@ TEST(Metrics, RenderingsMatchGolden) {
                 std::numeric_limits<double>::infinity());
   reg.set_gauge("run.virtual_seconds",
                 std::numeric_limits<double>::quiet_NaN());
+  reg.set_gauge("run.final_log10_residual",
+                -std::numeric_limits<double>::infinity());
   reg.set_gauge("run.converged", 1.0);
   reg.observe("recovery.seconds", -0.5);
   reg.observe("recovery.seconds", 4.0);
@@ -171,6 +174,7 @@ TEST(Metrics, RenderingsMatchGolden) {
   },
   "gauges": {
     "run.converged": 1,
+    "run.final_log10_residual": null,
     "run.final_residual_norm": null,
     "run.virtual_seconds": null
   },
@@ -189,8 +193,9 @@ TEST(Metrics, RenderingsMatchGolden) {
 ckpt_committed{kind="sync"} 1
 ckpt_stored_bytes{codec="sz",tier="L2-partner"} 0.10000000000000001
 run_converged 1
-run_final_residual_norm null
-run_virtual_seconds null
+run_final_log10_residual -Inf
+run_final_residual_norm +Inf
+run_virtual_seconds NaN
 recovery_seconds_bucket{le="0"} 1
 recovery_seconds_bucket{le="0.5"} 2
 recovery_seconds_bucket{le="4"} 3
