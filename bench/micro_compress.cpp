@@ -1,7 +1,7 @@
 /// google-benchmark microbenchmarks for the compression stack: throughput
 /// of each compressor on solver-like data, deflate on near-incompressible
-/// data, the Huffman core and SZ's per-chunk table steps, and the CRC-32
-/// and CRC-64 that check and address every checkpoint byte.
+/// data, the bit writer, the Huffman core and SZ's per-chunk table steps,
+/// and the CRC-32 and CRC-64 that check and address every checkpoint byte.
 
 #include <benchmark/benchmark.h>
 
@@ -136,6 +136,32 @@ void bm_huffman_encode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
+/// BitWriter alone, on the two write patterns of the codecs: one-bit writes
+/// (a bit plane, or the log transform's sign and zero bitsets), 2^19 of
+/// them, and writes as wide as the Huffman codes of 65,536 SZ-like symbols.
+/// The values carry random bits above their width, which the writer drops.
+void bm_bitwriter(benchmark::State& state, bool one_bit) {
+  const auto symbols = huffman_symbols();
+  const auto lengths = huffman_lengths(symbols);
+  std::vector<std::uint64_t> values(one_bit ? 8 * symbols.size()
+                                            : symbols.size());
+  lck::Rng rng(13);
+  for (auto& v : values) v = rng();
+  for (auto _ : state) {
+    lck::BitWriter bw;
+    if (one_bit) {
+      for (const auto v : values) bw.write_bit(static_cast<unsigned>(v));
+    } else {
+      for (std::size_t i = 0; i < values.size(); ++i)
+        bw.write_bits(values[i], lengths[symbols[i]]);
+    }
+    auto out = bw.finish();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(values.size()));
+}
+
 /// Decoder construction from the 65,536-entry length table plus one decode
 /// per symbol: the per-chunk work of an SZ decompression's entropy stage.
 void bm_huffman_decode(benchmark::State& state) {
@@ -229,6 +255,8 @@ BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate", solver_like)
     ->Arg(4096)->Arg(13824)->Arg(1 << 16);
 BENCHMARK_CAPTURE(bm_decompress, deflate_normal, "deflate", standard_normals)
     ->Arg(13824);
+BENCHMARK_CAPTURE(bm_bitwriter, one_bit, true);
+BENCHMARK_CAPTURE(bm_bitwriter, huffman_width, false);
 BENCHMARK(bm_huffman_encode);
 BENCHMARK(bm_huffman_decode);
 BENCHMARK_CAPTURE(bm_sz_tables, count_frequencies, frequencies_step);

@@ -3,13 +3,17 @@
 /// \brief MSB-first bit-level writer/reader used by the entropy coders and
 ///        the ZFP-like bit-plane coder.
 ///
-/// Both sides move up to 32 bits per step through a 64-bit register: the
-/// writer accumulates bits and stores each whole 32-bit word with one copy
-/// into a buffer that doubles when full, the reader keeps a left-aligned
-/// window that it refills eight bytes at a time and one byte at a time near
-/// the end of its span, so it never loads past the span.
+/// Both sides move up to 32 bits per step through a 64-bit register. The
+/// writer ors each value into its register and stores the pending bits
+/// with one unconditional 8-byte big-endian store at the first byte they
+/// touch, then advances by the whole bytes written, so it never branches
+/// on how many bits are pending. Its buffer keeps 8 bytes of slack past
+/// that byte: it doubles when the slack runs out, and a caller that knows
+/// its size reserves it once. The reader keeps a left-aligned window that
+/// it refills eight bytes at a time and one byte at a time near the end of
+/// its span, so it never loads past the span.
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +28,26 @@ namespace lck {
 class BitWriter {
  public:
   BitWriter() = default;
+  BitWriter(const BitWriter&) = delete;  // cur_ points into buf_
+  BitWriter& operator=(const BitWriter&) = delete;
+
+  /// Continue after the bytes of `prefix`: they stay at the front of the
+  /// vector finish() returns, and bit_count() does not count them.
+  explicit BitWriter(std::vector<byte_t> prefix)
+      : buf_(std::move(prefix)),
+        cur_(buf_.data() + buf_.size()),
+        start_(buf_.size()) {}
+
+  /// Make room for `bytes` more bytes of output, so writing them never
+  /// grows the buffer.
+  void reserve(std::size_t bytes) {
+    const std::size_t pos = cur_ - buf_.data();
+    const std::size_t size = pos + bytes + kSlack;
+    if (buf_.size() >= size) return;
+    buf_.reserve(size);  // exactly `size`, where resize alone may double
+    buf_.resize(size);
+    cur_ = buf_.data() + pos;
+  }
 
   /// Write the low `nbits` (≤ 64) bits of `value`, most significant first.
   void write_bits(std::uint64_t value, unsigned nbits) {
@@ -43,14 +67,11 @@ class BitWriter {
   }
 
   /// Pad with zero bits to the next byte boundary and return the buffer.
+  /// The last write already stored the pending bits with zeros below them.
   [[nodiscard]] std::vector<byte_t> finish() {
-    buf_.resize(size_);
-    size_ = 0;
-    while (nacc_ >= 8) {
-      nacc_ -= 8;
-      buf_.push_back(static_cast<byte_t>(acc_ >> nacc_));
-    }
-    if (nacc_ != 0) buf_.push_back(static_cast<byte_t>(acc_ << (8 - nacc_)));
+    buf_.resize(cur_ - buf_.data() + (nacc_ != 0 ? 1 : 0));
+    cur_ = nullptr;
+    start_ = 0;
     acc_ = 0;
     nacc_ = 0;
     return std::move(buf_);
@@ -58,33 +79,54 @@ class BitWriter {
 
   /// Number of bits written so far.
   [[nodiscard]] std::size_t bit_count() const noexcept {
-    return size_ * 8 + nacc_;
+    return (cur_ - buf_.data() - start_) * 8 + nacc_;
   }
 
  private:
-  /// Append the low `n` (≤ 32) bits of `v`; a full 32-bit word goes out
-  /// big-endian.
+  static constexpr std::size_t kSlack = sizeof(std::uint64_t);
+
+  /// Masks for the low 0..32 bits of a value.
+  static constexpr auto kLowBits = [] {
+    std::array<std::uint64_t, 33> m{};
+    for (unsigned n = 0; n < m.size(); ++n) m[n] = (std::uint64_t{1} << n) - 1;
+    return m;
+  }();
+
+  /// Append the low `n` (≤ 32) bits of `v`. The state is read before and
+  /// written after the byte store, which may alias any member, and growth
+  /// is a cold call: so the compiler keeps the state in registers from one
+  /// write to the next.
   void put(std::uint64_t v, unsigned n) {
-    acc_ = (acc_ << n) | (v & ((std::uint64_t{1} << n) - 1));
-    nacc_ += n;
-    if (nacc_ >= 32) {
-      nacc_ -= 32;
-      auto w = static_cast<std::uint32_t>(acc_ >> nacc_);
-      if constexpr (std::endian::native == std::endian::little)
-        w = __builtin_bswap32(w);
-      // Grow to 4, 8, 16, ... bytes: the capacities appending each word
-      // to the vector would reach.
-      if (buf_.size() - size_ < sizeof(w))
-        buf_.resize(std::max(sizeof(w), 2 * buf_.size()));
-      std::memcpy(buf_.data() + size_, &w, sizeof(w));
-      size_ += sizeof(w);
-    }
+    const byte_t* const end = buf_.data() + buf_.size();
+    if (end - cur_ < static_cast<std::ptrdiff_t>(kSlack)) [[unlikely]]
+      grow();
+    byte_t* const cur = cur_;
+    const std::uint64_t acc = (acc_ << n) | (v & kLowBits[n]);
+    const unsigned nacc = nacc_ + n;  // < 40
+    // The pending bits at the top, zeros below. With none pending (a
+    // zero-width write), the shift is 0, not 64, and the word holds stale
+    // bits; they all lie past the written bytes, where the next store or
+    // finish() drops them.
+    std::uint64_t w = acc << ((0u - nacc) & 63);
+    if constexpr (std::endian::native == std::endian::little)
+      w = __builtin_bswap64(w);
+    std::memcpy(cur, &w, sizeof(w));
+    acc_ = acc;
+    cur_ = cur + (nacc >> 3);
+    nacc_ = nacc & 7;
   }
 
-  std::vector<byte_t> buf_;  // the first size_ bytes are written
-  std::size_t size_ = 0;     // a multiple of 4 between calls
+  [[gnu::cold, gnu::noinline]] void grow() {
+    const std::size_t pos = cur_ - buf_.data();
+    buf_.resize(2 * buf_.size() + kSlack);
+    cur_ = buf_.data() + pos;
+  }
+
+  std::vector<byte_t> buf_;  // written up to cur_, then kSlack bytes or more
+  byte_t* cur_ = nullptr;    // the byte the pending bits go to
+  std::size_t start_ = 0;    // where this writer's bits begin
   std::uint64_t acc_ = 0;    // the low nacc_ bits are pending output
-  unsigned nacc_ = 0;        // < 32 between calls
+  unsigned nacc_ = 0;        // < 8 between calls
 };
 
 /// Reads bits MSB-first from a byte span. A read that needs more bits than

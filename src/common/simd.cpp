@@ -47,6 +47,23 @@ Isa choose_isa() {
   return isa;
 }
 
+#if defined(LCK_SIMD_X86)
+/// `kTable`, or where CPUID does not report PCLMULQDQ, a copy of it without
+/// the CRC-32 fold: AVX2 and AVX-512 do not imply the instruction.
+template <const KernelOps& kTable>
+const KernelOps& without_missing_clmul() {
+  static const KernelOps without = [] {
+    KernelOps t = kTable;
+    t.crc32_fold = nullptr;
+    return t;
+  }();
+#if defined(__GNUC__) || defined(__clang__)
+  if (__builtin_cpu_supports("pclmul")) return kTable;
+#endif
+  return without;
+}
+#endif
+
 }  // namespace
 
 const char* isa_name(Isa isa) noexcept {
@@ -87,9 +104,9 @@ const KernelOps& ops_for(Isa isa) {
     case Isa::kSse2:
       return detail::kOpsSse2;
     case Isa::kAvx2:
-      return detail::kOpsAvx2;
+      return without_missing_clmul<detail::kOpsAvx2>();
     case Isa::kAvx512:
-      return detail::kOpsAvx512;
+      return without_missing_clmul<detail::kOpsAvx512>();
 #endif
     default:
       throw config_error(std::string("simd backend not compiled in: ") +

@@ -159,6 +159,15 @@ struct KernelOps {
   void (*hist8_merge)(const std::uint64_t* part, std::size_t alphabet,
                       std::uint64_t* out);
 
+  // --- checksums -----------------------------------------------------------
+  /// The reflected CRC-32 register (IEEE polynomial, before the final xor)
+  /// after the `n` bytes at `p`, n ≥ 64 and a multiple of 16, from register
+  /// `crc`, by carry-less multiplication. Set in the AVX2 and AVX-512
+  /// tables where CPUID reports PCLMULQDQ, null elsewhere: there the
+  /// caller's slicing-by-8 tables serve (common/crc32.hpp).
+  std::uint32_t (*crc32_fold)(std::uint32_t crc, const byte_t* p,
+                              std::size_t n);
+
   // --- self test -----------------------------------------------------------
   /// Exercises this backend's pack ops against scalar arithmetic; returns
   /// false and fills *msg on the first mismatch (tests/test_simd.cpp).

@@ -35,9 +35,21 @@ namespace lck {
 /// Write a bitset of n bits, RLE-compressed: solver sign/zero masks are
 /// almost always constant, so this costs ~0 bits per element instead of 1.
 inline void write_rle_bitset(ByteWriter& out, const std::vector<bool>& bits) {
-  BitWriter bw;
-  for (const bool b : bits) bw.write_bit(b ? 1u : 0u);
-  const auto rle = rle_encode(bw.finish());
+  // MSB-first, eight bits to a byte and the last one zero-padded: the
+  // bytes BitWriter makes of one-bit writes, without its store per write.
+  std::vector<byte_t> packed;
+  packed.reserve((bits.size() + 7) / 8);
+  unsigned byte = 0, n = 0;
+  for (const bool b : bits) {
+    byte = (byte << 1) | (b ? 1u : 0u);
+    if (++n == 8) {
+      packed.push_back(static_cast<byte_t>(byte));
+      byte = 0;
+      n = 0;
+    }
+  }
+  if (n != 0) packed.push_back(static_cast<byte_t>(byte << (8 - n)));
+  const auto rle = rle_encode(packed);
   out.put(static_cast<std::uint64_t>(rle.size()));
   out.put_bytes(rle);
 }

@@ -99,12 +99,20 @@ std::size_t match_length(const byte_t* a, const byte_t* b, std::size_t limit) {
   return len;
 }
 
+/// Symbol counts of both alphabets, end-of-block included.
+struct TokenFreqs {
+  std::array<std::uint64_t, kLitLenAlphabet> lit{};
+  std::array<std::uint64_t, kDistAlphabet> dist{};
+};
+
 /// Greedy LZ77 parse in two passes. Pass 1 links every position that has
 /// three bytes into its hash chain, in order, so each position's chain holds
 /// exactly the earlier positions with its hash, nearest first, whatever the
 /// parse emits. Pass 2 parses: each search starts at the position's own
-/// `prev` entry and links nothing.
-std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
+/// `prev` entry and links nothing. Each token is counted in `freqs` as it
+/// is emitted.
+std::vector<std::uint32_t> tokenize(std::span<const byte_t> in,
+                                    TokenFreqs& freqs) {
   constexpr std::size_t kHashSize = 1u << 15;
   constexpr int kMaxChainProbes = 64;
   constexpr std::uint32_t kNone = 0xffffffffu;
@@ -159,13 +167,17 @@ std::vector<std::uint32_t> tokenize(std::span<const byte_t> in) {
       if (best_len >= kMinMatch) {
         tokens.push_back(kMatch | static_cast<std::uint32_t>(best_len << 16) |
                          static_cast<std::uint32_t>(best_dist));
+        ++freqs.lit[257 + kLengthCodeOf[best_len]];
+        ++freqs.dist[dist_code(static_cast<std::uint32_t>(best_dist))];
         i += best_len;
       } else {
         tokens.push_back(in[i]);
+        ++freqs.lit[in[i]];
         ++i;
       }
     }
   }
+  ++freqs.lit[kEob];
   return tokens;
 }
 
@@ -175,24 +187,12 @@ constexpr byte_t kFormatStored = 0;
 }  // namespace
 
 std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
-  const std::vector<std::uint32_t> tokens = tokenize(in);
+  TokenFreqs freqs;
+  const std::vector<std::uint32_t> tokens = tokenize(in, freqs);
   throw_if_stop_requested();
 
-  // Histogram both alphabets.
-  std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
-  std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);
-  for (const std::uint32_t t : tokens) {
-    if (t & kMatch) {
-      ++lit_freq[257 + kLengthCodeOf[(t >> 16) & 0x1ff]];
-      ++dist_freq[dist_code(t & 0xffff)];
-    } else {
-      ++lit_freq[t];
-    }
-  }
-  ++lit_freq[kEob];
-
-  const auto lit_lengths = huffman_code_lengths(lit_freq);
-  const auto dist_lengths = huffman_code_lengths(dist_freq);
+  const auto lit_lengths = huffman_code_lengths(freqs.lit);
+  const auto dist_lengths = huffman_code_lengths(freqs.dist);
 
   ByteWriter out;
   out.put(kFormatHuffman);
@@ -205,23 +205,27 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   // size, the bytes) is not coded; the stored copy goes out instead.
   std::uint64_t payload_bits = 0;
   for (unsigned s = 0; s < kLitLenAlphabet; ++s)
-    payload_bits += lit_freq[s] *
+    payload_bits += freqs.lit[s] *
                     (lit_lengths[s] +
                      (s > kEob ? kLengthCodes[s - 257].extra_bits : 0u));
   for (unsigned d = 0; d < kDistAlphabet; ++d)
-    payload_bits += dist_freq[d] * (dist_lengths[d] + kDistCodes[d].extra_bits);
-  if (out.size() + sizeof(std::uint64_t) + (payload_bits + 7) / 8 >=
-      in.size() + 9) {
+    payload_bits += freqs.dist[d] * (dist_lengths[d] + kDistCodes[d].extra_bits);
+  const std::uint64_t payload_bytes = (payload_bits + 7) / 8;
+  if (out.size() + sizeof(std::uint64_t) + payload_bytes >= in.size() + 9) {
     ByteWriter stored;
     stored.put(kFormatStored);
     stored.put(static_cast<std::uint64_t>(in.size()));
     stored.put_bytes(in);
     return std::move(stored).take();
   }
+  out.put(payload_bytes);
 
+  // The payload is coded straight after the header, into room reserved
+  // for exactly its size.
   const HuffmanEncoder lit_enc(lit_lengths);
   const HuffmanEncoder dist_enc(dist_lengths);
-  BitWriter bw;
+  BitWriter bw(std::move(out).take());
+  bw.reserve(payload_bytes);
   for (const std::uint32_t t : tokens) {
     if (t & kMatch) {
       const std::uint32_t length = (t >> 16) & 0x1ff;
@@ -237,10 +241,7 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
     }
   }
   lit_enc.encode(bw, kEob);
-  const auto payload = bw.finish();
-  out.put(static_cast<std::uint64_t>(payload.size()));
-  out.put_bytes(payload);
-  return std::move(out).take();
+  return bw.finish();
 }
 
 std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,

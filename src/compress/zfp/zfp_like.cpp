@@ -18,6 +18,10 @@ constexpr std::size_t kBlock = ZfpLikeCompressor::kBlockSize;
 
 enum BlockType : unsigned { kZero = 0, kCoded = 1, kRaw = 2 };
 
+/// Most bytes one block takes: a coded block's 20-bit header, then per
+/// coefficient a 7-bit plane count and up to 64 magnitude bits.
+constexpr std::size_t kMaxBlockBytes = (20 + kBlock * (7 + 64) + 7) / 8;
+
 using IBlock = std::array<std::int64_t, kBlock>;
 using DBlock = std::array<double, kBlock>;
 
@@ -203,6 +207,7 @@ std::vector<byte_t> ZfpLikeCompressor::compress(
       // aggressive first attempt, keeping the stream tight.
       for (const int guard_shift : {2, 4, 6}) {
         BitWriter trial;
+        trial.reserve(kMaxBlockBytes);
         const DBlock rec = encode_block(trial, x, eb_abs, guard_shift);
         bool ok = true;
         for (std::size_t i = 0; i < kBlock; ++i)

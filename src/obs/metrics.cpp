@@ -9,9 +9,12 @@ namespace lck::obs {
 namespace {
 
 /// Bucket exponent for a histogram value: the smallest k with 2^k >= v.
-/// Values <= 0 (possible for deltas or degenerate timings) get a sentinel
-/// bucket below every real one so they still count toward quantiles.
+/// Values <= 0 (possible for deltas or degenerate timings) and NaN get a
+/// sentinel bucket below every real one so they still count toward
+/// quantiles. Values above kLargestBound have no finite bound and get no
+/// bucket (see observe()).
 constexpr int kNonPositiveBucket = -1100;  // below 2^-1074 (min subnormal)
+constexpr double kLargestBound = 0x1p1023;
 
 int bucket_exponent(double v) noexcept {
   if (!(v > 0.0)) return kNonPositiveBucket;
@@ -294,7 +297,9 @@ void MetricsRegistry::observe(std::string_view name, double value,
   h.max = h.count == 0 ? value : std::max(h.max, value);
   ++h.count;
   h.sum += value;
-  ++h.buckets[bucket_exponent(value)];
+  // Above 2^1023, +inf included, the next bound would be 2^1024 = inf: such
+  // a value counts only in the `+Inf` line and `_count`.
+  if (!(value > kLargestBound)) ++h.buckets[bucket_exponent(value)];
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value,

@@ -80,7 +80,8 @@ struct HistogramSnapshot {
   double min = 0.0;  ///< Meaningless while count == 0.
   double max = 0.0;
   /// (upper bound, count) per non-empty power-of-two bucket, ascending.
-  /// Values <= 0 land in a bucket with upper bound 0.
+  /// Values <= 0 and NaN land in a bucket with upper bound 0; values above
+  /// 2^1023, +inf included, in none (they count only in `count`).
   std::vector<std::pair<double, std::uint64_t>> buckets;
 
   /// Quantile estimate (q in [0,1]) by linear interpolation inside the

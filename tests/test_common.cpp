@@ -15,6 +15,7 @@
 #include "common/byte_buffer.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/stop_request.hpp"
 #include "parallel/parallel_for.hpp"
@@ -296,6 +297,56 @@ TEST(BitIo, RandomWidthsMatchBitAtATimeReference) {
   }
 }
 
+TEST(BitIo, ReservedWriterAfterAPrefixMatchesReference) {
+  // deflate's use: a header already in the vector, then exactly the
+  // payload's bytes reserved, so the writer never grows.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<std::pair<std::uint64_t, unsigned>> writes(
+        1 + rng.uniform_index(2000));
+    RefBitWriter ref;
+    for (auto& [value, width] : writes) {
+      value = rng();
+      width = static_cast<unsigned>(rng.uniform_index(33));
+      ref.write(value, width);
+    }
+    const std::vector<byte_t> prefix(rng.uniform_index(40), byte_t{0xa5});
+    BitWriter w(prefix);
+    w.reserve(ref.buf.size());
+    for (const auto& [value, width] : writes) w.write_bits(value, width);
+    ASSERT_EQ(w.bit_count(), ref.nbits) << "seed " << seed;
+    const auto buf = w.finish();
+    // Exactly the reserved room: the prefix, the bytes, the 8-byte slack.
+    EXPECT_EQ(buf.capacity(), prefix.size() + ref.buf.size() + 8)
+        << "seed " << seed;
+    ASSERT_EQ(buf.size(), prefix.size() + ref.buf.size()) << "seed " << seed;
+    const std::vector<byte_t> head(buf.begin(), buf.begin() + prefix.size());
+    const std::vector<byte_t> bits(buf.begin() + prefix.size(), buf.end());
+    EXPECT_EQ(head, prefix) << "seed " << seed;
+    EXPECT_EQ(bits, ref.buf) << "seed " << seed;
+  }
+}
+
+TEST(BitIo, GrowingWriterWithZeroWidthWritesMatchesReference) {
+  // From empty through eleven doublings of the buffer (8, 24, 56, ...,
+  // 16,376 bytes), a zero-width write between most writes.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    BitWriter w;
+    RefBitWriter ref;
+    for (int k = 0; k < 5000; ++k) {
+      const std::uint64_t value = rng();
+      const auto width = static_cast<unsigned>(rng.uniform_index(65));
+      w.write_bits(value, width);
+      ref.write(value, width);
+      if (rng.uniform_index(4) != 0) w.write_bits(rng(), 0);
+      ASSERT_EQ(w.bit_count(), ref.nbits) << "seed " << seed;
+    }
+    ASSERT_GT(ref.buf.size(), std::size_t{16376});
+    ASSERT_EQ(w.finish(), ref.buf) << "seed " << seed;
+  }
+}
+
 TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE reference value).
   const char* s = "123456789";
@@ -375,22 +426,28 @@ class ByteLoopCrc {
 template <class Crc, class Word>
 void expect_matches_byte_loop(Word poly) {
   const ByteLoopCrc<Word> ref(poly);
-  std::vector<byte_t> data(300 + 7);
+  constexpr std::size_t kMaxLen = 1100;
+  std::vector<byte_t> data(110592);
   Rng rng(sizeof(Word));
   for (auto& b : data) b = static_cast<byte_t>(rng());
   const std::span<const byte_t> all(data);
-  // Every length at every start offset: the eight-byte loads start at
-  // every alignment and leave every tail length.
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 300; ++len) {
+  // Every length at every start offset: the eight-byte table steps and
+  // CRC-32's 16-byte loads start at every alignment, spans reach the
+  // 64-byte fold and its 16-byte folds, and every tail length is left.
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
       const auto s = all.subspan(offset, len);
       Crc c;
       c.update(s);
       ASSERT_EQ(c.value(), ref(s)) << "offset " << offset << ", length " << len;
     }
   }
+  // One checkpoint vector's worth (13,824 doubles).
+  Crc big;
+  big.update(all);
+  EXPECT_EQ(big.value(), ref(all));
   // One input fed to two update calls, split at every point.
-  const auto whole = all.first(300);
+  const auto whole = all.first(kMaxLen);
   for (std::size_t split = 0; split <= whole.size(); ++split) {
     Crc c;
     c.update(whole.first(split));
@@ -400,7 +457,18 @@ void expect_matches_byte_loop(Word poly) {
 }
 
 TEST(Crc32, EqualsByteAtATimeLoopAtEveryLengthOffsetAndSplit) {
-  expect_matches_byte_loop<Crc32>(0xedb88320u);
+  // Under every tier this CPU runs: the tables alone (scalar, SSE2) and
+  // the carry-less-multiply fold (AVX2 and AVX-512, where CPUID reports
+  // PCLMULQDQ).
+  struct IsaGuard {
+    ~IsaGuard() { simd::reset_isa(); }
+  } guard;
+  for (int i = 0; i <= static_cast<int>(simd::supported_isa()); ++i) {
+    const auto isa = static_cast<simd::Isa>(i);
+    simd::force_isa(isa);
+    SCOPED_TRACE(simd::isa_name(isa));
+    expect_matches_byte_loop<Crc32>(0xedb88320u);
+  }
 }
 
 TEST(Crc64, EqualsByteAtATimeLoopAtEveryLengthOffsetAndSplit) {

@@ -95,6 +95,43 @@ TEST(Metrics, HistogramBucketBoundaries) {
   EXPECT_EQ(h->buckets, want);
 }
 
+TEST(Metrics, ValuesAboveTheLargestFiniteBoundCountOnlyUnderInf) {
+  obs::MetricsRegistry reg;
+  reg.observe("h", 1e308);  // above 2^1023: the next bound would be inf
+  reg.observe("h", std::numeric_limits<double>::infinity());
+  reg.observe("h", 0x1p1023);  // its own, finite, bound
+  reg.observe("h", 3.0);
+  const auto snap = reg.snapshot();
+  const auto* h = snap.histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 4u);
+  const std::vector<std::pair<double, std::uint64_t>> want{{4.0, 1},
+                                                           {0x1p1023, 1}};
+  EXPECT_EQ(h->buckets, want);
+  for (const auto& [upper, n] : h->buckets) EXPECT_TRUE(std::isfinite(upper));
+  EXPECT_EQ(h->quantile(1.0), std::numeric_limits<double>::infinity());
+
+  const std::string prom = snap.to_prometheus();
+  std::size_t inf_lines = 0;
+  for (std::size_t at = prom.find("le=\"+Inf\""); at != std::string::npos;
+       at = prom.find("le=\"+Inf\"", at + 1))
+    ++inf_lines;
+  EXPECT_EQ(inf_lines, 1u) << prom;
+  EXPECT_NE(prom.find("h_bucket{le=\"4\"} 1\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("h_bucket{le=\"+Inf\"} 4\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("h_count 4\n"), std::string::npos) << prom;
+  EXPECT_EQ(snap.to_json().find("[null"), std::string::npos);
+
+  // NaN stays in the bucket it always had, with bound 0.
+  obs::MetricsRegistry nan_reg;
+  nan_reg.observe("h", std::numeric_limits<double>::quiet_NaN());
+  const auto nan_snap = nan_reg.snapshot();
+  const auto* nan_h = nan_snap.histogram("h");
+  ASSERT_NE(nan_h, nullptr);
+  const std::vector<std::pair<double, std::uint64_t>> nan_want{{0.0, 1}};
+  EXPECT_EQ(nan_h->buckets, nan_want);
+}
+
 TEST(Metrics, LabelOrderDoesNotSplitSeries) {
   obs::MetricsRegistry reg;
   reg.add("x", 1.0, {{"tier", "L2"}, {"codec", "sz"}});
