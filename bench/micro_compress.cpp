@@ -136,10 +136,11 @@ void bm_huffman_encode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
-/// BitWriter alone, on the two write patterns of the codecs: one-bit writes
-/// (a bit plane, or the log transform's sign and zero bitsets), 2^19 of
-/// them, and writes as wide as the Huffman codes of 65,536 SZ-like symbols.
-/// The values carry random bits above their width, which the writer drops.
+/// BitWriter alone on two write patterns: one-bit writes, 2^19 of them, as
+/// a coder emitting a bit plane bit by bit makes them (no codec here does:
+/// the log transform's sign and zero bitsets pack their own bytes), and
+/// writes as wide as the Huffman codes of 65,536 SZ-like symbols. The
+/// values carry random bits above their width, which the writer drops.
 void bm_bitwriter(benchmark::State& state, bool one_bit) {
   const auto symbols = huffman_symbols();
   const auto lengths = huffman_lengths(symbols);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,11 +33,9 @@ class BitWriter {
   BitWriter& operator=(const BitWriter&) = delete;
 
   /// Continue after the bytes of `prefix`: they stay at the front of the
-  /// vector finish() returns, and bit_count() does not count them.
+  /// vector finish() returns, and bit_count() counts them.
   explicit BitWriter(std::vector<byte_t> prefix)
-      : buf_(std::move(prefix)),
-        cur_(buf_.data() + buf_.size()),
-        start_(buf_.size()) {}
+      : buf_(std::move(prefix)), cur_(buf_.data() + buf_.size()) {}
 
   /// Make room for `bytes` more bytes of output, so writing them never
   /// grows the buffer.
@@ -71,15 +70,14 @@ class BitWriter {
   [[nodiscard]] std::vector<byte_t> finish() {
     buf_.resize(cur_ - buf_.data() + (nacc_ != 0 ? 1 : 0));
     cur_ = nullptr;
-    start_ = 0;
     acc_ = 0;
     nacc_ = 0;
     return std::move(buf_);
   }
 
-  /// Number of bits written so far.
+  /// Number of bits written so far, a prefix's included.
   [[nodiscard]] std::size_t bit_count() const noexcept {
-    return (cur_ - buf_.data() - start_) * 8 + nacc_;
+    return (cur_ - buf_.data()) * 8 + nacc_;
   }
 
  private:
@@ -124,7 +122,6 @@ class BitWriter {
 
   std::vector<byte_t> buf_;  // written up to cur_, then kSlack bytes or more
   byte_t* cur_ = nullptr;    // the byte the pending bits go to
-  std::size_t start_ = 0;    // where this writer's bits begin
   std::uint64_t acc_ = 0;    // the low nacc_ bits are pending output
   unsigned nacc_ = 0;        // < 8 between calls
 };

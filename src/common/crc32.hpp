@@ -41,10 +41,8 @@ class ReflectedCrc {
     const byte_t* p = data.data();
     std::size_t n = data.size();
     if constexpr (std::is_same_v<Word, std::uint32_t> && kPoly == 0xedb88320u) {
-      // ops() throws only on an invalid LCK_FORCE_ISA; here that
-      // config_error ends the process.
       if (n >= 64) {
-        if (const auto fold = simd::ops().crc32_fold) {
+        if (const auto fold = simd::active_crc32_fold()) {
           const std::size_t whole = n & ~std::size_t{15};
           c = fold(c, p, whole);
           p += whole;

@@ -123,6 +123,14 @@ const KernelOps& ops() {
   return *p;
 }
 
+decltype(KernelOps::crc32_fold) active_crc32_fold() noexcept {
+  try {
+    return ops().crc32_fold;
+  } catch (...) {
+    return nullptr;
+  }
+}
+
 Isa active_isa() { return ops().isa; }
 
 void force_isa(Isa isa) {

@@ -177,6 +177,11 @@ struct KernelOps {
 /// Kernel table of the active ISA (one-time dispatch; see active_isa()).
 [[nodiscard]] const KernelOps& ops();
 
+/// The active table's `crc32_fold`, or null where it has none or where an
+/// invalid LCK_FORCE_ISA makes ops() throw: CRC-32 then stays on its
+/// tables, and the next dispatched kernel reports the override.
+[[nodiscard]] decltype(KernelOps::crc32_fold) active_crc32_fold() noexcept;
+
 /// Kernel table of a specific compiled tier. Throws config_error if the
 /// binary does not carry that backend; the caller is responsible for
 /// checking supported_isa() before *executing* kernels from a tier above

@@ -314,7 +314,7 @@ TEST(BitIo, ReservedWriterAfterAPrefixMatchesReference) {
     BitWriter w(prefix);
     w.reserve(ref.buf.size());
     for (const auto& [value, width] : writes) w.write_bits(value, width);
-    ASSERT_EQ(w.bit_count(), ref.nbits) << "seed " << seed;
+    ASSERT_EQ(w.bit_count(), 8 * prefix.size() + ref.nbits) << "seed " << seed;
     const auto buf = w.finish();
     // Exactly the reserved room: the prefix, the bytes, the 8-byte slack.
     EXPECT_EQ(buf.capacity(), prefix.size() + ref.buf.size() + 8)

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/compressor.hpp"
@@ -132,6 +133,10 @@ TEST(Dispatch, EnvForceIsaOverridesAndStrictParses) {
   const char* prev = std::getenv("LCK_FORCE_ISA");
   const std::string saved = prev != nullptr ? prev : "";
   const bool had = prev != nullptr;
+  std::vector<byte_t> data(1000);
+  Rng rng(3);
+  for (auto& b : data) b = static_cast<byte_t>(rng());
+  const std::uint32_t want = crc32(data);
 
   ::setenv("LCK_FORCE_ISA", "scalar", 1);
   simd::reset_isa();
@@ -147,6 +152,10 @@ TEST(Dispatch, EnvForceIsaOverridesAndStrictParses) {
               std::string::npos)
         << e.what();
   }
+  // CRC-32, which cannot throw, stays on its tables instead of ending the
+  // process.
+  EXPECT_EQ(simd::active_crc32_fold(), nullptr);
+  EXPECT_EQ(crc32(data), want);
 
   if (had)
     ::setenv("LCK_FORCE_ISA", saved.c_str(), 1);
