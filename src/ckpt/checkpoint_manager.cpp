@@ -114,10 +114,10 @@ const char* to_string(CkptMode m) noexcept {
 }
 
 CheckpointManager::CheckpointManager(std::unique_ptr<CheckpointStore> store,
-                                     const Compressor* default_compressor)
-    : store_(std::move(store)), default_compressor_(default_compressor) {
+                                     const Compressor* codec)
+    : store_(std::move(store)), codec_(codec) {
   require(store_ != nullptr, "checkpoint manager: null store");
-  if (default_compressor_ == nullptr) default_compressor_ = &none_;
+  require(codec_ != nullptr, "checkpoint manager: null codec");
   next_version_ = store_->latest_version() + 1;
 }
 
@@ -132,29 +132,24 @@ CheckpointManager::~CheckpointManager() {
   }
 }
 
-void CheckpointManager::protect(int id, std::string name, Vector* data,
-                                const Compressor* compressor) {
-  protect(id, std::move(name), data, data, compressor);
+void CheckpointManager::protect(int id, std::string name, Vector* data) {
+  protect(id, std::move(name), data, data);
 }
 
 void CheckpointManager::protect(int id, std::string name, const Vector* source,
-                                Vector* restore_target,
-                                const Compressor* compressor) {
+                                Vector* restore_target) {
   require(source != nullptr, "protect: null source");
   require(restore_target != nullptr, "protect: null restore target");
   require(!entries_.contains(id), "protect: id already registered");
-  entries_[id] = Entry{std::move(name), source, restore_target, nullptr,
-                       compressor};
+  entries_[id] = Entry{std::move(name), source, restore_target, nullptr};
 }
 
 void CheckpointManager::protect_blob(int id, std::string name,
                                      std::vector<byte_t>* data) {
   require(data != nullptr, "protect_blob: null variable");
   require(!entries_.contains(id), "protect_blob: id already registered");
-  entries_[id] = Entry{std::move(name), nullptr, nullptr, data, nullptr};
+  entries_[id] = Entry{std::move(name), nullptr, nullptr, data};
 }
-
-void CheckpointManager::unprotect(int id) { entries_.erase(id); }
 
 void CheckpointManager::set_observability(obs::Sink sink) {
   sink_ = sink;
@@ -163,7 +158,11 @@ void CheckpointManager::set_observability(obs::Sink sink) {
 
 CheckpointRecord CheckpointManager::write_stream(
     const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
-    ChunkBaseState* state, ByteSink& sink) {
+    ChunkBaseState* state) {
+  // Frames flow straight into the store's pending sink, so the stream is
+  // never materialized. A throwing codec or a stop leaves the part-written
+  // sink to clean up in its destructor.
+  const auto sink = store_->open_write_pending(version);
   CheckpointRecord rec;
   rec.version = version;
   rec.base_version = base != nullptr ? base->version : -1;
@@ -171,6 +170,9 @@ CheckpointRecord CheckpointManager::write_stream(
   const std::size_t chunk_elems =
       state != nullptr ? state->chunk_elems : kChunkElems;
   const auto lanes = static_cast<std::size_t>(num_threads());
+  // The `none` codec's chunks are stored as raw frames, every other codec's
+  // as its own payloads.
+  const bool verbatim = dynamic_cast<const NoneCompressor*>(codec_) != nullptr;
 
   // Plan every vector first: canonical geometry (a one-chunk vector
   // records its own length as the chunk size, so every header field is
@@ -178,7 +180,6 @@ CheckpointRecord CheckpointManager::write_stream(
   // chunks are references.
   struct VecPlan {
     ChunkGeometry geo{0, 1};
-    bool verbatim = false;
     std::vector<std::uint64_t> hashes;  // delta mode only
     std::vector<std::uint8_t> is_ref;
   };
@@ -200,8 +201,6 @@ CheckpointRecord CheckpointManager::write_stream(
     plan.geo = ChunkGeometry(
         vec->size(),
         std::min(chunk_elems, std::max<std::size_t>(vec->size(), 1)));
-    plan.verbatim =
-        dynamic_cast<const NoneCompressor*>(vars[k].compressor) != nullptr;
     plan.is_ref.assign(plan.geo.count(), 0);
     if (state == nullptr) continue;
     plan.hashes.resize(plan.geo.count());
@@ -221,9 +220,7 @@ CheckpointRecord CheckpointManager::write_stream(
     if (vars[k].vec == nullptr) continue;
     VecPlan& plan = plans[k];
     const auto* base_hashes =
-        base != nullptr
-            ? base->hashes_for(vars[k].id, vars[k].compressor->name())
-            : nullptr;
+        base != nullptr ? base->hashes_for(vars[k].id) : nullptr;
     std::unordered_set<std::uint64_t> available;
     if (base_hashes != nullptr)
       available.insert(base_hashes->begin(), base_hashes->end());
@@ -236,17 +233,16 @@ CheckpointRecord CheckpointManager::write_stream(
   // chunk's doubles, so the stream is deterministic and at most one batch
   // of payloads is alive.
   std::vector<ChunkAt> literals;
-  for (std::size_t k = 0; k < vars.size(); ++k)
+  for (std::size_t k = 0; k < vars.size() && !verbatim; ++k)
     for (std::size_t c = 0; c < plans[k].is_ref.size(); ++c)
-      if (!plans[k].verbatim && plans[k].is_ref[c] == 0)
-        literals.push_back({k, c});
+      if (plans[k].is_ref[c] == 0) literals.push_back({k, c});
   const std::size_t batch = 2 * lanes;
   std::vector<std::vector<byte_t>> payloads(std::min(batch, literals.size()));
   std::vector<double> seconds(payloads.size());
   std::size_t first = 0;  // entry of `literals` in payloads[0]
   std::size_t ready = 0;  // entries of `literals` compressed so far
   std::size_t next = 0;   // next entry of `literals` to write
-  FrameWriter out(sink, rec.base_version, rec.chain_len, sink_);
+  FrameWriter out(*sink, rec.base_version, rec.chain_len, sink_);
   out.put(static_cast<std::uint32_t>(vars.size()));
   for (std::size_t k = 0; k < vars.size(); ++k) {
     const VarView& var = vars[k];
@@ -259,11 +255,10 @@ CheckpointRecord CheckpointManager::write_stream(
       rec.raw_bytes += var.blob->size();
       continue;
     }
-    const Compressor& comp = *var.compressor;
     VecPlan& plan = plans[k];
     const std::size_t count = plan.geo.count();
     out.put(static_cast<std::uint8_t>(VarKind::kVector));
-    out.put_string(comp.name());
+    out.put_string(codec_->name());
     out.put(static_cast<std::uint64_t>(plan.geo.elems));
     out.put(static_cast<std::uint64_t>(plan.geo.chunk_elems));
     out.put(static_cast<std::uint32_t>(count));
@@ -282,7 +277,7 @@ CheckpointRecord CheckpointManager::write_stream(
         ++refs;
         continue;
       }
-      if (plan.verbatim) {
+      if (verbatim) {
         out.put_raw_chunk(
             {reinterpret_cast<const byte_t*>(s.data()), s.size_bytes()}, hash);
         continue;
@@ -293,7 +288,7 @@ CheckpointRecord CheckpointManager::write_stream(
         lanes_.run(lanes, ready - first, [&](std::size_t i) {
           const ChunkAt at = literals[first + i];
           const WallTimer timer;
-          payloads[i] = vars[at.var].compressor->compress(slice(at));
+          payloads[i] = codec_->compress(slice(at));
           seconds[i] = timer.seconds();
         });
       }
@@ -304,17 +299,19 @@ CheckpointRecord CheckpointManager::write_stream(
       comp_seconds += seconds[next - first];
       ++next;
     }
-    if (!plan.verbatim)
-      observe_compress(sink_, comp, literal_bytes, payload_bytes,
+    if (!verbatim)
+      observe_compress(sink_, *codec_, literal_bytes, payload_bytes,
                        comp_seconds);
     if (state != nullptr) {
-      state->vars.push_back({var.id, comp.name(), std::move(plan.hashes)});
+      state->vars.push_back({var.id, std::move(plan.hashes)});
       rec.chunks += count;
       rec.chunks_deduped += refs;
     }
   }
   out.finish();
   rec.stored_bytes = out.stream_bytes();
+  throw_if_stop_requested();
+  sink->finish();
   return rec;
 }
 
@@ -394,6 +391,16 @@ CheckpointManager::new_delta_state(int version,
   return state;
 }
 
+void CheckpointManager::commit(const CheckpointRecord& rec,
+                               const std::shared_ptr<ChunkBaseState>& state) {
+  store_->commit(rec.version);
+  if (state != nullptr) {
+    base_of_[rec.version] = rec.base_version;
+    committed_state_ = state;
+  }
+  prune_retention(rec.version);
+}
+
 CheckpointRecord CheckpointManager::checkpoint() {
   require(!entries_.empty(), "checkpoint: nothing protected");
   require(!in_flight_,
@@ -401,30 +408,14 @@ CheckpointRecord CheckpointManager::checkpoint() {
           "abort_version()");
   std::vector<VarView> views;
   views.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) {
-    VarView v;
-    v.id = id;
-    v.name = &e.name;
-    v.vec = e.src;
-    v.blob = e.blob;
-    v.compressor = compressor_for(e);
-    views.push_back(v);
-  }
-  // Stream frames straight into the store's staging sink and promote on
-  // success — the synchronous fusion of write_pending + commit, with peak
-  // memory bounded by the frame writer, not the checkpoint size.
+  for (const auto& [id, e] : entries_)
+    views.push_back({id, &e.name, e.src, e.blob});
+  // The drain's write and commit, fused on the calling thread.
   const auto base = pick_delta_base();
   const auto state = new_delta_state(next_version_, base.get());
-  auto sink = store_->open_write_pending(next_version_);
   const CheckpointRecord rec =
-      write_stream(views, next_version_, base.get(), state.get(), *sink);
-  sink->finish();
-  store_->commit(rec.version);
-  if (state != nullptr) {
-    base_of_[rec.version] = rec.base_version;
-    committed_state_ = state;
-  }
-  prune_retention(rec.version);
+      write_stream(views, next_version_, base.get(), state.get());
+  commit(rec, state);
   ++next_version_;
   return rec;
 }
@@ -441,23 +432,23 @@ StageTicket CheckpointManager::stage() {
   WallTimer timer;
   StageTicket ticket;
   // Copy-assign into the existing StagedVars so each round reuses the
-  // previous round's allocations.
+  // previous round's allocations. The views point at the copies and at the
+  // names in entries_, whose nodes live as long as the manager.
   staged_.resize(entries_.size());
+  std::vector<VarView> views;
+  views.reserve(entries_.size());
   std::size_t k = 0;
   for (const auto& [id, e] : entries_) {
     StagedVar& sv = staged_[k++];
-    sv.id = id;
-    sv.name = e.name;
-    sv.compressor = compressor_for(e);
     if (e.src != nullptr) {
-      sv.is_vector = true;
       sv.vec = *e.src;
       sv.blob.clear();
+      views.push_back({id, &e.name, &sv.vec, nullptr});
       ticket.raw_bytes += e.src->size() * sizeof(double);
     } else {
-      sv.is_vector = false;
       sv.blob = *e.blob;
       sv.vec.clear();
+      views.push_back({id, &e.name, nullptr, &sv.blob});
       ticket.raw_bytes += e.blob->size();
     }
   }
@@ -476,31 +467,13 @@ StageTicket CheckpointManager::stage() {
   const auto base = pick_delta_base();
   const auto state = new_delta_state(version, base.get());
   stop_drain_ = false;
-  auto drain = [this, version, base, state] {
+  auto drain = [this, version, base, state, views = std::move(views)] {
     const StopScope scope(&stop_drain_);
-    const WallTimer job_timer;  // Runs on the worker thread; registry shards.
-    std::vector<VarView> views;
-    views.reserve(staged_.size());
-    for (const auto& sv : staged_) {
-      VarView v;
-      v.id = sv.id;
-      v.name = &sv.name;
-      if (sv.is_vector)
-        v.vec = &sv.vec;
-      else
-        v.blob = &sv.blob;
-      v.compressor = sv.compressor;
-      views.push_back(v);
-    }
-    // Frames flow straight into the store sink: the stream is never
-    // materialized, so the staged copy is the only full-size buffer alive.
-    // A throwing compressor or a stop leaves the part-written sink to clean
-    // up in its destructor, and the error to the future.
-    const auto sink = store_->open_write_pending(version);
+    const WallTimer job_timer;
+    // The staged copy is the only full-size buffer alive; a failed or
+    // stopped write leaves its error to the future.
     CheckpointRecord rec =
-        write_stream(views, version, base.get(), state.get(), *sink);
-    throw_if_stop_requested();
-    sink->finish();
+        write_stream(views, version, base.get(), state.get());
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
@@ -522,17 +495,11 @@ CheckpointRecord CheckpointManager::wait_drain(int version) {
 
 void CheckpointManager::commit_version(int version) {
   const CheckpointRecord rec = wait_drain(version);
-  store_->commit(version);
   // The drain joined above, so the hashes it wrote into the state
-  // happened-before this read.
-  if (in_flight_->state != nullptr) {
-    base_of_[version] = rec.base_version;
-    committed_state_ = std::move(in_flight_->state);
-  }
+  // happened-before this read. Nothing else commits while a version is
+  // staged, so `version` is the newest committed one.
+  commit(rec, in_flight_->state);
   in_flight_.reset();
-  // Nothing else commits while a version is staged, so `version` is the
-  // newest committed one.
-  prune_retention(version);
 }
 
 void CheckpointManager::abort_version(int version) {
@@ -577,21 +544,45 @@ CheckpointRecord CheckpointManager::recover() {
   rec.version = version;
   const WallTimer timer;
 
-  // References the stream cannot resolve itself, keyed by (variable id,
-  // content hash): the target slices waiting for a base's literal chunk.
+  // References not filled yet, keyed by (variable id, content hash): the
+  // target slices waiting for a literal chunk with that content.
   struct Slot {
     std::size_t begin = 0;
     std::size_t len = 0;
   };
-  std::map<std::pair<int, std::uint64_t>, std::vector<Slot>> pending;
-  {
-    auto src = store_->open_read(version);
+  using Pending = std::map<std::pair<int, std::uint64_t>, std::vector<Slot>>;
+  Pending pending;
+  // Copy a literal's decoded doubles into every slice waiting on its
+  // content, and retire the wait.
+  const auto fill = [&](Pending::iterator p, std::span<const double> from) {
+    const Entry& e = entries_.at(p->first.first);
+    for (const Slot& s : p->second) {
+      if (s.len != from.size() || s.begin + s.len > e.dst->size())
+        throw corrupt_stream_error("recover: reference length mismatch");
+      const std::span<double> out{e.dst->data() + s.begin, s.len};
+      std::copy(from.begin(), from.end(), out.begin());
+      verify_ref_hash(*codec_, out, p->first.second, e.name);
+    }
+    pending.erase(p);
+  };
+  Vector decoded;  // a base's literal, before fill() copies it
+
+  // One walk down the chain: the tip restores every variable, its
+  // references to literals earlier in the same vector included; each base
+  // after it, nearest first, is read only for the literals that references
+  // still wait on.
+  int v = version;
+  std::uint32_t chain_len = 0;
+  for (bool tip = true;; tip = false) {
+    auto src = store_->open_read(v);
     FrameReader in(*src);
-    rec.base_version = in.base_version();
-    rec.chain_len = in.chain_len();
-    if (rec.base_version >= version)
-      throw corrupt_stream_error("recover: delta base does not precede " +
-                                 std::to_string(version));
+    if (in.base_version() >= v || (!tip && in.chain_len() + 1 != chain_len))
+      throw corrupt_stream_error("recover: delta chain links disagree at " +
+                                 std::to_string(v));
+    if (tip) {
+      rec.base_version = in.base_version();
+      rec.chain_len = in.chain_len();
+    }
     const auto count = in.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto id = in.get<std::int32_t>();
@@ -606,8 +597,12 @@ CheckpointRecord CheckpointManager::recover() {
         if (e.blob == nullptr)
           throw corrupt_stream_error("recover: variable " + name +
                                      " is a blob in the stream, not a vector");
-        read_blob(in, *e.blob);
-        rec.raw_bytes += e.blob->size();
+        if (tip) {
+          read_blob(in, *e.blob);
+          rec.raw_bytes += e.blob->size();
+        } else {
+          in.skip(in.get<std::uint64_t>());
+        }
         continue;
       }
       if (kind != VarKind::kVector)
@@ -615,109 +610,66 @@ CheckpointRecord CheckpointManager::recover() {
       if (e.dst == nullptr)
         throw corrupt_stream_error("recover: variable " + name +
                                    " is a vector in the stream, not a blob");
-      const Compressor& comp = *compressor_for(e);
+      // Each payload was produced by the codec its stream records; another
+      // decoder would corrupt state silently.
       const VectorHeader h = read_vector_header(in);
-      if (comp.name() != h.codec)
+      if (codec_->name() != h.codec)
         throw corrupt_stream_error(
             "recover: compressor mismatch for variable " + name + " (stored " +
-            h.codec + ", registered " + comp.name() + ")");
+            h.codec + ", registered " + codec_->name() + ")");
       // The target grows only as chunk frames arrive, so a corrupt
       // elem_count cannot demand more memory than the stream backs.
       Vector& dst = *e.dst;
-      if (dst.size() > h.geo.elems || h.geo.elems <= dst.capacity())
+      if (tip && (dst.size() > h.geo.elems || h.geo.elems <= dst.capacity()))
         dst.resize(h.geo.elems);
       std::unordered_map<std::uint64_t, std::size_t> literals;  // hash → chunk
       for (std::size_t c = 0; c < h.geo.count(); ++c) {
         const std::size_t begin = h.geo.begin(c);
         const std::size_t len = h.geo.length(c);
-        if (dst.size() < begin + len) dst.resize(begin + len);
         const auto chunk = in.next_chunk(len * sizeof(double));
-        const std::span<double> out{dst.data() + begin, len};
-        if (chunk.style != FrameStyle::kRef) {
-          decode_chunk(comp, chunk, out);
-          literals.emplace(chunk.hash, c);
+        if (!tip) {
+          if (chunk.style == FrameStyle::kRef) continue;
+          const auto p = pending.find({id, chunk.hash});
+          if (p == pending.end()) continue;
+          decoded.resize(len);
+          decode_chunk(*codec_, chunk, decoded);
+          fill(p, decoded);
           continue;
         }
-        ++rec.chunks_deduped;
-        const auto lit = literals.find(chunk.hash);
-        if (lit == literals.end()) {
+        if (dst.size() < begin + len) dst.resize(begin + len);
+        if (chunk.style == FrameStyle::kRef) {
+          ++rec.chunks_deduped;
           pending[{id, chunk.hash}].push_back({begin, len});
           continue;
         }
-        // Within-stream duplicate: the literal's decoded doubles are exactly
-        // what decoding its payload again would give.
-        if (h.geo.length(lit->second) != len)
-          throw corrupt_stream_error("recover: reference length mismatch");
-        std::copy_n(dst.data() + h.geo.begin(lit->second), len, out.data());
-        verify_ref_hash(comp, out, chunk.hash, e.name);
+        decode_chunk(*codec_, chunk, {dst.data() + begin, len});
+        literals.emplace(chunk.hash, c);
+      }
+      if (!tip) continue;
+      // References to a literal earlier in the vector: its decoded doubles
+      // are exactly what decoding its payload again would give.
+      for (auto p = pending.lower_bound({id, 0});
+           p != pending.end() && p->first.first == id;) {
+        const auto lit = literals.find(p->first.second);
+        const auto next = std::next(p);
+        if (lit != literals.end())
+          fill(p, {dst.data() + h.geo.begin(lit->second),
+                   h.geo.length(lit->second)});
+        p = next;
       }
       rec.chunks += h.geo.count();
       rec.raw_bytes += h.geo.elems * sizeof(double);
     }
     in.expect_end();
-    rec.stored_bytes = in.stream_bytes();
-  }
-
-  // Chain walk: each base is read once, nearest first, and every literal it
-  // holds for a pending (variable, hash) is decoded straight into the
-  // waiting slices.
-  int base = rec.base_version;
-  std::uint32_t chain_len = rec.chain_len;
-  while (!pending.empty()) {
-    if (base < 0)
+    rec.stored_bytes += in.stream_bytes();
+    if (pending.empty()) break;
+    v = in.base_version();
+    chain_len = in.chain_len();
+    if (v < 0)
       throw corrupt_stream_error(
           "recover: delta chain is missing chunks for variable id " +
           std::to_string(pending.begin()->first.first) +
           " (base checkpoint pruned or invalidated?)");
-    auto src = store_->open_read(base);
-    FrameReader in(*src);
-    if (in.chain_len() + 1 != chain_len || in.base_version() >= base)
-      throw corrupt_stream_error("recover: delta chain links disagree at " +
-                                 std::to_string(base));
-    const auto count = in.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto id = in.get<std::int32_t>();
-      (void)in.get_string();
-      const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
-      if (kind == VarKind::kBlob) {
-        in.skip(in.get<std::uint64_t>());
-        continue;
-      }
-      if (kind != VarKind::kVector)
-        throw corrupt_stream_error("recover: unknown variable kind");
-      const VectorHeader h = read_vector_header(in);
-      const auto first = pending.lower_bound({id, 0});
-      const bool wanted = first != pending.end() && first->first.first == id;
-      for (std::size_t c = 0; c < h.geo.count(); ++c) {
-        const auto chunk = in.next_chunk(h.geo.length(c) * sizeof(double));
-        if (!wanted || chunk.style == FrameStyle::kRef) continue;
-        const auto p = pending.find({id, chunk.hash});
-        if (p == pending.end()) continue;
-        // The base's payloads were produced by the compressor recorded in
-        // *its* stream; feeding them to a different registered decoder
-        // (compressor swapped mid-chain via unprotect/protect) would
-        // corrupt state silently.
-        const Entry& e = entries_.at(id);
-        const Compressor& comp = *compressor_for(e);
-        if (comp.name() != h.codec)
-          throw corrupt_stream_error(
-              "recover: compressor mismatch in delta chain for variable " +
-              e.name + " (base stored " + h.codec + ", registered " +
-              comp.name() + ")");
-        for (const Slot& s : p->second) {
-          if (s.len != h.geo.length(c))
-            throw corrupt_stream_error("recover: reference length mismatch");
-          const std::span<double> out{e.dst->data() + s.begin, s.len};
-          decode_chunk(comp, chunk, out);
-          verify_ref_hash(comp, out, chunk.hash, e.name);
-        }
-        pending.erase(p);
-      }
-    }
-    in.expect_end();
-    rec.stored_bytes += in.stream_bytes();
-    base = in.base_version();
-    chain_len = in.chain_len();
   }
 
   if (sink_.metrics != nullptr)

@@ -2,12 +2,15 @@
 /// \file checkpoint_manager.hpp
 /// \brief FTI-like checkpoint/restart API (paper §4.2 workflow):
 ///        Protect() registers variables, Checkpoint() saves them,
-///        Recover() restores them — with a pluggable compressor per
-///        variable and CRC-32 integrity on every payload.
+///        Recover() restores them — with one codec for every vector, as
+///        each of the paper's schemes uses, and CRC-32 integrity on every
+///        payload.
 ///
-/// Two write paths share one serialization core:
-///  - checkpoint() — the synchronous path (CkptMode::kSync): compress +
-///    write + commit inline, blocking the caller for the full duration.
+/// Two ways to checkpoint share one write step (open the store's pending
+/// sink, write the stream, seal it) and one commit step (commit in the
+/// store, install the delta base, prune to retention):
+///  - checkpoint() — the synchronous path (CkptMode::kSync): write + commit
+///    inline, on the calling thread, blocking it for the full duration.
 ///  - stage() / wait_drain() / commit_version() / abort_version() — the
 ///    staged pipeline (CkptMode::kAsync): stage() memcpys the protected
 ///    variables into the staged copy and returns immediately; the manager's
@@ -23,7 +26,6 @@
 ///    next check — before each chunk it writes, and every 4 KiB inside
 ///    deflate's match finder on every lane.
 
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -62,24 +64,24 @@ struct StageTicket {
 /// Checkpoint manager in the style of FTI: variables are registered once
 /// with Protect(), then Checkpoint()/Recover() move all of them at once.
 ///
-/// Double-array variables go through the configured compressor (per-variable
-/// override possible: the lossy scheme compresses only the solution vector,
-/// while scalar/state blobs are stored verbatim).
+/// Every double-array variable goes through the manager's one codec, and
+/// byte blobs (scalar/solver state) are stored verbatim. The lossy scheme
+/// protects only the solution vector, so SZ sees nothing else; the
+/// traditional scheme passes the `none` codec, whose chunks are stored as
+/// raw frames.
 class CheckpointManager {
  public:
-  /// `default_compressor` applies to every protected vector without an
-  /// override; not owned, may be mutated between checkpoints (adaptive
-  /// error bounds) — but never while a drain is in flight.
+  /// `codec` compresses every protected vector; not owned, must not be
+  /// null. It may be mutated between checkpoints (adaptive error bounds),
+  /// but never while a drain is in flight.
   CheckpointManager(std::unique_ptr<CheckpointStore> store,
-                    const Compressor* default_compressor);
+                    const Compressor* codec);
   /// Rolls back a version still in flight as abort_version() does: stops
   /// its drain at the next check, joins it and drops its pending blob.
   ~CheckpointManager();
 
   /// FTI Protect(): register a double-vector variable under a unique id.
-  /// Passing a per-variable compressor overrides the default.
-  void protect(int id, std::string name, Vector* data,
-               const Compressor* compressor = nullptr);
+  void protect(int id, std::string name, Vector* data);
 
   /// Protect with a split source/target: checkpoints read from `source`
   /// (e.g. the solver's live solution vector — no intermediate copy), while
@@ -88,14 +90,11 @@ class CheckpointManager {
   /// synchronous checkpoint() or a stage() call (the staging copy snapshots
   /// it; afterwards it is free to change).
   void protect(int id, std::string name, const Vector* source,
-               Vector* restore_target, const Compressor* compressor = nullptr);
+               Vector* restore_target);
 
   /// Register an opaque byte blob (solver scalar state, app metadata).
   /// Blobs are stored verbatim (never lossy).
   void protect_blob(int id, std::string name, std::vector<byte_t>* data);
-
-  /// Remove a registration.
-  void unprotect(int id);
 
   /// Save all protected variables as a new checkpoint version
   /// (synchronous: compress + write + commit before returning). Refused
@@ -198,40 +197,27 @@ class CheckpointManager {
     const Vector* src = nullptr;  // checkpointed data (exactly one of
     Vector* dst = nullptr;        //   src/blob is set; dst is recover()'s
     std::vector<byte_t>* blob = nullptr;  //   target, == src unless split)
-    const Compressor* compressor = nullptr;  // null => manager default
   };
 
-  /// One variable in the staged copy (owning copies, so the live solver
-  /// state can keep mutating while the drain compresses).
+  /// One variable in the staged copy: owning copies of its data, so the
+  /// live solver state can keep mutating while the drain compresses.
   struct StagedVar {
-    int id = 0;
-    std::string name;
-    bool is_vector = false;
     Vector vec;
     std::vector<byte_t> blob;
-    const Compressor* compressor = nullptr;  // effective (resolved) compressor
   };
 
-  /// Borrowed view of one variable for the shared serializer. Sync points
-  /// it at the live protected data, async at the staged copy.
+  /// Borrowed view of one variable for the writer. checkpoint() points it
+  /// at the live protected data, stage() at the staged copy.
   struct VarView {
     int id = 0;
     const std::string* name = nullptr;
-    const Vector* vec = nullptr;
+    const Vector* vec = nullptr;  // exactly one of vec/blob is set
     const std::vector<byte_t>* blob = nullptr;
-    const Compressor* compressor = nullptr;
   };
 
-  [[nodiscard]] const Compressor* compressor_for(const Entry& e) const {
-    return e.compressor != nullptr ? e.compressor : default_compressor_;
-  }
-
-  /// Chunk hashes of one variable in an encoded version. The compressor
-  /// name rides along so a mid-run codec swap can never produce a reference
-  /// to a payload the new codec cannot decode.
+  /// Chunk hashes of one variable in an encoded version.
   struct VarChunkHashes {
     int id = 0;
-    std::string comp_name;
     std::vector<std::uint64_t> hashes;
   };
 
@@ -242,32 +228,34 @@ class CheckpointManager {
     std::uint32_t chain_len = 0;  ///< 0 for a full (chain-start) checkpoint.
     std::vector<VarChunkHashes> vars;
 
-    /// Hashes usable as reference targets for variable `id` under
-    /// compressor `comp_name` — null when the variable is new or its codec
-    /// changed.
-    [[nodiscard]] const std::vector<std::uint64_t>* hashes_for(
-        int id, const std::string& comp_name) const {
+    /// Hashes usable as reference targets for variable `id` — null when
+    /// the variable is new.
+    [[nodiscard]] const std::vector<std::uint64_t>* hashes_for(int id) const {
       for (const auto& v : vars)
-        if (v.id == id) return v.comp_name == comp_name ? &v.hashes : nullptr;
+        if (v.id == id) return &v.hashes;
       return nullptr;
     }
   };
 
-  /// The one writer: serialize one snapshot as a stream straight into
-  /// `sink` with bounded memory (see frame_stream.hpp). `state` is non-null
-  /// in delta mode only; the writer then hashes every chunk into it and
-  /// stores chunks found in `base` (or earlier in its vector) as
-  /// references. It plans every variable first, then compresses the
-  /// literal chunks of all vectors as one list, in batches of 2 × W on W
-  /// lanes (lanes_; W is num_threads() on the calling thread), and writes
-  /// the frames in variable and chunk order on the calling thread. Shared
-  /// by the sync path and the background drain, so the two produce
-  /// byte-identical streams for identical variable values, whatever W.
-  /// Calls FrameWriter's finish() but NOT sink.finish() — sealing the sink
-  /// is the caller's job.
+  /// The one write step: stream one snapshot as `version` straight into
+  /// the store's pending sink with bounded memory (see frame_stream.hpp),
+  /// then seal the sink. `state` is non-null in delta mode only; the writer
+  /// then hashes every chunk into it and stores chunks found in `base` (or
+  /// earlier in its vector) as references. It plans every variable first,
+  /// then compresses the literal chunks of all vectors as one list, in
+  /// batches of 2 × W on W lanes (lanes_; W is num_threads() on the calling
+  /// thread), and writes the frames in variable and chunk order on the
+  /// calling thread. Shared by checkpoint() and the background drain, so
+  /// the two produce byte-identical streams for identical variable values,
+  /// whatever W. Under a stop request it stops before the seal.
   CheckpointRecord write_stream(const std::vector<VarView>& vars, int version,
                                 const ChunkBaseState* base,
-                                ChunkBaseState* state, ByteSink& sink);
+                                ChunkBaseState* state);
+
+  /// The one commit step: commit `rec.version` in the store, make `state`
+  /// (null outside delta mode) the delta base, and prune to retention.
+  void commit(const CheckpointRecord& rec,
+              const std::shared_ptr<ChunkBaseState>& state);
 
   /// The base the next checkpoint deltas against, or nullptr when a full
   /// checkpoint is due (no committed predecessor, chain at max length,
@@ -290,8 +278,7 @@ class CheckpointManager {
   void mark_chain(int v, std::set<int>& live) const;
 
   std::unique_ptr<CheckpointStore> store_;
-  const Compressor* default_compressor_;
-  NoneCompressor none_;
+  const Compressor* codec_;
   std::map<int, Entry> entries_;
   int next_version_ = 0;
   int retention_ = 1;

@@ -48,24 +48,8 @@ TieredCheckpointStore::TieredCheckpointStore(std::vector<Level> levels,
 // ----- CheckpointStore interface --------------------------------------------
 
 void TieredCheckpointStore::write(int version, std::span<const byte_t> data) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    records_[version] = record_blob(data);
-    {
-      const std::lock_guard<std::mutex> l0(*level_mu_[0]);
-      levels_.front().store->write(version, data);
-    }
-    committed_.front().insert(version);
-    if (obs_.metrics != nullptr) {
-      obs_.metrics->add("tier.writes", 1.0,
-                        {{"tier", levels_.front().spec.name}});
-      obs_.metrics->observe("tier.write_bytes",
-                            static_cast<double>(data.size()),
-                            {{"tier", levels_.front().spec.name}});
-    }
-    prune_level_locked(0);
-  }
-  if (auto_promote_) schedule_promotions(version);
+  write_pending(version, data);
+  commit(version);
 }
 
 std::vector<byte_t> TieredCheckpointStore::read(int version) const {
@@ -142,9 +126,16 @@ void TieredCheckpointStore::commit(int version) {
       levels_.front().store->commit(version);
     }
     committed_.front().insert(version);
-    if (obs_.metrics != nullptr)
-      obs_.metrics->add("tier.writes", 1.0,
-                        {{"tier", levels_.front().spec.name}});
+    if (obs_.metrics != nullptr) {
+      const std::string& tier = levels_.front().spec.name;
+      obs_.metrics->add("tier.writes", 1.0, {{"tier", tier}});
+      // write_pending() recorded the stream's size.
+      const auto rec = records_.find(version);
+      if (rec != records_.end())
+        obs_.metrics->observe("tier.write_bytes",
+                              static_cast<double>(rec->second.bytes),
+                              {{"tier", tier}});
+    }
     prune_level_locked(0);
   }
   if (auto_promote_) schedule_promotions(version);
@@ -465,7 +456,7 @@ std::size_t TieredCheckpointStore::failed_promotions() const {
 
 std::unique_ptr<TieredCheckpointStore> make_tiered_store(
     int retention, int l2_promote_every, int l3_promote_every,
-    const std::string& pfs_dir, bool auto_promote) {
+    bool auto_promote) {
   std::vector<TieredCheckpointStore::Level> levels;
   levels.push_back({TierSpec{"L1-local", FailureSeverity::kProcess, retention,
                              1},
@@ -473,13 +464,12 @@ std::unique_ptr<TieredCheckpointStore> make_tiered_store(
   levels.push_back({TierSpec{"L2-partner", FailureSeverity::kNode, retention,
                              l2_promote_every},
                     std::make_unique<PartnerStore>()});
-  // The PFS tier is content-addressed: chunks identical across versions —
-  // and across runs, when `pfs_dir` persists the chunk index — are stored
-  // once (see dedup_store.hpp). Non-delta blobs pass through verbatim.
-  auto pfs = std::make_unique<DedupChunkStore>(pfs_dir);
+  // The PFS tier is content-addressed: chunks identical across versions are
+  // stored once (see dedup_store.hpp). Non-delta blobs pass through
+  // verbatim.
   levels.push_back({TierSpec{"L3-pfs", FailureSeverity::kSystem, retention,
                              l3_promote_every},
-                    std::move(pfs)});
+                    std::make_unique<DedupChunkStore>()});
   return std::make_unique<TieredCheckpointStore>(std::move(levels),
                                                  auto_promote);
 }

@@ -213,9 +213,9 @@ class TieredCheckpointStore final : public CheckpointStore {
 
 /// The canonical 3-level hierarchy: L1 node-local (MemoryStore), L2
 /// partner-copy (PartnerStore), L3 PFS (a content-addressed DedupChunkStore
-/// persisted under `pfs_dir`, or held in memory when `pfs_dir` is empty).
+/// held in memory). Every level keeps `retention` versions.
 [[nodiscard]] std::unique_ptr<TieredCheckpointStore> make_tiered_store(
     int retention = 2, int l2_promote_every = 1, int l3_promote_every = 1,
-    const std::string& pfs_dir = "", bool auto_promote = true);
+    bool auto_promote = true);
 
 }  // namespace lck

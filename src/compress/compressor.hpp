@@ -61,11 +61,14 @@ class Compressor {
 
 /// Lossy compressors additionally carry a (mutable) error bound, so the
 /// checkpointing layer can adapt it per snapshot (Theorem 3 for GMRES).
+/// compress() and decompress() write no state, so one instance may run on
+/// several threads at once, as a checkpoint's lanes run it; the bound must
+/// not change while they do.
 class LossyCompressor : public Compressor {
  public:
   [[nodiscard]] bool lossy() const noexcept final { return true; }
 
-  void set_error_bound(ErrorBound eb) { eb_ = eb; }
+  virtual void set_error_bound(ErrorBound eb) { eb_ = eb; }
   [[nodiscard]] ErrorBound error_bound() const noexcept { return eb_; }
 
  protected:
@@ -80,8 +83,8 @@ class LossyCompressor : public Compressor {
   ErrorBound eb_;
 };
 
-/// Identity "compressor" — the traditional checkpointing scheme. The
-/// checkpoint manager stores a `none` variable's chunks as raw frames and
+/// Identity "compressor" — the traditional checkpointing scheme. A
+/// checkpoint manager built with `none` stores its chunks as raw frames and
 /// never calls compress(); this stream form serves direct callers.
 class NoneCompressor final : public Compressor {
  public:

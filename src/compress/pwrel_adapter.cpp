@@ -19,12 +19,15 @@ std::vector<byte_t> PointwiseRelativeAdapter::compress(
   out.put(static_cast<std::uint64_t>(data.size()));
   out.put(eb_.value);
   const auto logs = write_log_transform(out, data, eb_.value);
-  inner_->set_error_bound(
-      ErrorBound::absolute(log_transform_bound(eb_.value)));
   const auto inner_stream = inner_->compress(logs);
   out.put(static_cast<std::uint64_t>(inner_stream.size()));
   out.put_bytes(inner_stream);
   return std::move(out).take();
+}
+
+void PointwiseRelativeAdapter::set_error_bound(ErrorBound eb) {
+  LossyCompressor::set_error_bound(eb);
+  inner_->set_error_bound(ErrorBound::absolute(log_transform_bound(eb.value)));
 }
 
 void PointwiseRelativeAdapter::decompress(std::span<const byte_t> stream,

@@ -21,7 +21,12 @@ class PointwiseRelativeAdapter final : public LossyCompressor {
       : LossyCompressor(ErrorBound::pointwise_rel(eb)),
         inner_(std::move(inner)) {
     require(inner_ != nullptr, "pwrel adapter: null inner compressor");
+    set_error_bound(eb_);
   }
+
+  /// Sets the inner codec's bound with the adapter's, so compress() writes
+  /// nothing and the lanes of one checkpoint can share the adapter.
+  void set_error_bound(ErrorBound eb) override;
 
   [[nodiscard]] std::string name() const override {
     return "pwrel+" + inner_->name();

@@ -75,8 +75,10 @@ class PredictorBank {
 constexpr std::size_t kSzBlock = 4096;
 
 /// Core absolute-error-bounded compressor for a raw double sequence.
-/// Appends to `out`: quantizer params, Huffman table, outliers, payload.
-void core_compress(ByteWriter& out, std::span<const double> data, double eb) {
+/// Appends quantizer params, Huffman table, outliers and payload to `out`
+/// and returns the finished stream.
+std::vector<byte_t> core_compress(ByteWriter out, std::span<const double> data,
+                                  double eb) {
   const std::size_t n = data.size();
   std::vector<std::uint32_t> codes(n);
   std::vector<double> outliers;
@@ -134,11 +136,17 @@ void core_compress(ByteWriter& out, std::span<const double> data, double eb) {
   out.put(static_cast<std::uint64_t>(outliers.size()));
   out.put_array(outliers.data(), outliers.size());
 
-  BitWriter bw;
+  // The payload's exact size, padded to a byte: Σ count × code length,
+  // summed code by code. The payload is coded straight after it, into room
+  // reserved for exactly that size.
+  std::uint64_t payload_bits = 0;
+  for (const auto c : codes) payload_bits += lengths[c];
+  const std::uint64_t payload_bytes = (payload_bits + 7) / 8;
+  out.put(payload_bytes);
+  BitWriter bw(std::move(out).take());
+  bw.reserve(payload_bytes);
   for (const auto c : codes) enc.encode(bw, c);
-  const auto payload = bw.finish();
-  out.put(static_cast<std::uint64_t>(payload.size()));
-  out.put_bytes(payload);
+  return bw.finish();
 }
 
 /// Inverse of core_compress: fills `out`, whose size the stream must match.
@@ -189,22 +197,14 @@ std::vector<byte_t> SzLikeCompressor::compress(
   out.put(static_cast<std::uint8_t>(eb_.mode));
   out.put(eb_.value);
 
-  switch (eb_.mode) {
-    case ErrorBound::Mode::kAbsolute:
-    case ErrorBound::Mode::kValueRangeRelative: {
-      // A zero bound (degenerate value range) stores exactly: core handles
-      // eb == 0.
-      core_compress(out, data, absolute_bound(data));
-      break;
-    }
-    case ErrorBound::Mode::kPointwiseRelative: {
-      // Compress log2|x| under an absolute bound (exact_array.hpp).
-      const auto logs = write_log_transform(out, data, eb_.value);
-      core_compress(out, logs, log_transform_bound(eb_.value));
-      break;
-    }
+  if (eb_.mode == ErrorBound::Mode::kPointwiseRelative) {
+    // Compress log2|x| under an absolute bound (exact_array.hpp).
+    const auto logs = write_log_transform(out, data, eb_.value);
+    return core_compress(std::move(out), logs, log_transform_bound(eb_.value));
   }
-  return std::move(out).take();
+  // Absolute and value-range modes. A zero bound (degenerate value range)
+  // stores exactly: core handles eb == 0.
+  return core_compress(std::move(out), data, absolute_bound(data));
 }
 
 void SzLikeCompressor::decompress(std::span<const byte_t> stream,

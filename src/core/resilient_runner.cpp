@@ -111,7 +111,7 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
     // channel finishes it, so runs are bit-stable regardless of host speed.
     // The policy picks the promoted versions, so the stack's own cadences
     // (read only by a self-promoting store) stay 1.
-    auto tiered = make_tiered_store(TierSpec{}.retention, 1, 1, "",
+    auto tiered = make_tiered_store(TierSpec{}.retention, 1, 1,
                                     /*auto_promote=*/false);
     tiered_ = tiered.get();
     store = std::move(tiered);

@@ -11,9 +11,9 @@
 ///  - checkpointing:   CheckpointManager (Protect/Checkpoint/Recover),
 ///                     stores (memory, disk, tiered, dedup), make_compressor,
 ///                     one framed, chunk-addressed wire format
-///                     (frame_stream.hpp; a chunk is compressed only by its
-///                     variable's codec), delta checkpoints (DeltaConfig /
-///                     set_delta)
+///                     (frame_stream.hpp; every chunk is compressed by the
+///                     manager's one codec), delta checkpoints (DeltaConfig
+///                     / set_delta)
 ///  - pacing:          CheckpointPolicy + make_policy ("fixed" | "young" |
 ///                     "adaptive"), PolicyContext
 ///  - execution:       ResilientRunner + ResilienceConfig (nested

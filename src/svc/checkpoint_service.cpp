@@ -105,8 +105,8 @@ class CheckpointService::NamespaceStore final : public CheckpointStore {
 
 // ----- service --------------------------------------------------------------
 
-CheckpointService::CheckpointService(std::string l3_dir)
-    : l3_(std::make_unique<DedupChunkStore>(std::move(l3_dir))) {
+CheckpointService::CheckpointService()
+    : l3_(std::make_unique<DedupChunkStore>()) {
   l3_->set_observability(obs::Sink{&metrics_, nullptr});
   refresh_gauges();
 }

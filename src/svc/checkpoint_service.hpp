@@ -126,18 +126,15 @@ class CheckpointService {
   /// leave the int key space.
   static constexpr int kNamespaceStride = 1 << 16;
 
-  /// `l3_dir`: the shared L3 directory ("" = in-memory; a directory
-  /// persists chunks and lets a restarted service dedup against the
-  /// previous run).
-  explicit CheckpointService(std::string l3_dir = "");
+  /// The shared L3 is an in-memory DedupChunkStore.
+  CheckpointService();
   ~CheckpointService();
 
   CheckpointService(const CheckpointService&) = delete;
   CheckpointService& operator=(const CheckpointService&) = delete;
 
-  /// Register a job; never blocks. Job ids are monotonic, so a reopened
-  /// service run never reuses a namespace. Throws config_error for a name
-  /// the job label cannot carry (JobConfig::name).
+  /// Register a job; never blocks. Job ids are monotonic. Throws
+  /// config_error for a name the job label cannot carry (JobConfig::name).
   [[nodiscard]] JobHandle open_job(JobConfig cfg = {});
 
   // ----- fleet introspection ------------------------------------------------

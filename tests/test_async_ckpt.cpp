@@ -219,62 +219,64 @@ TEST(LaneRunner, EveryLaneRunsUnderTheCallersStopRequest) {
 TEST(AsyncManager, StagedStreamIsBitIdenticalToSyncCheckpoint) {
   // Same protected values must serialize to the same bytes on both paths,
   // so sync and async recoveries are interchangeable. Four variables: a
-  // vector and a blob stored verbatim, a one-chunk deflate vector and a
-  // 3 × 64Ki + 5-double shuffle-rle vector, whose chunks are compressed as
-  // one list; two checkpoints each, full and delta. Under OpenMP a sync
+  // blob, stored verbatim, and three vectors (4,000 and 1,000 doubles, one
+  // chunk each, and 3 × 64Ki + 5 doubles), whose chunks are raw frames
+  // under `none` and are compressed as one list under deflate and
+  // shuffle-rle; two checkpoints each, full and delta. Under OpenMP a sync
   // checkpoint on one lane must write the same bytes too.
-  NoneCompressor none;
-  const auto deflate = make_compressor("deflate");
-  const auto shuffle_rle = make_compressor("shuffle-rle");
-  for (const bool delta : {false, true}) {
-    SCOPED_TRACE(delta ? "delta" : "full");
-    Vector x = random_vector(4000, 1);
-    std::vector<byte_t> blob{1, 2, 3, 4};
-    Vector y = random_vector(1000, 2);
-    Vector z = random_vector(3 * kChunkElems + 5, 3);
-    const auto make = [&](MemoryStore*& raw) {
-      auto store = std::make_unique<MemoryStore>();
-      raw = store.get();
-      auto mgr = std::make_unique<CheckpointManager>(std::move(store), &none);
-      if (delta) mgr->set_delta(4);
-      mgr->protect(0, "x", &x);
-      mgr->protect_blob(1, "s", &blob);
-      mgr->protect(2, "y", &y, deflate.get());
-      mgr->protect(3, "z", &z, shuffle_rle.get());
-      return mgr;
-    };
-    MemoryStore* sync_raw = nullptr;
-    MemoryStore* async_raw = nullptr;
-    MemoryStore* one_lane_raw = nullptr;
-    auto sync_mgr = make(sync_raw);
-    auto async_mgr = make(async_raw);
-    auto one_lane_mgr = make(one_lane_raw);
-    for (int v = 0; v < 2; ++v) {
-      SCOPED_TRACE("version " + std::to_string(v));
-      if (v == 1) {  // one chunk of z, all of y and the blob change
-        z[kChunkElems + 7] += 1.0;
-        y[0] = -y[0];
-        blob[0] = 9;
-      }
-      sync_mgr->checkpoint();
-      const StageTicket ticket = async_mgr->stage();
-      EXPECT_EQ(ticket.version, v);
-      EXPECT_EQ(ticket.raw_bytes,
-                (4000 + 1000 + 3 * kChunkElems + 5) * sizeof(double) + 4);
-      const CheckpointRecord rec = async_mgr->wait_drain(ticket.version);
-      async_mgr->commit_version(ticket.version);
-      EXPECT_EQ(sync_raw->read(v), async_raw->read(v));
-      EXPECT_EQ(rec.stored_bytes, sync_raw->read(v).size());
-      if (delta && v == 1) {
-        EXPECT_GT(rec.chunks_deduped, 0u);
-      }
+  for (const char* name : {"none", "deflate", "shuffle-rle"}) {
+    for (const bool delta : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (delta ? " delta" : " full"));
+      const auto codec = make_compressor(name);
+      Vector x = random_vector(4000, 1);
+      std::vector<byte_t> blob{1, 2, 3, 4};
+      Vector y = random_vector(1000, 2);
+      Vector z = random_vector(3 * kChunkElems + 5, 3);
+      const auto make = [&](MemoryStore*& raw) {
+        auto store = std::make_unique<MemoryStore>();
+        raw = store.get();
+        auto mgr =
+            std::make_unique<CheckpointManager>(std::move(store), codec.get());
+        if (delta) mgr->set_delta(4);
+        mgr->protect(0, "x", &x);
+        mgr->protect_blob(1, "s", &blob);
+        mgr->protect(2, "y", &y);
+        mgr->protect(3, "z", &z);
+        return mgr;
+      };
+      MemoryStore* sync_raw = nullptr;
+      MemoryStore* async_raw = nullptr;
+      MemoryStore* one_lane_raw = nullptr;
+      auto sync_mgr = make(sync_raw);
+      auto async_mgr = make(async_raw);
+      auto one_lane_mgr = make(one_lane_raw);
+      for (int v = 0; v < 2; ++v) {
+        SCOPED_TRACE("version " + std::to_string(v));
+        if (v == 1) {  // one chunk of z, all of y and the blob change
+          z[kChunkElems + 7] += 1.0;
+          y[0] = -y[0];
+          blob[0] = 9;
+        }
+        sync_mgr->checkpoint();
+        const StageTicket ticket = async_mgr->stage();
+        EXPECT_EQ(ticket.version, v);
+        EXPECT_EQ(ticket.raw_bytes,
+                  (4000 + 1000 + 3 * kChunkElems + 5) * sizeof(double) + 4);
+        const CheckpointRecord rec = async_mgr->wait_drain(ticket.version);
+        async_mgr->commit_version(ticket.version);
+        EXPECT_EQ(sync_raw->read(v), async_raw->read(v));
+        EXPECT_EQ(rec.stored_bytes, sync_raw->read(v).size());
+        if (delta && v == 1) {
+          EXPECT_GT(rec.chunks_deduped, 0u);
+        }
 #if defined(_OPENMP)
-      const int threads = omp_get_max_threads();
-      omp_set_num_threads(1);
-      one_lane_mgr->checkpoint();
-      omp_set_num_threads(threads);
-      EXPECT_EQ(one_lane_raw->read(v), sync_raw->read(v)) << "one lane";
+        const int threads = omp_get_max_threads();
+        omp_set_num_threads(1);
+        one_lane_mgr->checkpoint();
+        omp_set_num_threads(threads);
+        EXPECT_EQ(one_lane_raw->read(v), sync_raw->read(v)) << "one lane";
 #endif
+      }
     }
   }
 }
@@ -617,11 +619,12 @@ class Meeting {
 };
 
 /// Compressor whose calls meet at a Meeting, then store the doubles
-/// verbatim, or fail like a full disk while `full_disk` is set.
+/// verbatim, or fail like a full disk on an input of `full_disk_elems`
+/// doubles (0: never).
 class MeetingCompressor final : public Compressor {
  public:
-  MeetingCompressor(Meeting& meeting, bool full_disk)
-      : meeting_(meeting), full_disk_(full_disk) {}
+  explicit MeetingCompressor(Meeting& meeting, std::size_t full_disk_elems = 0)
+      : meeting_(meeting), full_disk_elems_(full_disk_elems) {}
 
   [[nodiscard]] std::string name() const override { return "meeting"; }
   [[nodiscard]] bool lossy() const noexcept override { return false; }
@@ -629,7 +632,7 @@ class MeetingCompressor final : public Compressor {
       std::span<const double> data) const override {
     if (!meeting_.arrive())
       throw corrupt_stream_error("meeting compressor: deadline expired");
-    if (full_disk_.load())
+    if (data.size() == full_disk_elems_.load())
       throw std::system_error(ENOSPC, std::generic_category(), "drain write");
     return none_.compress(data);
   }
@@ -637,12 +640,12 @@ class MeetingCompressor final : public Compressor {
                   std::span<double> out) const override {
     none_.decompress(stream, out);
   }
-  void set_full_disk(bool full) { full_disk_ = full; }
+  void set_full_disk_elems(std::size_t n) { full_disk_elems_ = n; }
 
  private:
   Meeting& meeting_;
   NoneCompressor none_;
-  std::atomic<bool> full_disk_;
+  std::atomic<std::size_t> full_disk_elems_;
 };
 
 TEST(AsyncManager, VariablesCompressSideBySide) {
@@ -651,7 +654,7 @@ TEST(AsyncManager, VariablesCompressSideBySide) {
   // one after the other, the first would run into its deadline.
   if (drain_lanes() == 1) GTEST_SKIP() << "the drain writes on one lane";
   Meeting meeting(2);
-  MeetingCompressor codec(meeting, false);
+  MeetingCompressor codec(meeting);
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &codec);
   Vector x = random_vector(64, 31);
   Vector y = random_vector(64, 32);
@@ -669,17 +672,17 @@ TEST(AsyncManager, VariablesCompressSideBySide) {
 }
 
 TEST(AsyncManager, FullDiskOnOneVariableFailsTheDrainItCompressesIn) {
-  // y's codec fails like a full disk; with two or more lanes, only once x's
-  // call has started beside it. Every wait reports the full disk, not a
-  // corruption, and once the disk has room the next stage() commits.
+  // The codec fails like a full disk on y's 48 doubles and writes x's 64;
+  // with two or more lanes, y's call fails only once x's has started beside
+  // it. Every wait reports the full disk, not a corruption, and once the
+  // disk has room the next stage() commits.
   Meeting meeting(drain_lanes() > 1 ? 2 : 1);
-  MeetingCompressor fine(meeting, false);
-  MeetingCompressor full(meeting, true);
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &fine);
+  MeetingCompressor codec(meeting, /*full_disk_elems=*/48);
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &codec);
   Vector x = random_vector(64, 41);
-  Vector y = random_vector(64, 42);
+  Vector y = random_vector(48, 42);
   mgr.protect(0, "x", &x);
-  mgr.protect(1, "y", &y, &full);
+  mgr.protect(1, "y", &y);
   const StageTicket t = mgr.stage();
   for (int wait = 0; wait < 2; ++wait) {
     try {
@@ -691,18 +694,18 @@ TEST(AsyncManager, FullDiskOnOneVariableFailsTheDrainItCompressesIn) {
       ADD_FAILURE() << "wait " << wait << " threw " << e.what();
     }
   }
-  EXPECT_EQ(meeting.arrived(), 2) << "both variables reached their codec";
+  EXPECT_EQ(meeting.arrived(), 2) << "both variables reached the codec";
   mgr.abort_version(t.version);
   EXPECT_FALSE(mgr.store().has_pending(t.version));
 
-  full.set_full_disk(false);
+  codec.set_full_disk_elems(0);
   const Vector want_x = x;
   const Vector want_y = y;
   const StageTicket t2 = mgr.stage();
   mgr.commit_version(t2.version);
   EXPECT_EQ(mgr.latest_version(), t2.version);
   x.assign(64, 0.0);
-  y.assign(64, 0.0);
+  y.assign(48, 0.0);
   mgr.recover();
   EXPECT_TRUE(bit_equal(x, want_x));
   EXPECT_TRUE(bit_equal(y, want_y));

@@ -3,13 +3,16 @@
 /// size in delta mode, and each chunk is compressed on its own, in
 /// parallel. Round trips across every factory compressor × error-bound
 /// mode × chunk-boundary sizes with per-element error-bound checks, decoded
-/// values equal to single-shot codec calls on each chunk's slice, and
-/// per-chunk CRC corruption detection.
+/// values equal to single-shot codec calls on each chunk's slice,
+/// per-chunk CRC corruption detection, and one codec instance shared by
+/// two threads, as a checkpoint's lanes share it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
+#include <thread>
 #include <tuple>
 
 #include "ckpt/checkpoint_manager.hpp"
@@ -192,6 +195,50 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ----- one codec, two threads -----------------------------------------------
+
+TEST(SharedCodec, TwoThreadsGetTheOneThreadResults) {
+  // A checkpoint compresses the chunks of every vector on several lanes
+  // through the manager's one codec instance, so compress() and
+  // decompress() must write nothing shared: two threads, each with its own
+  // input, must get the streams and values of a one-thread run.
+  struct Result {
+    std::vector<byte_t> stream;
+    Vector out;
+  };
+  const Vector inputs[2] = {solver_like(4096, 1), solver_like(13824, 2)};
+  for (const char* name : {"none", "rle", "shuffle-rle", "deflate",
+                           "shuffle-deflate", "sz", "zfp", "trunc"}) {
+    for (const auto mode : {ErrorBound::Mode::kAbsolute,
+                            ErrorBound::Mode::kValueRangeRelative,
+                            ErrorBound::Mode::kPointwiseRelative}) {
+      SCOPED_TRACE(std::string(name) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      const auto codec = make_compressor(name, bound(mode));
+      const auto run = [&](const Vector& in) {
+        Result r{codec->compress(in), Vector(in.size())};
+        codec->decompress(r.stream, r.out);
+        return r;
+      };
+      const Result want[2] = {run(inputs[0]), run(inputs[1])};
+      Result got[2];
+      std::latch start(2);
+      const auto lane = [&](int k) {
+        start.arrive_and_wait();
+        got[k] = run(inputs[k]);
+      };
+      std::thread a(lane, 0);
+      std::thread b(lane, 1);
+      a.join();
+      b.join();
+      for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(got[k].stream, want[k].stream) << "input " << k;
+        EXPECT_EQ(got[k].out, want[k].out) << "input " << k;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace lck

@@ -311,21 +311,6 @@ TEST(Manager, LossyCompressorIsAppliedAndBounded) {
               1e-4 * std::fabs(original[i]) + 1e-300);
 }
 
-TEST(Manager, PerVariableCompressorOverride) {
-  SzLikeCompressor sz(ErrorBound::pointwise_rel(1e-4));
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &sz);
-  Vector x = random_vector(500, 3);
-  Vector exact = random_vector(500, 4);
-  mgr.protect(0, "x", &x);              // default (lossy)
-  mgr.protect(1, "exact", &exact, &none);  // override: verbatim
-  const Vector exact_saved = exact;
-  mgr.checkpoint();
-  for (auto& v : exact) v = 0.0;
-  mgr.recover();
-  EXPECT_EQ(exact, exact_saved);  // bit-exact despite lossy default
-}
-
 TEST(Manager, CrcDetectsCorruption) {
   // Corrupt the stored blob through a custom store wrapper.
   class CorruptingStore final : public CheckpointStore {

@@ -448,30 +448,6 @@ TEST(DedupStore, ReopenSurvivesACrashInsideRemovesDeletionWindow) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DeltaManager, CompressorSwapMidChainForcesLiteralsAndRecovers) {
-  // Re-protecting a variable with a different codec must not let the next
-  // delta reference the old codec's payloads.
-  SzLikeCompressor sz(ErrorBound::pointwise_rel(1e-4));
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_delta(4, 64);
-  Vector x(512);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(0.01 * static_cast<double>(i)) + 2.0;
-  mgr.protect(0, "x", &x, &sz);
-  mgr.checkpoint();  // v0: sz-encoded chunks
-
-  mgr.unprotect(0);
-  mgr.protect(0, "x", &x, &none);  // same raw content, new codec
-  const auto rec = mgr.checkpoint();  // v1: must not ref v0's sz payloads
-  EXPECT_EQ(rec.chunks_deduped, 0u);
-
-  const Vector want = x;
-  for (auto& v : x) v = 0.0;
-  mgr.recover();
-  EXPECT_EQ(x, want);  // verbatim codec: bit-exact
-}
-
 // ----- tiered hierarchy -----------------------------------------------------
 
 TEST(DeltaTiered, NodeFailureRematerializesTheChainFromL2) {
@@ -479,7 +455,7 @@ TEST(DeltaTiered, NodeFailureRematerializesTheChainFromL2) {
   // promoted to L2/L3, so recover() must re-materialize every chunk from
   // the surviving tiers — including parity reconstruction inside L2.
   auto tiered = make_tiered_store(/*retention=*/8, /*l2_promote_every=*/1,
-                                  /*l3_promote_every=*/4, "",
+                                  /*l3_promote_every=*/4,
                                   /*auto_promote=*/false);
   auto* tiered_raw = tiered.get();
   NoneCompressor none;
@@ -512,7 +488,7 @@ TEST(DeltaTiered, NodeFailureRematerializesTheChainFromL2) {
 TEST(DeltaTiered, PromotionCarriesSkippedChainBases) {
   // L3 cadence 4 would skip the delta's bases; the chain-aware promotion
   // must copy them anyway, so a system failure still recovers.
-  auto tiered = make_tiered_store(8, 1, 1, "", /*auto_promote=*/false);
+  auto tiered = make_tiered_store(8, 1, 1, /*auto_promote=*/false);
   auto* tiered_raw = tiered.get();
   NoneCompressor none;
   CheckpointManager mgr(std::unique_ptr<CheckpointStore>(std::move(tiered)),
@@ -538,7 +514,7 @@ TEST(DeltaTiered, PromotionCarriesSkippedChainBases) {
 }
 
 TEST(PromotionPlan, BasesFirstAndInvalidateDropsThePlan) {
-  auto tiered = make_tiered_store(8, 1, 1, "", /*auto_promote=*/false);
+  auto tiered = make_tiered_store(8, 1, 1, /*auto_promote=*/false);
   auto* tiered_raw = tiered.get();
   NoneCompressor none;
   CheckpointManager mgr(std::unique_ptr<CheckpointStore>(std::move(tiered)),
@@ -576,7 +552,7 @@ TEST(PromotionPlan, BasesFirstAndInvalidateDropsThePlan) {
 }
 
 TEST(DeltaTiered, PerLevelRetentionKeepsLiveBases) {
-  auto tiered = make_tiered_store(/*retention=*/1, 1, 1, "",
+  auto tiered = make_tiered_store(/*retention=*/1, 1, 1,
                                   /*auto_promote=*/false);
   auto* tiered_raw = tiered.get();
   NoneCompressor none;

@@ -14,6 +14,7 @@
 #include <filesystem>
 
 #include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/chunk/chunk_hash.hpp"
 #include "ckpt/frame_stream.hpp"
 #include "ckpt/tier/tiered_store.hpp"
 #include "common/crc32.hpp"
@@ -653,6 +654,54 @@ TEST(ManagerStream, HugeDeclaredSizesAreRejectedBeforeAllocating) {
   EXPECT_THROW(recover_stream(s), corrupt_stream_error);
 }
 
+TEST(ManagerStream, AVectorListedTwiceKeepsReferencesInsideItsTarget) {
+  // A tip that lists x twice, first as 8 doubles whose second chunk refers
+  // to the base, then as 4: the second listing shrinks the target, so the
+  // base's literal has no slice left to fill and recovery must reject the
+  // stream instead of writing past the target's end.
+  const std::vector<double> base_chunk{5, 6, 7, 8};
+  const std::vector<double> tip_chunk{1, 2, 3, 4};
+  const auto bytes = [](const std::vector<double>& v) {
+    return std::span<const byte_t>(reinterpret_cast<const byte_t*>(v.data()),
+                                   v.size() * sizeof(double));
+  };
+  const auto vector_header = [](FrameWriter& w, std::uint64_t elems,
+                                std::uint32_t count) {
+    w.put<std::int32_t>(0);
+    w.put_string("x");
+    w.put<std::uint8_t>(0);
+    w.put_string("none");
+    w.put(elems);
+    w.put(std::uint64_t{4});
+    w.put(count);
+  };
+  std::vector<byte_t> base_stream, tip_stream;
+  VectorSink base_sink(base_stream);
+  FrameWriter base(base_sink);
+  base.put<std::uint32_t>(1);
+  vector_header(base, 4, 1);
+  base.put_raw_chunk(bytes(base_chunk), crc64(bytes(base_chunk)));
+  base.finish();
+  VectorSink tip_sink(tip_stream);
+  FrameWriter tip(tip_sink, /*base_version=*/0, /*chain_len=*/1);
+  tip.put<std::uint32_t>(2);
+  vector_header(tip, 8, 2);
+  tip.put_raw_chunk(bytes(tip_chunk), crc64(bytes(tip_chunk)));
+  tip.put_ref_chunk(4 * sizeof(double), crc64(bytes(base_chunk)));
+  vector_header(tip, 4, 1);
+  tip.put_raw_chunk(bytes(tip_chunk), crc64(bytes(tip_chunk)));
+  tip.finish();
+
+  auto store = std::make_unique<MemoryStore>();
+  store->write(0, base_stream);
+  store->write(1, tip_stream);
+  NoneCompressor none;
+  CheckpointManager mgr(std::move(store), &none);
+  Vector x;
+  mgr.protect(0, "x", &x);
+  EXPECT_THROW(mgr.recover(), corrupt_stream_error);
+}
+
 /// Store whose pending sink counts the appends it receives, so tests can
 /// prove the manager streams into it instead of handing over whole blobs.
 class CountingStore final : public CheckpointStore {
@@ -787,12 +836,12 @@ struct History {
   std::vector<byte_t> blob;
 };
 
-/// Protected state: x through a codec, y verbatim (raw frames), a blob.
-/// `versions` = 1 without delta gives one full stream; otherwise a chain
-/// v0 full, v1 delta on v0, v2 delta on v1, each touching one chunk, so
-/// recovering the tip needs every link.
+/// Protected state: two vectors through `codec` (raw frames under `none`,
+/// codec frames under any other), and a blob. `versions` = 1 without delta
+/// gives one full stream; otherwise a chain v0 full, v1 delta on v0, v2
+/// delta on v1, each touching one chunk, so recovering the tip needs every
+/// link.
 History make_history(const Compressor& codec, int versions, bool delta) {
-  NoneCompressor none;
   auto store = std::make_unique<MemoryStore>();
   auto* store_raw = store.get();
   CheckpointManager mgr(std::move(store), &codec);
@@ -803,7 +852,7 @@ History make_history(const Compressor& codec, int versions, bool delta) {
   h.y = smooth_vector(200, 8);
   h.blob = {1, 2, 3, 4, 5};
   mgr.protect(0, "x", &h.x);
-  mgr.protect(1, "y", &h.y, &none);
+  mgr.protect(1, "y", &h.y);
   mgr.protect_blob(2, "blob", &h.blob);
   for (int v = 0; v < versions; ++v) {
     h.x[static_cast<std::size_t>(70 * v)] += 1.0;
@@ -818,7 +867,6 @@ History make_history(const Compressor& codec, int versions, bool delta) {
 /// exception, or an accepted stream, fails the test.
 bool rejected(const Compressor& codec, const History& h, std::size_t which,
               const std::vector<byte_t>& bad) {
-  NoneCompressor none;
   auto store = std::make_unique<MemoryStore>();
   for (std::size_t v = 0; v < h.streams.size(); ++v)
     store->write(static_cast<int>(v), v == which ? bad : h.streams[v]);
@@ -826,7 +874,7 @@ bool rejected(const Compressor& codec, const History& h, std::size_t which,
   Vector x, y;
   std::vector<byte_t> blob;
   mgr.protect(0, "x", &x);
-  mgr.protect(1, "y", &y, &none);
+  mgr.protect(1, "y", &y);
   mgr.protect_blob(2, "blob", &blob);
   try {
     mgr.recover();
@@ -929,20 +977,21 @@ void sweep(const Compressor& codec, const History& h) {
   }
 }
 
-TEST(StreamMutation, FullStream) {
-  const auto codec = make_compressor("deflate");
-  sweep(*codec, make_history(*codec, 1, false));
+/// Each sweep runs over a `none` history, whose vectors are raw frames,
+/// and a deflate history, whose vectors are codec frames.
+void sweep_both(int versions, bool delta) {
+  for (const char* name : {"none", "deflate"}) {
+    SCOPED_TRACE(name);
+    const auto codec = make_compressor(name);
+    sweep(*codec, make_history(*codec, versions, delta));
+  }
 }
 
-TEST(StreamMutation, DeltaStream) {
-  const auto codec = make_compressor("deflate");
-  sweep(*codec, make_history(*codec, 2, true));
-}
+TEST(StreamMutation, FullStream) { sweep_both(1, false); }
 
-TEST(StreamMutation, TwoLinkChain) {
-  const auto codec = make_compressor("deflate");
-  sweep(*codec, make_history(*codec, 3, true));
-}
+TEST(StreamMutation, DeltaStream) { sweep_both(2, true); }
+
+TEST(StreamMutation, TwoLinkChain) { sweep_both(3, true); }
 
 }  // namespace
 }  // namespace lck

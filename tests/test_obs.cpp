@@ -567,7 +567,8 @@ TEST(Obs, CheckpointStreamBytesUnchangedBySink) {
   const auto run = [&](bool with_sink) {
     auto store = std::make_unique<MemoryStore>();
     const MemoryStore* raw = store.get();
-    CheckpointManager mgr(std::move(store), nullptr);
+    NoneCompressor none;
+    CheckpointManager mgr(std::move(store), &none);
     obs::MetricsRegistry reg;
     if (with_sink) mgr.set_observability({&reg, nullptr});
     Vector v = data;

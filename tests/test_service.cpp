@@ -401,14 +401,14 @@ TEST(ThreadTopology, OnlyBackgroundWorkStartsAThreadAndOnlyOnePerOwner) {
   }
   {
     const int before = thread_count();
-    auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/false);
+    auto store = make_tiered_store(2, 1, 1, /*auto_promote=*/false);
     store->write(0, blob(256, 1));
     store->promote_now(0, 2);
     EXPECT_EQ(thread_count() - before, 0) << "caller-driven tiered store";
   }
   {
     const int before = thread_count();
-    auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/true);
+    auto store = make_tiered_store(2, 1, 1, /*auto_promote=*/true);
     EXPECT_EQ(thread_count() - before, 0)
         << "self-promoting store before its first commit";
     store->write(0, blob(256, 1));

@@ -123,7 +123,7 @@ TEST(TieredStore, NodeFailureReconstructsFromPartnerPieces) {
 }
 
 TEST(TieredStore, SystemFailureBeforeAnyPromotionLosesEverything) {
-  auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/false);
+  auto store = make_tiered_store(2, 1, 1, /*auto_promote=*/false);
   store->write(0, pattern_blob(64, 5));
   store->invalidate(FailureSeverity::kSystem);  // L1+L2 wiped, L3 empty
   EXPECT_EQ(store->latest_version(), -1);
@@ -151,7 +151,7 @@ TEST(TieredStore, PromotionFiltersAndPerTierRetention) {
 }
 
 TEST(TieredStore, ManualPromoteNowDeclinesWhenSourceGone) {
-  auto store = make_tiered_store(2, 1, 1, "", /*auto_promote=*/false);
+  auto store = make_tiered_store(2, 1, 1, /*auto_promote=*/false);
   store->write(0, pattern_blob(64, 1));
   EXPECT_TRUE(store->promote_now(0, 1));
   store->invalidate(FailureSeverity::kPartition);  // L1 + L2 destroyed
@@ -295,6 +295,35 @@ TEST(TieredPromotionMetrics, BackgroundCopiesRecordPromotes) {
             static_cast<double>(2 * written));
 }
 
+TEST(TieredWriteMetrics, ManagerCheckpointsRecordTheirStreamSize) {
+  // Sync and staged checkpoints both reach L1 through write_pending() and
+  // commit(), and each commit records the stream's size once.
+  for (const bool staged : {false, true}) {
+    SCOPED_TRACE(staged ? "staged" : "sync");
+    obs::MetricsRegistry metrics;
+    NoneCompressor none;
+    CheckpointManager mgr(make_tiered_store(2, 1, 1, /*auto_promote=*/false),
+                          &none);
+    mgr.set_observability({&metrics, nullptr});
+    Vector x(5000, 1.5);
+    mgr.protect(0, "x", &x);
+    CheckpointRecord rec;
+    if (staged) {
+      const int version = mgr.stage().version;
+      rec = mgr.wait_drain(version);
+      mgr.commit_version(version);
+    } else {
+      rec = mgr.checkpoint();
+    }
+    const auto snap = metrics.snapshot();
+    EXPECT_EQ(snap.counter("tier.writes{tier=L1-local}"), 1.0);
+    const auto* h = snap.histogram("tier.write_bytes{tier=L1-local}");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, 1u);
+    EXPECT_EQ(h->sum, static_cast<double>(rec.stored_bytes));
+  }
+}
+
 TEST(TieredStore, RefusesTierNamesTheMetricLabelsCannotCarry) {
   // A level's name is the value of the tier label on its tier.* series, and
   // neither rendering escapes a label value.
@@ -309,7 +338,7 @@ TEST(TieredStore, RefusesTierNamesTheMetricLabelsCannotCarry) {
   }
   // make_tiered_store's names, which the service and perfbench also give,
   // pass.
-  EXPECT_NO_THROW((void)make_tiered_store(2, 1, 1, "", false));
+  EXPECT_NO_THROW((void)make_tiered_store(2, 1, 1, false));
 }
 
 TEST(RunnerStoreFactory, RejectsAStackThatPromotesOnItsOwn) {
@@ -322,7 +351,7 @@ TEST(RunnerStoreFactory, RejectsAStackThatPromotesOnItsOwn) {
   cfg.ckpt_mode = CkptMode::kTiered;
   cfg.store_factory = [] {
     return std::unique_ptr<CheckpointStore>(
-        make_tiered_store(2, 1, 1, "", /*auto_promote=*/true));
+        make_tiered_store(2, 1, 1, /*auto_promote=*/true));
   };
   EXPECT_THROW(ResilientRunner(*solver, cfg), config_error);
 }
